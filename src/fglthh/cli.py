@@ -475,7 +475,11 @@ def cmd_bar_tor(args):
 def cmd_de_rham(args):
     d_max = args.max_degree
     if args.weights:
-        weights = [int(w) for w in args.weights.split(",")]
+        try:
+            weights = [int(w) for w in args.weights.split(",")]
+        except ValueError:
+            raise UsageError(f"--weights must be comma-separated integers, "
+                             f"got {args.weights!r}") from None
         gens = [(f"y_{k + 1}", w) for k, w in enumerate(weights)]
         table = de_rham_cohomology(gens, d_max)
         rows_t, rows_x, js = _degree_rows(table, d_max)
@@ -597,6 +601,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.truncation < 1:
+            raise UsageError(f"truncation must be at least 1, got {args.truncation}")
         results = COMMANDS[args.command](args)
         config = _config(args)
         text = emit_report(results, args.format, config)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 
 class ExactAlgError(Exception):
@@ -660,12 +661,15 @@ class IntMatrix:
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
+        rhs = other.entries
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                row.append(sum(self.entries[i][k] * other.entries[k][j]
-                               for k in range(self.cols)))
+        for a in self.entries:
+            row = [0] * other.cols
+            for k, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(rhs[k]):
+                        if y:
+                            row[j] += x * y
             out.append(tuple(row))
         return IntMatrix(self.rows, other.cols, tuple(out),
                          self.row_labels, other.col_labels)
@@ -698,16 +702,64 @@ def det_int(rows):
     return sign * (a[n - 1][n - 1] if n else 1)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """``U M V = D`` together with the inverse transforms, tracked during
-    the reduction so they cost no extra factorization."""
+def _replay(ops, n, inverse, transpose):
+    """Apply logged elementary operations, in order, to the ``n x n``
+    identity as row operations.
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    U_inv: IntMatrix
-    V_inv: IntMatrix
+    ``("add", i, k, q)`` is ``row_i -= q * row_k``; ``("swap", i, k)`` and
+    ``("neg", i)`` swap and negate rows.  With ``inverse`` each operation is
+    replaced by the transpose of its inverse, which yields the inverse
+    transpose of the plain replay.  ``transpose`` transposes the result.
+    """
+    M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for op in ops:
+        kind, i = op[0], op[1]
+        if kind == "add":
+            k, q = op[2], op[3]
+            if inverse:
+                i, k, q = k, i, -q
+            Mi = M[i]
+            for j, x in enumerate(M[k]):
+                if x:
+                    Mi[j] -= q * x
+        elif kind == "swap":
+            k = op[2]
+            M[i], M[k] = M[k], M[i]
+        else:
+            M[i] = [-x for x in M[i]]
+    return IntMatrix.from_rows(zip(*M) if transpose else M, cols=n)
+
+
+class SmithDecomposition:
+    """``U M V = D`` with ``U``, ``V`` unimodular and ``D`` the Smith form.
+
+    The reduction computes ``D`` and records its elementary row operations
+    (which make ``U``) and column operations (which make ``V``).  Each of
+    ``U``, ``V``, ``U_inv`` and ``V_inv`` is built from that record the
+    first time it is read and then cached, so a caller pays only for the
+    transforms it reads.
+    """
+
+    def __init__(self, D, row_ops, col_ops):
+        self.D = D
+        self._row_ops = row_ops
+        self._col_ops = col_ops
+
+    @cached_property
+    def U(self):
+        return _replay(self._row_ops, self.D.rows, inverse=False, transpose=False)
+
+    @cached_property
+    def U_inv(self):
+        return _replay(self._row_ops, self.D.rows, inverse=True, transpose=True)
+
+    @cached_property
+    def V(self):
+        return _replay(self._col_ops, self.D.cols, inverse=False, transpose=True)
+
+    @cached_property
+    def V_inv(self):
+        return _replay(self._col_ops, self.D.cols, inverse=True, transpose=False)
 
     @property
     def rank(self):
@@ -729,10 +781,12 @@ class SmithDecomposition:
 
 
 def smith_normal_form_full(matrix):
-    """Smith normal form with all four transforms: ``U M V = D`` with
-    ``U``, ``V`` unimodular, ``D`` diagonal, nonnegative, in a divisibility
-    chain.  Pivoting picks a minimal-absolute-value nonzero entry each
-    round to control coefficient growth; exactness holds regardless.
+    """Smith normal form ``U M V = D`` with ``U``, ``V`` unimodular and
+    ``D`` diagonal, nonnegative, in a divisibility chain.  Pivoting picks a
+    minimal-absolute-value nonzero entry each round to control coefficient
+    growth; exactness holds regardless.  The returned decomposition builds
+    ``U``, ``V`` and their inverses from the recorded operations only when
+    they are read.
     """
     if isinstance(matrix, IntMatrix):
         A = matrix.to_lists()
@@ -743,52 +797,35 @@ def smith_normal_form_full(matrix):
         n = len(A)
         m = len(A[0]) if A else 0
         labels = ((), ())
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    Uinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    V = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    Vinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    row_ops = []
+    col_ops = []
 
     def row_op(i, k, q):
-        # row_i -= q * row_k ; inverse accumulates the opposite column op
+        # row_i -= q * row_k
         Ai, Ak = A[i], A[k]
         for j in range(m):
             Ai[j] -= q * Ak[j]
-        Ui, Uk = U[i], U[k]
-        for j in range(n):
-            Ui[j] -= q * Uk[j]
-        for row in Uinv:
-            row[k] += q * row[i]
+        row_ops.append(("add", i, k, q))
 
     def col_op(j, k, q):
         # col_j -= q * col_k
         for row in A:
             row[j] -= q * row[k]
-        for row in V:
-            row[j] -= q * row[k]
-        Vk, Vj = Vinv[k], Vinv[j]
-        for c in range(m):
-            Vk[c] += q * Vj[c]
+        col_ops.append(("add", j, k, q))
 
     def swap_rows(i, k):
         A[i], A[k] = A[k], A[i]
-        U[i], U[k] = U[k], U[i]
-        for row in Uinv:
-            row[i], row[k] = row[k], row[i]
+        row_ops.append(("swap", i, k))
 
     def swap_cols(j, k):
         for row in A:
             row[j], row[k] = row[k], row[j]
-        for row in V:
-            row[j], row[k] = row[k], row[j]
-        Vinv[j], Vinv[k] = Vinv[k], Vinv[j]
+        col_ops.append(("swap", j, k))
 
     def negate_row(t):
         for j in range(m):
             A[t][j] = -A[t][j]
-        for j in range(n):
-            U[t][j] = -U[t][j]
-        for row in Uinv:
-            row[t] = -row[t]
+        row_ops.append(("neg", t))
 
     t = 0
     while True:
@@ -849,10 +886,7 @@ def smith_normal_form_full(matrix):
             break
 
     D = IntMatrix.from_rows(A, labels[0], labels[1], cols=m)
-    return SmithDecomposition(IntMatrix.from_rows(U, cols=n), D,
-                              IntMatrix.from_rows(V, cols=m),
-                              IntMatrix.from_rows(Uinv, cols=n),
-                              IntMatrix.from_rows(Vinv, cols=m))
+    return SmithDecomposition(D, row_ops, col_ops)
 
 
 def smith_normal_form(matrix):
@@ -863,36 +897,13 @@ def smith_normal_form(matrix):
 
 def invariant_factors(matrix):
     """Nonzero diagonal of the Smith form, as a divisibility chain."""
-    _, D, _ = smith_normal_form(matrix)
+    D = smith_normal_form_full(matrix).D
     out = []
     for i in range(min(D.rows, D.cols)):
         d = D.entries[i][i]
         if d:
             out.append(d)
     return tuple(out)
-
-
-def unimodular_inverse(matrix):
-    """Exact inverse of a unimodular integer matrix."""
-    if isinstance(matrix, IntMatrix):
-        rows = matrix.to_lists()
-    else:
-        rows = [list(r) for r in matrix]
-    n = len(rows)
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        x = solve_rational_linear(rows, e)
-        if x is None:
-            raise ValueError("matrix is singular")
-        col = []
-        for v in x:
-            if isinstance(v, Fraction):
-                raise ValueError("matrix is not unimodular")
-            col.append(v)
-        cols.append(col)
-    inv = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return IntMatrix.from_rows(inv, cols=n)
 
 
 def solve_integer(matrix, rhs):

@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fglthh
 from fglthh.cli import main
 
 
@@ -90,6 +95,20 @@ def test_truncation_guard(capsys):
                        "--max-degree", "10", "--truncation", "3")
     assert code == 2
     assert "truncation" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("de-rham", "--weights", "1,a"),
+    ("cohomology", "--max-degree", "0", "-N", "0"),
+])
+def test_bad_input_is_usage_error_without_traceback(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(fglthh.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "fglthh.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("usage error: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_bad_threads_env(capsys, monkeypatch):

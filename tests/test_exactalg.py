@@ -2,8 +2,9 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from fglthh import exactalg
 from fglthh.exactalg import (
     GenTable, GradedPoly, GradedWeightError, GeneratorTableError,
     UnderdeterminedSystemError, ComplexViolationError, IntMatrix, FinAbGroup,
@@ -186,14 +187,25 @@ def test_snf_four_by_three():
     assert invariant_factors(M) == minor_gcd_chain(M.entries) == (1, 1, 12)
 
 
-small_matrix = st.lists(
-    st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=4),
-    min_size=1, max_size=4).filter(lambda rows: len({len(r) for r in rows}) == 1)
+sparse_entry = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9))
+dim = st.integers(min_value=0, max_value=7)
+TRANSFORMS = ("U", "V", "U_inv", "V_inv")
 
 
-@given(small_matrix)
-def test_snf_properties(rows):
-    M = IntMatrix.from_rows(rows)
+@st.composite
+def int_matrices(draw, rows=dim, cols=dim, labelled=st.just(False)):
+    n, m = draw(rows), draw(cols)
+    entries = draw(st.lists(st.lists(sparse_entry, min_size=m, max_size=m),
+                            min_size=n, max_size=n))
+    if draw(labelled):
+        return IntMatrix.from_rows(entries, [f"r{i}" for i in range(n)],
+                                   [f"c{j}" for j in range(m)], cols=m)
+    return IntMatrix.from_rows(entries, cols=m)
+
+
+@given(int_matrices(), st.permutations(TRANSFORMS))
+@example(IntMatrix.zero(3, 4), TRANSFORMS)
+def test_snf_properties(M, read_order):
     full = smith_normal_form_full(M)
     U, D, V = full.U, full.D, full.V
     assert U.mul(M).mul(V).entries == D.entries
@@ -210,6 +222,25 @@ def test_snf_properties(rows):
     for a, b in zip(nonzero, nonzero[1:]):
         assert b % a == 0
     assert tuple(nonzero) == minor_gcd_chain(list(map(list, M.entries)))
+    # transforms are built on first read; the order of reads must not matter
+    again = smith_normal_form_full(M)
+    for name in read_order:
+        assert getattr(again, name) == getattr(full, name)
+
+
+def naive_mul(a, b):
+    return IntMatrix.from_rows(
+        [[sum(a.entries[i][k] * b.entries[k][j] for k in range(a.cols))
+          for j in range(b.cols)] for i in range(a.rows)],
+        a.row_labels, b.col_labels, cols=b.cols)
+
+
+@given(st.tuples(dim, dim, dim).flatmap(lambda s: st.tuples(
+    int_matrices(st.just(s[0]), st.just(s[1]), st.booleans()),
+    int_matrices(st.just(s[1]), st.just(s[2]), st.booleans()))))
+def test_mul_matches_naive_product(pair):
+    a, b = pair
+    assert a.mul(b) == naive_mul(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +263,18 @@ def test_subquotient_injective_out():
     assert pres.group.is_trivial()
 
 
+# a staircase pair of the degree-nine sigma cohomology: H = Z/16 + Z/6 + Z/5
+DEGREE_NINE_PAIR = (
+    IntMatrix.from_rows([[-8, -4, -5, 0, 0], [0, -4, -4, -8, 4],
+                         [0, 0, -2, 0, -8], [0, -3, -6, 0, -3],
+                         [0, 0, 0, -6, -6], [0, 0, -2, 0, -8],
+                         [0, 0, 0, 0, -5]]),
+    IntMatrix.from_rows([[0, -3, -6, 4, 4, 0, 0],
+                         [0, 0, -2, 0, 0, 2, 0]]))
+
+
 def test_subquotient_degree_nine_pair():
-    d_in = IntMatrix.from_rows([[-8, -4, -5, 0, 0], [0, -4, -4, -8, 4],
-                                [0, 0, -2, 0, -8], [0, -3, -6, 0, -3],
-                                [0, 0, 0, -6, -6], [0, 0, -2, 0, -8],
-                                [0, 0, 0, 0, -5]])
-    d_out = IntMatrix.from_rows([[0, -3, -6, 4, 4, 0, 0],
-                                 [0, 0, -2, 0, 0, 2, 0]])
+    d_in, d_out = DEGREE_NINE_PAIR
     pres = subquotient_group(d_in, d_out)
     assert pres.group == FinAbGroup.from_factors(0, [16, 6, 5])
     assert pres.group.primary() == (2, 3, 5, 16)
@@ -250,6 +286,29 @@ def test_subquotient_degree_nine_pair():
     assert pres.class_order(g6) == 6
     assert pres.class_order(g5) == 5
     assert pres.generates([g16, g6, g5])
+
+
+def built_transforms(decomposition):
+    return {name for name in TRANSFORMS if name in vars(decomposition)}
+
+
+def test_subquotient_builds_only_read_transforms(monkeypatch):
+    # nonzero outgoing map and nonzero relations
+    made = []
+
+    def recording(matrix):
+        made.append(smith_normal_form_full(matrix))
+        return made[-1]
+
+    monkeypatch.setattr(exactalg, "smith_normal_form_full", recording)
+    d_in, d_out = DEGREE_NINE_PAIR
+    subquotient_group(d_in, d_out)
+    out_snf, rel_snf = made
+    assert built_transforms(out_snf) == {"V", "V_inv"}
+    assert built_transforms(rel_snf) == {"U", "U_inv"}
+    made.clear()
+    assert invariant_factors(d_in) == minor_gcd_chain(d_in.entries)
+    assert [built_transforms(snf) for snf in made] == [set()]
 
 
 def test_subquotient_complex_violation():
