@@ -11,12 +11,13 @@ them abstractly but no formulas are produced for them here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exactalg import (GenTable, GradedPoly, IntegralityError,
                        DegreeGuardError, poly_sum)
 from .series import (TruncatedSeries, compose, comp_inverse,
                      fgl_formal_sum, series_from_coefficient_table)
-from .fgl import LazardBasis, TypicalBasis, m_name, ell_name
+from .fgl import LazardBasis, TypicalBasis, m_name, x_name, ell_name
 
 
 def b_name(n):
@@ -111,7 +112,8 @@ class MuStructure:
 
     Everything heavier than the conjugates is computed lazily and cached:
     right units on the logarithm and integral generators, the moving
-    coordinates, and the coproduct.
+    coordinates, the homology images of the integral generators, and the
+    coproduct.
     """
 
     def __init__(self, basis: LazardBasis):
@@ -231,6 +233,15 @@ class MuStructure:
         cross-checking the two right-unit presentations."""
         images = self.basis.x_images(self.mb_table)
         return self.c_in_xb(n).substitute(images, self.mb_table)
+
+    @cached_property
+    def x_in_c(self):
+        """Images of the integral generators in the homology ring: each
+        logarithm coefficient read as the moving coordinate of its weight."""
+        c_gens = {m_name(k): GradedPoly.gen(self.c_table, c_name(k))
+                  for k in range(1, self.N + 1)}
+        return {x_name(n): self.basis.x_in_m[n].substitute(c_gens, self.c_table)
+                for n in range(1, self.N + 1)}
 
     # -- coproduct --------------------------------------------------------------
 

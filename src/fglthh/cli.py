@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .exactalg import ExactAlgError
@@ -37,31 +35,6 @@ class ContractFailure(Exception):
 
 class UsageError(Exception):
     """Invalid configuration values (reported with exit status 2)."""
-
-
-def worker_count():
-    """Parallelism cap from the environment; defaults to sequential."""
-    raw = os.environ.get("FGLTHH_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"FGLTHH_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise UsageError(f"FGLTHH_THREADS must be a positive integer, got {raw!r}")
-    return n
-
-
-def _run_cohomology(diff, d_max):
-    """Per-root staircase assembly fanned out when the environment allows;
-    the merge is by degree order either way so output is identical."""
-    n = worker_count()
-    if n == 1:
-        return cohomology_groups(diff, d_max)
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return cohomology_groups(diff, d_max,
-                                 par_map=lambda f, xs: list(pool.map(f, xs)))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +400,7 @@ def cmd_cohomology(args):
                 f"the p-typical table is established only through degree {limit}")
         tbasis = TypicalBasis(p, _bp_max_n(p, d_max))
         sig = sigma_bp(tbasis)
-        table = localize_table(_run_cohomology(SigmaDifferential(sig), d_max), p)
+        table = localize_table(cohomology_groups(SigmaDifferential(sig), d_max), p)
         title = f"sigma cohomology of the p-typical ring, p={p}"
     else:
         N = args.truncation
@@ -440,7 +413,7 @@ def cmd_cohomology(args):
             sig = sigma_mu_moving(basis)
         else:
             sig = sigma_mu_split(MuStructure(basis))
-        table = _run_cohomology(SigmaDifferential(sig), d_max)
+        table = cohomology_groups(SigmaDifferential(sig), d_max)
         title = f"sigma cohomology, {args.flavor} coordinates"
     rows_t, rows_x, js = _degree_rows(table, d_max)
     return {"text": [(title, rows_t)], "tex": [(title, rows_x)],
@@ -480,6 +453,8 @@ def cmd_de_rham(args):
         except ValueError:
             raise UsageError(f"--weights must be comma-separated integers, "
                              f"got {args.weights!r}") from None
+        if min(weights) < 1:
+            raise UsageError(f"--weights must be positive, got {args.weights!r}")
         gens = [(f"y_{k + 1}", w) for k, w in enumerate(weights)]
         table = de_rham_cohomology(gens, d_max)
         rows_t, rows_x, js = _degree_rows(table, d_max)
@@ -603,6 +578,11 @@ def main(argv=None):
     try:
         if args.truncation < 1:
             raise UsageError(f"truncation must be at least 1, got {args.truncation}")
+        for flag in ("max_degree", "max_n", "max_weight", "max_q"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                raise UsageError(f"--{flag.replace('_', '-')} must be nonnegative, "
+                                 f"got {value}")
         results = COMMANDS[args.command](args)
         config = _config(args)
         text = emit_report(results, args.format, config)

@@ -203,8 +203,10 @@ def assemble_complex(diff, d):
 @dataclass
 class CohomologyTable:
     """Cohomology groups per internal degree with the finer per-exterior-count
-    breakdown, generator lifts, and the presentations used to verify stated
-    generators by membership and order."""
+    breakdown, generator lifts, the presentations used to verify stated
+    generators by membership and order, and the staircase complexes
+    (root -> ``DegreeComplex``) they were computed from, so that checks on
+    the same differential reuse them instead of assembling them again."""
 
     tag: str
     d_max: int
@@ -212,12 +214,7 @@ class CohomologyTable:
     by_q: dict
     generators: dict
     presentations: dict
-
-    def group(self, d):
-        return self.groups[d]
-
-    def presentation(self, d, q):
-        return self.presentations.get((d, q))
+    stairs: dict
 
     def class_order(self, d, q, elt):
         pres, basis, labels = self.presentations[(d, q)]
@@ -228,21 +225,18 @@ class CohomologyTable:
         return pres.generates([_element_vector(basis, labels, e) for e in elts])
 
 
-def cohomology_groups(diff, d_max, par_map=None):
+def cohomology_groups(diff, d_max):
     """Cohomology of ``(ring, differential)`` in internal degrees up to
     ``d_max``, direct-summed over exterior counts.
 
-    ``par_map`` optionally fans the independent per-root staircase
-    assemblies out to a worker pool; results merge in degree order either
-    way, so output is deterministic.
+    Each staircase rooted at an even degree up to ``d_max`` is assembled
+    once and kept on the table as ``stairs``.
     """
     flavor = diff.flavor
     if flavor.truncation_weight is not None and d_max > 2 * flavor.truncation_weight:
         raise DegreeGuardError(
             f"d_max {d_max} exceeds the truncation (weight {flavor.truncation_weight})")
-    roots = list(range(0, d_max + 1, 2))
-    mapper = par_map if par_map is not None else (lambda f, xs: [f(x) for x in xs])
-    stairs = dict(zip(roots, mapper(lambda r: staircase(diff, r), roots)))
+    stairs = {root: staircase(diff, root) for root in range(0, d_max + 1, 2)}
 
     groups, by_q, generators, presentations = {}, {}, {}, {}
     for d in range(d_max + 1):
@@ -252,8 +246,8 @@ def cohomology_groups(diff, d_max, par_map=None):
             root = d - q
             if root < 0 or root % 2:
                 continue
-            stair = stairs.get(root)
-            if stair is None or q >= len(stair.bases) or not stair.bases[q]:
+            stair = stairs[root]
+            if q >= len(stair.bases) or not stair.bases[q]:
                 continue
             basis, labels = stair.bases[q], stair.labels[q]
             d_out = (stair.diffs[q] if q < len(stair.diffs)
@@ -279,7 +273,7 @@ def cohomology_groups(diff, d_max, par_map=None):
         groups[d] = total
         generators[d] = tuple(gens)
     return CohomologyTable(flavor.tag, d_max, groups, by_q, generators,
-                           presentations)
+                           presentations, stairs)
 
 
 def localize_table(table, p):
@@ -302,7 +296,7 @@ def localize_table(table, p):
                 kept.append((p ** e, elt))
         gens[d] = tuple(kept)
     return CohomologyTable(table.tag, table.d_max, groups, by_q, gens,
-                           table.presentations)
+                           table.presentations, table.stairs)
 
 
 def bp_degree_range(p):
@@ -544,7 +538,7 @@ def de_rham_comparison(structure, sigma_moving, d_max):
 
     residual_ok = True
     for root in range(0, d_max + 1, 2):
-        stair = staircase(derham_l, root)
+        stair = forms_l.stairs[root]
         for q, basis_q in enumerate(stair.bases):
             for subset, mono in basis_q:
                 if root + q > d_max:
@@ -556,7 +550,7 @@ def de_rham_comparison(structure, sigma_moving, d_max):
                     _include_forms_to_thh(sigma_moving, derham_l.flavor, form))
                 if left != right:
                     residual_ok = False
-        stair_t = staircase(sig, root)
+        stair_t = thh_table.stairs[root]
         for q, basis_q in enumerate(stair_t.bases):
             for subset, mono in basis_q:
                 if root + q > d_max:

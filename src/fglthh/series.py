@@ -133,10 +133,6 @@ class TruncatedSeries:
         return TruncatedSeries(target, self.nvars, self.bound,
                                {e: p.extend_to(target) for e, p in self.coeffs.items()})
 
-    def truncate(self, bound):
-        return TruncatedSeries(self.table, self.nvars, bound,
-                               {e: p for e, p in self.coeffs.items() if sum(e) <= bound})
-
     def __repr__(self):
         items = sorted(self.coeffs.items())
         return f"TruncatedSeries({items!r})"

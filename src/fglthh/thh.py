@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import (GenTable, GradedPoly, IntegralityError, _norm_coeff)
-from .fgl import LazardBasis, TypicalBasis, m_name, x_name, ell_name, v_name
-from .algebroid import MuStructure, TypicalStructure, b_name, c_name, t_name
+from .fgl import LazardBasis, TypicalBasis, x_name, ell_name, v_name
+from .algebroid import MuStructure, TypicalStructure, b_name, t_name
 
 
 @dataclass(frozen=True)
@@ -165,28 +165,12 @@ class ExtElement:
         return (isinstance(other, ExtElement) and self.flavor == other.flavor
                 and self.terms == other.terms)
 
-    def internal_degree(self):
-        """Common internal degree of all terms; None when zero."""
-        deg = None
-        for s, p in self.terms.items():
-            w = p.weight()
-            d = 2 * w + sum(self.flavor.ext_degree(n) for n in s)
-            if deg is None:
-                deg = d
-            elif deg != d:
-                raise ValueError("element is not homogeneous")
-        return deg
-
     def coefficient(self, subset, mono):
         poly = self.terms.get(tuple(subset))
         return 0 if poly is None else poly.terms.get(mono, 0)
 
     def is_integral(self):
         return all(p.is_integral() for p in self.terms.values())
-
-    def map_coefficients(self, fn):
-        return ExtElement(self.flavor,
-                          {s: fn(p) for s, p in self.terms.items()})
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0])
@@ -285,6 +269,31 @@ class SigmaTable:
 # builders
 # ---------------------------------------------------------------------------
 
+def _log_derivative(flavor, expr, rewrite, error):
+    """Sigma of a generator given by its logarithm expansion ``expr``: the
+    rational derivation sending each logarithm generator to its exterior
+    partner, each exterior coefficient rewritten by ``rewrite`` (which
+    returns ``(poly, integral)``).  ``error(idx)`` is the message raised
+    when the coefficient of exterior generator ``idx`` is not integral."""
+    log_table = expr.table
+    lam_coeffs = {}
+    for mono, coeff in expr.terms.items():
+        for k, (gi, e) in enumerate(mono):
+            idx = int(log_table.name(gi).split("_")[1])
+            rest = mono[:k] + ((gi, e - 1),) * (e > 1) + mono[k + 1:]
+            cur = lam_coeffs.setdefault(idx, GradedPoly.zero(log_table))
+            lam_coeffs[idx] = cur + GradedPoly(
+                log_table, {rest: _norm_coeff(coeff * e)})
+    terms = {}
+    for idx, poly in lam_coeffs.items():
+        rewritten, integral = rewrite(poly)
+        if not integral:
+            raise IntegralityError(error(idx))
+        if not rewritten.is_zero():
+            terms[(idx,)] = rewritten
+    return ExtElement(flavor, terms)
+
+
 def sigma_mu_moving(basis: LazardBasis):
     """Moving-coordinate sigma: the rational derivation sending the
     logarithm coefficients to the exterior generators, rewritten integrally
@@ -292,24 +301,9 @@ def sigma_mu_moving(basis: LazardBasis):
     flavor = mu_moving_flavor(basis)
     on_base = {}
     for n in range(1, basis.N + 1):
-        expr = basis.x_in_m[n]
-        lam_coeffs = {}
-        for mono, coeff in expr.terms.items():
-            for k, (gi, e) in enumerate(mono):
-                idx = int(basis.m_table.name(gi).split("_")[1])
-                rest = mono[:k] + ((gi, e - 1),) * (e > 1) + mono[k + 1:]
-                cur = lam_coeffs.setdefault(idx, GradedPoly.zero(basis.m_table))
-                lam_coeffs[idx] = cur + GradedPoly(
-                    basis.m_table, {rest: _norm_coeff(coeff * e)})
-        terms = {}
-        for idx, poly in lam_coeffs.items():
-            rewritten, integral = basis.rewrite_m_to_x(poly)
-            if not integral:
-                raise IntegralityError(
-                    f"sigma(x_{n}) has a non-integral lambda'_{idx} coefficient")
-            if not rewritten.is_zero():
-                terms[(idx,)] = rewritten
-        on_base[x_name(n)] = ExtElement(flavor, terms)
+        on_base[x_name(n)] = _log_derivative(
+            flavor, basis.x_in_m[n], basis.rewrite_m_to_x,
+            lambda idx: f"sigma(x_{n}) has a non-integral lambda'_{idx} coefficient")
     return SigmaTable(flavor, on_base)
 
 
@@ -381,24 +375,9 @@ def sigma_bp(tbasis: TypicalBasis):
 
     rational = {}
     for n in range(1, tbasis.max_n + 1):
-        expr = tbasis.v_in_ell(n)
-        lam_coeffs = {}
-        for mono, coeff in expr.terms.items():
-            for k, (gi, e) in enumerate(mono):
-                idx = int(tbasis.ell_table.name(gi).split("_")[1])
-                rest = mono[:k] + ((gi, e - 1),) * (e > 1) + mono[k + 1:]
-                cur = lam_coeffs.setdefault(idx, GradedPoly.zero(tbasis.ell_table))
-                lam_coeffs[idx] = cur + GradedPoly(
-                    tbasis.ell_table, {rest: _norm_coeff(coeff * e)})
-        terms = {}
-        for idx, poly in lam_coeffs.items():
-            rewritten, integral = tbasis.rewrite_ell_to_v(poly)
-            if not integral:
-                raise IntegralityError(
-                    f"sigma(v_{n}) is not p-locally integral at p={p}")
-            if not rewritten.is_zero():
-                terms[(idx,)] = rewritten
-        rational[v_name(n)] = ExtElement(flavor, terms)
+        rational[v_name(n)] = _log_derivative(
+            flavor, tbasis.v_in_ell(n), tbasis.rewrite_ell_to_v,
+            lambda idx: f"sigma(v_{n}) is not p-locally integral at p={p}")
 
     recursive = {}
     for n in range(1, tbasis.max_n + 1):
@@ -427,12 +406,7 @@ def hurewicz_mu(structure: MuStructure, poly):
     """Image of an integral-basis polynomial in the split homology ring:
     expand over the logarithm coefficients and read them as moving
     coordinates.  Returns ``(image, integral)``."""
-    basis = structure.basis
-    images = {x_name(n): basis.x_in_m[n].substitute(
-        {m_name(k): GradedPoly.gen(structure.c_table, c_name(k))
-         for k in range(1, basis.N + 1)}, structure.c_table)
-        for n in range(1, basis.N + 1)}
-    out = poly.substitute(images, structure.c_table)
+    out = poly.substitute(structure.x_in_c, structure.c_table)
     return out, out.is_integral()
 
 

@@ -100,6 +100,12 @@ def test_truncation_guard(capsys):
 @pytest.mark.parametrize("argv", [
     ("de-rham", "--weights", "1,a"),
     ("cohomology", "--max-degree", "0", "-N", "0"),
+    ("verify", "--max-degree", "-3"),
+    ("cohomology", "--max-degree", "-1"),
+    ("bar-tor", "--max-q", "-1"),
+    ("bar-tor", "--max-weight", "-1"),
+    ("structure-maps", "--max-n", "-1"),
+    ("de-rham", "--weights", "0,2"),
 ])
 def test_bad_input_is_usage_error_without_traceback(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(fglthh.__file__).parents[1]))
@@ -109,27 +115,6 @@ def test_bad_input_is_usage_error_without_traceback(argv):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("usage error: ")
     assert proc.stderr.count("\n") == 1
-
-
-def test_bad_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("FGLTHH_THREADS", "zero")
-    code, _, err = run(capsys, "cohomology", "--flavor", "mu-moving",
-                       "--max-degree", "4", "--truncation", "4")
-    assert code == 2
-    assert "FGLTHH_THREADS" in err
-
-
-def test_threads_env_parallel_matches_serial(capsys, monkeypatch):
-    code, serial, _ = run(capsys, "cohomology", "--flavor", "mu-moving",
-                          "--max-degree", "8", "--truncation", "4",
-                          "--format", "json")
-    assert code == 0
-    monkeypatch.setenv("FGLTHH_THREADS", "3")
-    code, parallel, _ = run(capsys, "cohomology", "--flavor", "mu-moving",
-                            "--max-degree", "8", "--truncation", "4",
-                            "--format", "json")
-    assert code == 0
-    assert serial == parallel
 
 
 def test_output_file(tmp_path, capsys):

@@ -302,3 +302,26 @@ def test_de_rham_comparison(structure10, sigma_moving10):
     assert rep.thh.groups[5] == FinAbGroup.from_factors(0, [12])
     assert rep.forms_base.groups[5] == FinAbGroup.from_factors(0, [2])
     assert rep.forms_coords.groups[5] == FinAbGroup.from_factors(0, [2])
+
+
+def test_each_staircase_is_assembled_once(monkeypatch, structure10, sigma_moving10):
+    from fglthh import cohomology, verify
+
+    built = []
+
+    def recording(diff, root):
+        # keep the differential table alive so its id is not reused
+        table = getattr(diff, "table", diff)
+        built.append((id(table), root, table))
+        return real(diff, root)
+
+    real = cohomology.staircase
+    monkeypatch.setattr(cohomology, "staircase", recording)
+    monkeypatch.setattr(verify, "staircase", recording)
+    for run in (lambda: verify.verify_bp(2, 3, 10),
+                lambda: cohomology.de_rham_comparison(structure10, sigma_moving10, 10)):
+        built.clear()
+        run()
+        keys = [(table_id, root) for table_id, root, _ in built]
+        assert keys
+        assert len(keys) == len(set(keys))

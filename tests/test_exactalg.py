@@ -10,7 +10,7 @@ from fglthh.exactalg import (
     UnderdeterminedSystemError, ComplexViolationError, IntMatrix, FinAbGroup,
     smith_normal_form_full, invariant_factors, det_int,
     solve_rational_linear, solve_integer, subquotient_group, row_hnf,
-    reduce_mod_rows, rational_rank)
+    reduce_mod_rows, rational_rank, kernel_basis_columns)
 
 
 TABLE = GenTable([("b_1", 1), ("b_2", 2), ("b_3", 3),
@@ -316,6 +316,29 @@ def test_subquotient_complex_violation():
     d_out = IntMatrix.from_rows([[1, 0]])
     with pytest.raises(ComplexViolationError):
         subquotient_group(d_in, d_out)
+
+
+@given(st.data())
+def test_subquotient_rejects_exactly_nonzero_composites(data):
+    # the Smith-form kernel test inside subquotient_group is the only
+    # d_out * d_in = 0 check; it must agree with the naive product
+    m, a, b = (data.draw(st.integers(0, 4)) for _ in range(3))
+    entry = st.integers(-3, 3)
+    d_out = IntMatrix.from_rows(
+        [[data.draw(entry) for _ in range(m)] for _ in range(b)], cols=m)
+    if data.draw(st.booleans()):
+        kernel = kernel_basis_columns(d_out)
+        combos = [[data.draw(entry) for _ in kernel] for _ in range(a)]
+        rows = [[sum(c * v[i] for c, v in zip(combo, kernel)) for combo in combos]
+                for i in range(m)]
+    else:
+        rows = [[data.draw(entry) for _ in range(a)] for _ in range(m)]
+    d_in = IntMatrix.from_rows(rows, cols=a)
+    if naive_mul(d_out, d_in).is_zero():
+        subquotient_group(d_in, d_out)
+    else:
+        with pytest.raises(ComplexViolationError):
+            subquotient_group(d_in, d_out)
 
 
 @given(st.permutations(range(4)), st.permutations(range(3)))
