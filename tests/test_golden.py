@@ -1,7 +1,8 @@
-"""Golden bytes: the ``--format json`` output of fixed CLI runs, frozen as
-sha256 digests so that a change to the algorithms cannot silently change a
-published table, the names, verdicts and detail counts of the consistency
-checks, or a sigma table."""
+"""Golden bytes: the output of fixed CLI runs in each ``--format``, frozen as
+sha256 digests so that a change to the algorithms or to the renderer cannot
+silently change a published table, the names, verdicts and detail counts of
+the consistency checks, or a sigma table.  The text and TeX entries use small
+configurations."""
 
 import hashlib
 
@@ -10,34 +11,118 @@ import pytest
 from fglthh.cli import main
 
 GOLDEN = {
-    "cohomology --flavor mu-moving --max-degree 20 -N 10":
-        "77832273f537959a7835dde433dbd5196c0f77dd11e777192d81054891bf5a28",
-    "cohomology --flavor mu-split --max-degree 20 -N 10":
-        "8fc12f73a83a5ae12831f6eb82e50882ffcf83851f1242e7382d7ced784eadff",
-    "cohomology --flavor bp --prime 2 --max-degree 10":
-        "93d47a0fa901aabdba58018326bb33a6235ee16e7c7119018191b50ac7e406c6",
-    "cohomology --flavor bp --prime 3 --max-degree 24":
-        "c61db2fc7f06c6c3b20620d29c1f31bc10a04d9323060ae606506da07fbe9615",
-    "cohomology --flavor bp --prime 5 --max-degree 64":
-        "3bc44a722f8da08fc481ce193495074fec02624eeedf79db72e6ab94b6169cfd",
-    "verify --flavor mu-split --max-degree 10 -N 5":
-        "c78d70ed4458b4f15c20573a837fb9f807be21a253630be1e0574bcb63939bd2",
-    "verify --flavor mu-moving --max-degree 10 -N 5":
-        "f2302ace3c1a60e66c6ad0e08689cfe8fcda7c60c36bb55a481a874ba54a3182",
-    "verify --flavor bp --prime 3 --max-degree 24":
-        "e5af131c2b2511eb1d3fb2efc4667b14527061ad9278ffe95a6f7ebd86d37165",
-    "de-rham --max-degree 10 -N 5":
-        "e084097cb59986ee168f4d9ec1d332942ae4e9506f02c7552e1a29a213c07f84",
-    "sigma --flavor mu-moving --max-n 8 -N 8":
-        "dd9848966d4fdd77d26635a58b0889cb2cec514e3cbbbfc0c04c50b4dae95c3b",
-    "sigma --flavor bp --prime 3 --max-n 4":
-        "a942b9a5ecd52193a777cd8dd2ba625b4f64bccaf951f0f4e3b560c252d8ab5a",
+    "bar-tor": {
+        "json": "d93f81bfca2f67e1aa4748b85ccd99584fa6ccecc23c1c3c2524fb3bf9e15335",
+        "text": "ddbddb4737ba5e901e5b387f8011cf9e21d397d8acfd21081178933bd839c0df",
+        "tex": "e984f023d7ecf23b62dab68c25445d6037dab3e6256a74a4367e642470887619",
+    },
+    "bar-tor --flavor bp --prime 2": {
+        "json": "12fd7660bec5b0b53f82e3984d74acdf7a6e33c9f318acb1976a6f9b001acf6f",
+        "text": "fa18d7b69e7db6929d08a62e2ab4820b98635a36d008f861f23f15e1a89a7c2e",
+        "tex": "74f371ce7d0d18fe3b143e77a9ae1a68c7328d61ef566e6371c6f288aeeb38e7",
+    },
+    "cohomology --flavor bp --prime 2 --max-degree 10": {
+        "json": "93d47a0fa901aabdba58018326bb33a6235ee16e7c7119018191b50ac7e406c6",
+        "text": "52fce1a5a2902e62b2622a31470c04decded56a03b9c69d78d58c94ac291efb3",
+        "tex": "a1f5f7bc0a2704f8fc64cb5ed5b3445627c97447f55e38e5deece9d626723b7a",
+    },
+    "cohomology --flavor bp --prime 3 --max-degree 24": {
+        "json": "c61db2fc7f06c6c3b20620d29c1f31bc10a04d9323060ae606506da07fbe9615",
+        "text": "1b59d2234e0ff9f3743070503cae905096d965b0f8c8f8cbbb50ee21d6cb3a0c",
+        "tex": "3b95a80d97404f74d7bd7ee24b1eaad25172d226977293013183e3d169c86985",
+    },
+    "cohomology --flavor bp --prime 5 --max-degree 64": {
+        "json": "3bc44a722f8da08fc481ce193495074fec02624eeedf79db72e6ab94b6169cfd",
+    },
+    "cohomology --flavor mu-moving --max-degree 12 -N 6": {
+        "text": "abb25be55e1828dbb50ff27235f3f34f3bfbf757076f90906c2394e89a4ffaf3",
+        "tex": "e273f5b55bc6790b4a1b69bc023f19a2ff409f9d0c8326e6e06c1724fa329330",
+    },
+    "cohomology --flavor mu-moving --max-degree 20 -N 10": {
+        "json": "77832273f537959a7835dde433dbd5196c0f77dd11e777192d81054891bf5a28",
+    },
+    "cohomology --flavor mu-split --max-degree 12 -N 6": {
+        "text": "b1dc139dac3cf06e56f08b940db9e12458a765741b14aacbe1a4fca1c413d5cc",
+        "tex": "25baaa417da2712c531242d531453290c42b56d4922290fad6469082ce3e96d5",
+    },
+    "cohomology --flavor mu-split --max-degree 20 -N 10": {
+        "json": "8fc12f73a83a5ae12831f6eb82e50882ffcf83851f1242e7382d7ced784eadff",
+    },
+    "de-rham --max-degree 10 -N 5": {
+        "json": "e084097cb59986ee168f4d9ec1d332942ae4e9506f02c7552e1a29a213c07f84",
+        "text": "237fb09097673ab32e0882ce5a095bd97eba010addd7568d880cbaee33ba54c6",
+        "tex": "00921f9faf82c92ae5dae75815e595e655f5e83c40d1fbe6e9845538a42bee33",
+    },
+    "de-rham --weights 1,2 --max-degree 12": {
+        "json": "96743b5e298269fe1c5eb6966d8ea55deb31289b13ccb58e2d0dd96683e23643",
+        "text": "cc289d694d7a8ee34f72221fba5a326f446300414c8b65f4233dbbaa79470297",
+        "tex": "0801a5f6f14c90fe9592d98c6b5feee3e50f933fbe88ef1a1a14c5f3f461a283",
+    },
+    "sigma --flavor bp --prime 3 --max-n 4": {
+        "json": "a942b9a5ecd52193a777cd8dd2ba625b4f64bccaf951f0f4e3b560c252d8ab5a",
+        "text": "0352e97ff36de4e80c65230faca5e43c06d5a0ee8f88475026fcdb52b1cb02fe",
+        "tex": "ee7a3a148c0c8e7a3eece88d9996d5acdbe536d02b992d728d3eff2ecdab723f",
+    },
+    "sigma --flavor mu-moving --max-n 8 -N 8": {
+        "json": "dd9848966d4fdd77d26635a58b0889cb2cec514e3cbbbfc0c04c50b4dae95c3b",
+        "text": "66ab16bd7f74ac3296ba52618495a637504dae0ac8de4009954d03ea8061e9fc",
+        "tex": "cb76a1bcea3230b03c75e39ad28b7ffbb973e8781714db5f859e6b3302ff40a6",
+    },
+    "sigma --flavor mu-split --max-n 4 -N 4": {
+        "json": "138ab25d633a592798eb943cdee74b5cc345c513bd58b038f1a0f8ab758a9cdd",
+        "text": "42a40e9bb0053c4d937709d7f6a759b62c1041111850a4b01693dc54394671bc",
+        "tex": "de3fe9c0de4c22c99ac8c01d4ee9fda845bd76923bac0e00a05a8fceec66a59a",
+    },
+    "structure-maps --flavor bp --prime 2 --max-n 4": {
+        "json": "0218afae46b261e24fc72254fd0cd4476ab699e6f91827086b654b2afcb5bb95",
+        "text": "9632d1c7dda31f0a69d8951e36ac588bc4b69e80cdcf1255773adb45df444681",
+    },
+    "structure-maps --flavor mu-moving --max-n 4 -N 4": {
+        "json": "be19db80a27a710af1621e06d9236816280b4da6b896a9bcc7d574d1f487ad65",
+        "text": "669e51ded0994432eb80ed5367a0b334126a355ed113c27fe95aeabb1aa54e6a",
+        "tex": "c91302ab28f101e8fb9b8b498ee73eed4bf457ef1291de42703207013ba0bdaf",
+    },
+    "structure-maps --flavor mu-split --max-n 4 -N 4": {
+        "json": "cb9f9c04d74cd6b1902ff6c29f65ca6c4ec6f4c4e98c41ac1d2d79109d87063a",
+        "text": "4c03113ebf98be7396c59cda791afc4e3ae27414d9ab3fd5f26525e399762f2c",
+        "tex": "01713d6ce4941d01a618577c52e142f8ca8ea41f2c55066dae2ac08680fb58d7",
+    },
+    "verify --flavor bp --prime 3 --max-degree 24": {
+        "json": "e5af131c2b2511eb1d3fb2efc4667b14527061ad9278ffe95a6f7ebd86d37165",
+        "text": "f79b68a80bea1a484fe4509402ca1c9cf49d365757ea7462bfc7e0f17d90629a",
+        "tex": "f453a8927b1368f0d9dc71eb1ba1f41ff810666fde2cef14aaccf4ebce9487ed",
+    },
+    "verify --flavor mu-moving --max-degree 10 -N 5": {
+        "json": "f2302ace3c1a60e66c6ad0e08689cfe8fcda7c60c36bb55a481a874ba54a3182",
+    },
+    "verify --flavor mu-split --max-degree 10 -N 5": {
+        "json": "c78d70ed4458b4f15c20573a837fb9f807be21a253630be1e0574bcb63939bd2",
+        "text": "1cbab8a47e28e6c86bd38aa47478e10aab47b6dee0908f0c8708eb200c3be2eb",
+    },
 }
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_golden_json_bytes(capsys, command):
-    code = main(command.split() + ["--format", "json"])
+def _commands(fmt):
+    return sorted(command for command, digests in GOLDEN.items() if fmt in digests)
+
+
+def _check(capsys, command, fmt):
+    code = main(command.split() + ["--format", fmt])
     out = capsys.readouterr().out
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command][fmt]
+
+
+@pytest.mark.parametrize("command", _commands("json"))
+def test_golden_json_bytes(capsys, command):
+    _check(capsys, command, "json")
+
+
+@pytest.mark.parametrize("command", _commands("text"))
+def test_golden_text_bytes(capsys, command):
+    _check(capsys, command, "text")
+
+
+@pytest.mark.parametrize("command", _commands("tex"))
+def test_golden_tex_bytes(capsys, command):
+    _check(capsys, command, "tex")
