@@ -13,12 +13,15 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-from .exactalg import ExactAlgError
+from .exactalg import ExactAlgError, ResourceGuardError
 from .fgl import LazardBasis, TypicalBasis, x_name, v_name
 from .algebroid import MuStructure, TypicalStructure, CoordFlavor
-from .thh import sigma_mu_moving, sigma_mu_split, sigma_bp, lambda_in_e
+from .thh import (ExtElement, sigma_mu_moving, sigma_mu_split, sigma_bp,
+                  lambda_in_e)
 from .cohomology import (SigmaDifferential, cohomology_groups, localize_table,
                          bp_degree_range, bar_tor_check,
                          de_rham_cohomology, de_rham_comparison)
@@ -26,6 +29,7 @@ from .verify import verify_mu, verify_bp
 
 SCHEMA = "fgl-thh/1"
 FLAVORS = ("mu-moving", "mu-split", "bp")
+FORMATS = ("text", "json", "tex")
 SMALL_PRIMES = (2, 3, 5)
 
 
@@ -78,11 +82,11 @@ _TEX_HEADS = {"lambda'": "\\lambda'", "lambda": "\\lambda", "ell": "\\ell",
 
 
 def tex_gen(name):
-    if "_" in name:
-        head, idx = name.rsplit("_", 1)
-        head = _TEX_HEADS.get(head, head)
-        return f"{head}_{{{idx}}}" if len(idx) > 1 else f"{head}_{idx}"
-    return _TEX_HEADS.get(name, name)
+    if name in _TEX_HEADS or "_" not in name:
+        return _TEX_HEADS.get(name, name)
+    head, idx = name.rsplit("_", 1)
+    head = _TEX_HEADS.get(head, head)
+    return f"{head}_{{{idx}}}" if len(idx) > 1 else f"{head}_{idx}"
 
 
 def tex_coeff(c):
@@ -141,35 +145,109 @@ def group_text(group, generators=()):
     return base
 
 
-def render_lines_text(sections):
-    lines = []
-    for title, rows in sections:
-        lines.append(f"# {title}")
-        lines.extend(rows)
-        lines.append("")
-    return "\n".join(lines)
+def group_tex(group):
+    parts = ["\\mathbb{Z}"] * group.free_rank
+    parts += [f"\\mathbb{{Z}}/{d}" for d in group.invariant_factors]
+    return " \\oplus ".join(parts) if parts else "0"
 
 
-def render_lines_tex(sections):
-    lines = []
-    for title, rows in sections:
-        lines.append(f"% {title}")
-        lines.append("\\begin{align*}")
-        for row in rows:
-            lines.append(f"{row} \\\\")
-        lines.append("\\end{align*}")
-        lines.append("")
-    return "\n".join(lines)
+@dataclass
+class Report:
+    """What one command found, before it is rendered in any format.
+
+    ``sections`` are ``(title, json_key, rows)`` triples.  Equation rows are
+    a dict from label to value; any other section is a list of rows with a
+    ``render(fmt)`` method.  ``flags`` follow the sections in the JSON
+    results, and ``failed`` names the checks that make the exit status 1.
+    """
+    sections: list
+    flags: dict = field(default_factory=dict)
+    failed: list = field(default_factory=list)
 
 
-def emit_report(results, fmt, config):
-    """Serialize a command result deterministically."""
+class Line(NamedTuple):
+    """A row that reads the same in text and TeX."""
+    line: str
+    obj: dict
+
+    def render(self, fmt):
+        return self.obj if fmt == "json" else self.line
+
+
+class Degree(NamedTuple):
+    """The degree-``d`` row of a cohomology table."""
+    table: object
+    d: int
+
+    def render(self, fmt):
+        table, d = self.table, self.d
+        g = table.groups[d]
+        gens = [elt for _o, elt in table.generators[d]]
+        if fmt == "text":
+            return f"H^{d} = {group_text(g, gens)}"
+        if fmt == "tex":
+            gen_tex = ", ".join(ext_tex(e) for e in gens)
+            suffix = f" \\{{{gen_tex}\\}}" if gen_tex else ""
+            return f"H^{{{d}}} &\\cong {group_tex(g)}{suffix}"
+        entry = group_json(g, gens)
+        entry["degree"] = d
+        entry["by_exterior_count"] = {
+            str(q): group_json(table.by_q[(dd, q)])
+            for (dd, q) in sorted(table.by_q) if dd == d}
+        return entry
+
+
+def _label(label, fmt):
+    """A label string is its own text and JSON form, and its TeX form is
+    derived from it; a ``FORMATS``-ordered tuple spells out all three."""
+    if isinstance(label, tuple):
+        return label[FORMATS.index(fmt)]
+    if fmt != "tex":
+        return label
+    head, paren, arg = label.partition("(")
+    return f"{tex_gen(head)}({tex_gen(arg[:-1])})" if paren else tex_gen(head)
+
+
+def _value(value, fmt):
+    """An equation's right side: a polynomial, an exterior element, or the
+    ``(left, right)`` pairs of a coproduct."""
+    if isinstance(value, list):
+        if fmt == "json":
+            return [{"left": poly_json(l), "right": poly_json(r)} for l, r in value]
+        sep = " (x) " if fmt == "text" else " \\otimes "
+        return " + ".join(f"{_value(l, fmt)}{sep}{_value(r, fmt)}" for l, r in value)
+    if fmt == "text":
+        return str(value)
+    if isinstance(value, ExtElement):
+        return ext_tex(value) if fmt == "tex" else ext_json(value)
+    return poly_tex(value) if fmt == "tex" else poly_json(value)
+
+
+def _rows(rows, fmt):
+    if not isinstance(rows, dict):
+        return [row.render(fmt) for row in rows]
     if fmt == "json":
-        doc = {"schema": SCHEMA, "config": config, "results": results["json"]}
+        return {_label(label, fmt): _value(v, fmt) for label, v in rows.items()}
+    eq = " = " if fmt == "text" else " &= "
+    return [f"{_label(label, fmt)}{eq}{_value(v, fmt)}" for label, v in rows.items()]
+
+
+def emit_report(report, fmt, config):
+    """Serialize a command's report deterministically in ``fmt`` alone."""
+    if fmt == "json":
+        results = {key: _rows(rows, fmt) for _title, key, rows in report.sections}
+        results.update(report.flags)
+        doc = {"schema": SCHEMA, "config": config, "results": results}
         return json.dumps(doc, indent=2) + "\n"
-    if fmt == "tex":
-        return render_lines_tex(results["tex"]) + "\n"
-    return render_lines_text(results["text"]) + "\n"
+    lines = []
+    for title, _key, rows in report.sections:
+        if fmt == "tex":
+            lines += [f"% {title}", "\\begin{align*}",
+                      *(f"{row} \\\\" for row in _rows(rows, fmt)),
+                      "\\end{align*}", ""]
+        else:
+            lines += [f"# {title}", *_rows(rows, fmt), ""]
+    return "\n".join(lines) + "\n"
 
 
 def write_output(text, path):
@@ -204,12 +282,11 @@ def _bp_max_n(p, d_max):
     return max(n, 1)
 
 
-def _config(args, **extra):
+def _config(args):
     cfg = {"command": args.command, "flavor": getattr(args, "flavor", None),
            "prime": getattr(args, "prime", None),
            "truncation": getattr(args, "truncation", None),
            "format": args.format}
-    cfg.update(extra)
     return {k: v for k, v in cfg.items() if v is not None}
 
 
@@ -218,176 +295,58 @@ def _config(args, **extra):
 # ---------------------------------------------------------------------------
 
 def cmd_structure_maps(args):
-    max_n = args.max_n
-    N = max(args.truncation, max_n)
-    sections_text, sections_tex, out_json = [], [], {}
+    ns = range(1, args.max_n + 1)
     if args.flavor == "bp":
         p = _require_prime(args)
-        tbasis = TypicalBasis(p, max_n)
+        tbasis = TypicalBasis(p, args.max_n)
         tstruct = TypicalStructure(tbasis)
-        rows_t, rows_x, js = [], [], {}
-        for n in range(1, max_n + 1):
-            pn = tbasis.pn_ell(n)
-            eta = tstruct.eta_ell(n)
-            rows_t.append(f"{p}^{n}*ell_{n} = {pn}")
-            rows_t.append(f"eta_R(ell_{n}) = {eta}")
-            rows_x.append(f"{p}^{n} \\ell_{{{n}}} &= {poly_tex(pn)}")
-            rows_x.append(f"\\eta_R(\\ell_{{{n}}}) &= {poly_tex(eta)}")
-            js[f"p^{n} ell_{n}"] = poly_json(pn)
-            js[f"eta_R(ell_{n})"] = poly_json(eta)
-        sections_text.append((f"p-typical structure maps at p={p}", rows_t))
-        sections_tex.append((f"p-typical structure maps at p={p}", rows_x))
-        out_json["typical"] = js
+        rows = {}
+        for n in ns:
+            # the JSON key keeps a literal p
+            pn_label = (f"{p}^{n}*ell_{n}", f"p^{n} ell_{n}", f"{p}^{n} \\ell_{{{n}}}")
+            rows[pn_label] = tbasis.pn_ell(n)
+            rows[f"eta_R(ell_{n})"] = tstruct.eta_ell(n)
+        return Report([(f"p-typical structure maps at p={p}", "typical", rows)])
+    basis = LazardBasis(max(args.truncation, args.max_n))
+    structure = MuStructure(basis)
+    sections = [("integral generators in the logarithmic basis", "x_in_m",
+                 {f"x_{n}": basis.x_in_m[n] for n in ns})]
+    if args.flavor == "mu-split":
+        sections += [
+            ("right unit on integral generators", "eta_R",
+             {f"eta_R(x_{n})": structure.eta_x(n) for n in ns}),
+            ("conjugation", "chi", {f"chi(b_{n})": structure.chi[n] for n in ns}),
+            ("coproduct", "psi", {f"psi(b_{n})": structure.psi(n) for n in ns})]
     else:
-        basis = LazardBasis(N)
-        structure = MuStructure(basis)
-        rows_t, rows_x, js = [], [], {}
-        for n in range(1, max_n + 1):
-            rows_t.append(f"x_{n} = {basis.x_in_m[n]}")
-            rows_x.append(f"x_{n} &= {poly_tex(basis.x_in_m[n])}")
-            js[f"x_{n}"] = poly_json(basis.x_in_m[n])
-        sections_text.append(("integral generators in the logarithmic basis", rows_t))
-        sections_tex.append(("integral generators in the logarithmic basis", rows_x))
-        out_json["x_in_m"] = js
-        if args.flavor == "mu-split":
-            rows_t, rows_x, js = [], [], {}
-            for n in range(1, max_n + 1):
-                eta = structure.eta_x(n)
-                rows_t.append(f"eta_R(x_{n}) = {eta}")
-                rows_x.append(f"\\eta_R(x_{n}) &= {poly_tex(eta)}")
-                js[f"eta_R(x_{n})"] = poly_json(eta)
-            sections_text.append(("right unit on integral generators", rows_t))
-            sections_tex.append(("right unit on integral generators", rows_x))
-            out_json["eta_R"] = js
-            rows_t, rows_x, js = [], [], {}
-            for n in range(1, max_n + 1):
-                rows_t.append(f"chi(b_{n}) = {structure.chi[n]}")
-                rows_x.append(f"\\chi(b_{n}) &= {poly_tex(structure.chi[n])}")
-                js[f"chi(b_{n})"] = poly_json(structure.chi[n])
-            sections_text.append(("conjugation", rows_t))
-            sections_tex.append(("conjugation", rows_x))
-            out_json["chi"] = js
-            rows_t, rows_x, js = [], [], {}
-            for n in range(1, max_n + 1):
-                pairs = structure.psi(n)
-                text = " + ".join(f"{l} (x) {r}" for l, r in pairs)
-                tex = " + ".join(f"{poly_tex(l)} \\otimes {poly_tex(r)}"
-                                 for l, r in pairs)
-                rows_t.append(f"psi(b_{n}) = {text}")
-                rows_x.append(f"\\psi(b_{n}) &= {tex}")
-                js[f"psi(b_{n})"] = [{"left": poly_json(l), "right": poly_json(r)}
-                                     for l, r in pairs]
-            sections_text.append(("coproduct", rows_t))
-            sections_tex.append(("coproduct", rows_x))
-            out_json["psi"] = js
-        else:
-            rows_t, rows_x, js = [], [], {}
-            for n in range(1, max_n + 1):
-                eta = structure.eta_m_moving(n)
-                rows_t.append(f"eta_R(m_{n}) = {eta}")
-                rows_x.append(f"\\eta_R(m_{n}) &= {poly_tex(eta)}")
-                js[f"eta_R(m_{n})"] = poly_json(eta)
-            sections_text.append(("right unit in moving coordinates", rows_t))
-            sections_tex.append(("right unit in moving coordinates", rows_x))
-            out_json["eta_R_moving"] = js
-            rows_t, rows_x, js = [], [], {}
-            for n in range(1, max_n + 1):
-                c = structure.c_in_xb(n)
-                rows_t.append(f"c_{n} = {c}")
-                rows_x.append(f"c_{n} &= {poly_tex(c)}")
-                js[f"c_{n}"] = poly_json(c)
-            sections_text.append(("moving coordinates", rows_t))
-            sections_tex.append(("moving coordinates", rows_x))
-            out_json["moving_coordinates"] = js
-    return {"text": sections_text, "tex": sections_tex, "json": out_json}
+        sections += [
+            ("right unit in moving coordinates", "eta_R_moving",
+             {f"eta_R(m_{n})": structure.eta_m_moving(n) for n in ns}),
+            ("moving coordinates", "moving_coordinates",
+             {f"c_{n}": structure.c_in_xb(n) for n in ns})]
+    return Report(sections)
 
 
 def cmd_sigma(args):
-    max_n = args.max_n
-    sections_text, sections_tex, out_json = [], [], {}
-    if args.flavor == "bp":
-        p = _require_prime(args)
-        tbasis = TypicalBasis(p, max_n)
-        sig = sigma_bp(tbasis)
-        rows_t, rows_x, js = [], [], {}
-        for n in range(1, max_n + 1):
-            val = sig.on_base[v_name(n)]
-            rows_t.append(f"sigma(v_{n}) = {val}")
-            rows_x.append(f"\\sigma(v_{n}) &= {ext_tex(val)}")
-            js[f"sigma(v_{n})"] = ext_json(val)
-        for n in range(1, max_n + 1):
-            rows_t.append(f"sigma(lambda_{n}) = 0")
-            rows_x.append(f"\\sigma(\\lambda_{n}) &= 0")
-            js[f"sigma(lambda_{n})"] = {"terms": []}
-        sections_text.append((f"sigma on the p-typical ring at p={p}", rows_t))
-        sections_tex.append((f"sigma on the p-typical ring at p={p}", rows_x))
-        out_json["sigma"] = js
-        return {"text": sections_text, "tex": sections_tex, "json": out_json}
-
-    N = max(args.truncation, max_n)
-    basis = LazardBasis(N)
-    if args.flavor == "mu-moving":
-        sig = sigma_mu_moving(basis)
-        rows_t, rows_x, js = [], [], {}
-        for n in range(1, max_n + 1):
-            val = sig.on_base[x_name(n)]
-            rows_t.append(f"sigma(x_{n}) = {val}")
-            rows_x.append(f"\\sigma(x_{n}) &= {ext_tex(val)}")
-            js[f"sigma(x_{n})"] = ext_json(val)
-        for n in range(1, max_n + 1):
-            rows_t.append(f"sigma(lambda'_{n}) = 0")
-            rows_x.append(f"\\sigma(\\lambda'_{n}) &= 0")
-            js[f"sigma(lambda'_{n})"] = {"terms": []}
-        sections_text.append(("sigma in moving coordinates", rows_t))
-        sections_tex.append(("sigma in moving coordinates", rows_x))
-        out_json["sigma"] = js
-    else:
-        structure = MuStructure(basis)
+    ns = range(1, args.max_n + 1)
+    if args.flavor == "mu-split":
+        structure = MuStructure(LazardBasis(max(args.truncation, args.max_n)))
         sig = sigma_mu_split(structure)
         conv = lambda_in_e(structure)
-        rows_t, rows_x, js = [], [], {}
-        for n in range(1, max_n + 1):
-            val = sig.on_base[x_name(n)]
-            rows_t.append(f"sigma(x_{n}) = {val}")
-            rows_x.append(f"\\sigma(x_{n}) &= {ext_tex(val)}")
-            js[f"sigma(x_{n})"] = ext_json(val)
-        for n in range(1, max_n + 1):
-            val = sig.on_ext[n]
-            rows_t.append(f"sigma(e_{n}) = {val}")
-            rows_x.append(f"\\sigma(e_{n}) &= {ext_tex(val)}")
-            js[f"sigma(e_{n})"] = ext_json(val)
-        for n in range(1, max_n + 1):
-            rows_t.append(f"lambda'_{n} = {conv[n]}")
-            rows_x.append(f"\\lambda'_{n} &= {ext_tex(conv[n])}")
-            js[f"lambda'_{n}"] = ext_json(conv[n])
-        sections_text.append(("sigma in split coordinates", rows_t))
-        sections_tex.append(("sigma in split coordinates", rows_x))
-        out_json["sigma"] = js
-    return {"text": sections_text, "tex": sections_tex, "json": out_json}
-
-
-def group_tex(group):
-    parts = ["\\mathbb{Z}"] * group.free_rank
-    parts += [f"\\mathbb{{Z}}/{d}" for d in group.invariant_factors]
-    return " \\oplus ".join(parts) if parts else "0"
-
-
-def _degree_rows(table, d_max):
-    rows_t, rows_x, js = [], [], []
-    for d in range(d_max + 1):
-        g = table.groups[d]
-        gens = [elt for _o, elt in table.generators[d]]
-        rows_t.append(f"H^{d} = {group_text(g, gens)}")
-        gen_tex = ", ".join(ext_tex(e) for e in gens)
-        suffix = f" \\{{{gen_tex}\\}}" if gen_tex else ""
-        rows_x.append(f"H^{{{d}}} &\\cong {group_tex(g)}{suffix}")
-        entry = group_json(g, gens)
-        entry["degree"] = d
-        entry["by_exterior_count"] = {
-            str(q): group_json(table.by_q[(d, q)])
-            for (dd, q) in sorted(table.by_q) if dd == d}
-        js.append(entry)
-    return rows_t, rows_x, js
+        rows = {f"sigma(x_{n})": sig.on_base[x_name(n)] for n in ns}
+        rows.update({f"sigma(e_{n})": sig.on_ext[n] for n in ns})
+        rows.update({f"lambda'_{n}": conv[n] for n in ns})
+        return Report([("sigma in split coordinates", "sigma", rows)])
+    if args.flavor == "bp":
+        p = _require_prime(args)
+        sig, name = sigma_bp(TypicalBasis(p, args.max_n)), v_name
+        title = f"sigma on the p-typical ring at p={p}"
+    else:
+        sig = sigma_mu_moving(LazardBasis(max(args.truncation, args.max_n)))
+        name, title = x_name, "sigma in moving coordinates"
+    rows = {f"sigma({name(n)})": sig.on_base[name(n)] for n in ns}
+    zero = ExtElement.zero(sig.flavor)
+    rows.update({f"sigma({sig.flavor.ext_prefix}_{n})": zero for n in ns})
+    return Report([(title, "sigma", rows)])
 
 
 def cmd_cohomology(args):
@@ -415,9 +374,7 @@ def cmd_cohomology(args):
             sig = sigma_mu_split(MuStructure(basis))
         table = cohomology_groups(SigmaDifferential(sig), d_max)
         title = f"sigma cohomology, {args.flavor} coordinates"
-    rows_t, rows_x, js = _degree_rows(table, d_max)
-    return {"text": [(title, rows_t)], "tex": [(title, rows_x)],
-            "json": {"cohomology": js}}
+    return Report([(title, "cohomology", [Degree(table, d) for d in range(d_max + 1)])])
 
 
 def cmd_bar_tor(args):
@@ -429,20 +386,18 @@ def cmd_bar_tor(args):
     else:
         flavor = CoordFlavor.moving()
     rep = bar_tor_check(flavor, args.max_weight, args.max_q)
-    rows_t, js = [], []
-    for (q, w) in sorted(rep.table):
-        g = rep.table[(q, w)]
-        exp = rep.expected[(q, w)]
-        ok = g.free_rank == exp and not g.invariant_factors
-        rows_t.append(f"q={q} weight={w}: rank {g.free_rank} expected {exp}"
-                      f" torsion {list(g.invariant_factors)} -> {'ok' if ok else 'MISMATCH'}")
-        js.append({"q": q, "weight": w, "rank": g.free_rank, "expected": exp,
-                   "torsion": list(g.invariant_factors)})
     if not rep.all_ok:
         raise ContractFailure("bar homology does not match the exterior algebra")
+    rows = []
+    for (q, w) in sorted(rep.table):
+        g, exp = rep.table[(q, w)], rep.expected[(q, w)]
+        torsion = list(g.invariant_factors)
+        rows.append(Line(f"q={q} weight={w}: rank {g.free_rank} expected {exp}"
+                         f" torsion {torsion} -> ok",
+                         {"q": q, "weight": w, "rank": g.free_rank, "expected": exp,
+                          "torsion": torsion}))
     title = f"bar homology vs exterior algebra ({flavor.tag})"
-    return {"text": [(title, rows_t)], "tex": [(title, rows_t)],
-            "json": {"bar_tor": js, "all_ok": rep.all_ok}}
+    return Report([(title, "bar_tor", rows)], {"all_ok": True})
 
 
 def cmd_de_rham(args):
@@ -457,10 +412,8 @@ def cmd_de_rham(args):
             raise UsageError(f"--weights must be positive, got {args.weights!r}")
         gens = [(f"y_{k + 1}", w) for k, w in enumerate(weights)]
         table = de_rham_cohomology(gens, d_max)
-        rows_t, rows_x, js = _degree_rows(table, d_max)
         title = f"de Rham cohomology for generator weights {weights}"
-        return {"text": [(title, rows_t)], "tex": [(title, rows_x)],
-                "json": {"de_rham": js}}
+        return Report([(title, "de_rham", [Degree(table, d) for d in range(d_max + 1)])])
     N = args.truncation
     if N < (d_max + 1) // 2:
         raise UsageError(
@@ -471,20 +424,18 @@ def cmd_de_rham(args):
     cmp = de_rham_comparison(structure, sig, d_max)
     if not cmp.chain_map_residuals_zero:
         raise ContractFailure("a de Rham inclusion fails to be a chain map")
-    rows_t, js = [], []
+    rows = []
     for d in range(d_max + 1):
-        left = cmp.forms_base.groups[d].describe()
-        mid = cmp.thh.groups[d].describe()
-        right = cmp.forms_coords.groups[d].describe()
-        rows_t.append(f"degree {d}: H_dR(base) = {left} | H(sigma) = {mid}"
-                      f" | H_dR(coords) = {right}  induced: {list(cmp.induced[d])}")
-        js.append({"degree": d, "H_dR_base": group_json(cmp.forms_base.groups[d]),
-                   "H_sigma": group_json(cmp.thh.groups[d]),
-                   "H_dR_coords": group_json(cmp.forms_coords.groups[d]),
-                   "induced": [list(t) for t in cmp.induced[d]]})
+        base, mid = cmp.forms_base.groups[d], cmp.thh.groups[d]
+        coords = cmp.forms_coords.groups[d]
+        rows.append(Line(
+            f"degree {d}: H_dR(base) = {base.describe()} | H(sigma) = {mid.describe()}"
+            f" | H_dR(coords) = {coords.describe()}  induced: {list(cmp.induced[d])}",
+            {"degree": d, "H_dR_base": group_json(base), "H_sigma": group_json(mid),
+             "H_dR_coords": group_json(coords),
+             "induced": [list(t) for t in cmp.induced[d]]}))
     title = "de Rham complexes bracketing the sigma cohomology"
-    return {"text": [(title, rows_t)], "tex": [(title, rows_t)],
-            "json": {"comparison": js, "chain_maps_ok": True}}
+    return Report([(title, "comparison", rows)], {"chain_maps_ok": True})
 
 
 def cmd_verify(args):
@@ -493,24 +444,17 @@ def cmd_verify(args):
         p = _require_prime(args)
         limit = bp_degree_range(p)
         d_max = min(d_max, limit)
-        results = verify_bp(p, max(_bp_max_n(p, d_max), 3), d_max,
-                            allow_large_prime=args.unsafe_large_prime)
+        results = verify_bp(p, max(_bp_max_n(p, d_max), 3), d_max)
     else:
         N = max(args.truncation, (d_max + 1) // 2)
         results = verify_mu(args.flavor, N, d_max)
     rows = []
-    failed = [r for r in results if not r.ok]
     for r in results:
-        status = "ok" if r.ok else "FAIL"
         detail = f"  [{r.detail}]" if r.detail else ""
-        rows.append(f"[{status}] {r.name}{detail}")
-    js = [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results]
-    out = {"text": [("consistency suite", rows)],
-           "tex": [("consistency suite", rows)],
-           "json": {"checks": js, "all_ok": not failed}}
-    if failed:
-        out["failure"] = "; ".join(r.name for r in failed)
-    return out
+        rows.append(Line(f"[{'ok' if r.ok else 'FAIL'}] {r.name}{detail}",
+                         {"name": r.name, "ok": r.ok, "detail": r.detail}))
+    failed = [r.name for r in results if not r.ok]
+    return Report([("consistency suite", "checks", rows)], {"all_ok": not failed}, failed)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +472,7 @@ def build_parser():
         p.add_argument("--flavor", choices=FLAVORS, default="mu-moving")
         p.add_argument("--prime", type=int, default=None)
         p.add_argument("--truncation", "-N", type=int, default=12)
-        p.add_argument("--format", choices=("text", "json", "tex"), default="text")
+        p.add_argument("--format", choices=FORMATS, default="text")
         p.add_argument("--output", default=None)
         p.add_argument("--unsafe-large-prime", action="store_true")
         if degree_default is not None:
@@ -583,15 +527,13 @@ def main(argv=None):
             if value is not None and value < 0:
                 raise UsageError(f"--{flag.replace('_', '-')} must be nonnegative, "
                                  f"got {value}")
-        results = COMMANDS[args.command](args)
-        config = _config(args)
-        text = emit_report(results, args.format, config)
-        write_output(text, args.output)
-        if results.get("failure"):
-            sys.stderr.write(f"failed: {results['failure']}\n")
+        report = COMMANDS[args.command](args)
+        write_output(emit_report(report, args.format, _config(args)), args.output)
+        if report.failed:
+            sys.stderr.write(f"failed: {'; '.join(report.failed)}\n")
             return 1
         return 0
-    except UsageError as err:
+    except (UsageError, ResourceGuardError) as err:
         sys.stderr.write(f"usage error: {err}\n")
         return 2
     except (ContractFailure, ExactAlgError) as err:

@@ -235,7 +235,7 @@ def verify_mu(flavor_tag, N, d_max):
     return results
 
 
-def verify_bp(p, max_n, d_max, allow_large_prime=False):
+def verify_bp(p, max_n, d_max):
     """All internal contracts of the p-typical side at one prime."""
     results = []
     tbasis = TypicalBasis(p, max_n)

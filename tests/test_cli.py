@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 import fglthh
+import fglthh.cli
 from fglthh.cli import main
+from fglthh.exactalg import GradedPoly
+from fglthh.thh import ExtElement
 
 
 def run(capsys, *argv):
@@ -32,6 +35,35 @@ def test_sigma_tex_line(capsys):
     assert "\\begin{align*}" in out
     flat = re.sub(r"[\s&]", "", out)
     assert "\\sigma(x_1)=-2\\lambda'_1" in flat
+
+
+def test_tex_braces_multi_digit_subscripts(capsys):
+    code, out, _ = run(capsys, "sigma", "--flavor", "mu-moving", "--max-n", "10",
+                       "-N", "10", "--format", "tex")
+    assert code == 0
+    assert "\\sigma(x_{10}) &=" in out
+    assert "\\sigma(\\lambda'_{10}) &= 0" in out
+    code, out, _ = run(capsys, "structure-maps", "--flavor", "mu-split",
+                       "--max-n", "10", "-N", "10", "--format", "tex")
+    assert code == 0
+    assert "\nx_{10} &=" in out
+    assert "\\eta_R(x_{10}) &=" in out
+    assert "_10" not in out
+
+
+@pytest.mark.parametrize("command", ["structure-maps", "sigma"])
+def test_json_run_renders_no_text_or_tex(capsys, monkeypatch, command):
+    def refuse(*_args):
+        raise AssertionError("a JSON run rendered text or TeX")
+
+    monkeypatch.setattr(fglthh.cli, "poly_tex", refuse)
+    monkeypatch.setattr(fglthh.cli, "ext_tex", refuse)
+    monkeypatch.setattr(GradedPoly, "__str__", refuse)
+    monkeypatch.setattr(ExtElement, "__str__", refuse)
+    code, out, _ = run(capsys, command, "--flavor", "mu-split", "--max-n", "3",
+                       "-N", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]
 
 
 def test_cohomology_json_degree_nine(capsys):
@@ -106,6 +138,8 @@ def test_truncation_guard(capsys):
     ("bar-tor", "--max-weight", "-1"),
     ("structure-maps", "--max-n", "-1"),
     ("de-rham", "--weights", "0,2"),
+    ("bar-tor", "--max-q", "4"),
+    ("bar-tor", "--max-weight", "9"),
 ])
 def test_bad_input_is_usage_error_without_traceback(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(fglthh.__file__).parents[1]))
