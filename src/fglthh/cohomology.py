@@ -46,9 +46,6 @@ class DeRhamDifferential:
             truncation_weight=truncation_weight)
         self._gen_names = {k + 1: name for k, name in enumerate(names)}
 
-    def ext_label(self, n):
-        return "d" + self._gen_names[n]
-
     def apply(self, elt):
         out = ExtElement.zero(self.flavor)
         for subset, coeff in elt.terms.items():
@@ -62,14 +59,8 @@ class DeRhamDifferential:
         return out
 
 
-def _ext_label(diff, subset):
-    if isinstance(diff, DeRhamDifferential):
-        return "*".join(diff.ext_label(n) for n in subset)
-    return diff.flavor.ext_text(subset)
-
-
 def _basis_at(diff, degree, q):
-    """Labeled basis (exterior subset, base monomial) of one bidegree."""
+    """Basis (exterior subset, base monomial) of one bidegree."""
     flavor = diff.flavor
     indices = [n for n in flavor.ext_indices() if flavor.ext_degree(n) <= degree]
     out = []
@@ -92,17 +83,7 @@ def _basis_at(diff, degree, q):
 
     subsets(0, q, degree, [])
     out.sort(key=lambda sm: (sm[0], flavor.base.mono_key(sm[1])))
-    labels = []
-    for subset, mono in out:
-        base_text = flavor.base.mono_text(mono)
-        ext_text = _ext_label(diff, subset)
-        if subset and mono:
-            labels.append(f"{base_text}*{ext_text}")
-        elif subset:
-            labels.append(ext_text)
-        else:
-            labels.append(base_text)
-    return tuple(out), tuple(labels)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -115,11 +96,10 @@ class DegreeComplex:
     degree: int
     root: int
     bases: tuple      # per q: tuple of (subset, mono)
-    labels: tuple     # per q: tuple of strings
     diffs: tuple      # per q: IntMatrix from position q to q+1
 
 
-def _element_vector(basis, labels, elt):
+def _element_vector(basis, elt):
     index = {bm: k for k, bm in enumerate(basis)}
     vec = [0] * len(basis)
     for subset, poly in elt.terms.items():
@@ -146,27 +126,21 @@ def staircase(diff, root):
         raise DegreeGuardError(
             f"degree {root} exceeds the truncation (weight {flavor.truncation_weight})")
     ext_degrees = sorted(flavor.ext_degree(n) for n in flavor.ext_indices())
-    bases, labels = [], []
+    bases = []
     q = 0
     while True:
         min_ext = sum(ext_degrees[:q]) if q <= len(ext_degrees) else None
         if min_ext is None or min_ext > root + q:
             break
-        b, lab = _basis_at(diff, root + q, q)
-        bases.append(b)
-        labels.append(lab)
+        bases.append(_basis_at(diff, root + q, q))
         q += 1
     while len(bases) > 1 and not bases[-1]:
         bases.pop()
-        labels.pop()
 
     diffs = []
     for q in range(len(bases)):
-        dom, dom_labels = bases[q], labels[q]
-        if q + 1 < len(bases):
-            cod, cod_labels = bases[q + 1], labels[q + 1]
-        else:
-            cod, cod_labels = (), ()
+        dom = bases[q]
+        cod = bases[q + 1] if q + 1 < len(bases) else ()
         rows = [[0] * len(dom) for _ in range(len(cod))]
         index = {bm: k for k, bm in enumerate(cod)}
         for j, (subset, mono) in enumerate(dom):
@@ -179,16 +153,14 @@ def staircase(diff, root):
                     if key not in index:
                         raise ValueError("differential leaves the staircase")
                     rows[index[key]][j] += c
-        diffs.append(IntMatrix.from_rows(rows, cod_labels, dom_labels,
-                                         cols=len(dom)))
+        diffs.append(IntMatrix.from_rows(rows, cols=len(dom)))
     for q in range(len(diffs) - 1):
         if diffs[q + 1].rows and diffs[q].cols:
             comp = diffs[q + 1].mul(diffs[q])
             if not comp.is_zero():
                 raise IntegralityError("consecutive differentials do not compose to zero")
     top = root + len(bases) - 1
-    return DegreeComplex(flavor.tag, top, root, tuple(bases), tuple(labels),
-                         tuple(diffs))
+    return DegreeComplex(flavor.tag, top, root, tuple(bases), tuple(diffs))
 
 
 def assemble_complex(diff, d):
@@ -217,12 +189,12 @@ class CohomologyTable:
     stairs: dict
 
     def class_order(self, d, q, elt):
-        pres, basis, labels = self.presentations[(d, q)]
-        return pres.class_order(_element_vector(basis, labels, elt))
+        pres, basis = self.presentations[(d, q)]
+        return pres.class_order(_element_vector(basis, elt))
 
     def generates(self, d, q, elts):
-        pres, basis, labels = self.presentations[(d, q)]
-        return pres.generates([_element_vector(basis, labels, e) for e in elts])
+        pres, basis = self.presentations[(d, q)]
+        return pres.generates([_element_vector(basis, e) for e in elts])
 
 
 def cohomology_groups(diff, d_max):
@@ -249,18 +221,12 @@ def cohomology_groups(diff, d_max):
             stair = stairs[root]
             if q >= len(stair.bases) or not stair.bases[q]:
                 continue
-            basis, labels = stair.bases[q], stair.labels[q]
-            d_out = (stair.diffs[q] if q < len(stair.diffs)
-                     else IntMatrix.zero(0, len(basis), (), labels))
-            if q == 0:
-                d_in = IntMatrix.zero(len(basis), 0, labels, ())
-            else:
-                d_in = stair.diffs[q - 1] if q - 1 < len(stair.diffs) else None
-                if d_in is None or d_in.rows != len(basis):
-                    d_in = IntMatrix.zero(len(basis), 0, labels, ())
-            pres = subquotient_group(d_in, d_out)
+            basis = stair.bases[q]
+            # staircase emits one map per position (the top one is 0 x n)
+            d_in = stair.diffs[q - 1] if q else IntMatrix.zero(len(basis), 0)
+            pres = subquotient_group(d_in, stair.diffs[q])
             by_q[(d, q)] = pres.group
-            presentations[(d, q)] = (pres, basis, labels)
+            presentations[(d, q)] = (pres, basis)
             total = total.direct_sum(pres.group)
             for order, vec in pres.generator_vectors:
                 elt = ExtElement.zero(flavor)
@@ -303,11 +269,11 @@ def bp_degree_range(p):
     return 2 * p * p + 4 * p - 6
 
 
-def bp_cohomology_table(sigma_table, allow_large_prime=False):
+def bp_cohomology_table(sigma_table):
     """Full p-typical cohomology table through the supported degree range,
     with p-local invariant factors."""
     p = sigma_table.flavor.prime
-    if p not in (2, 3, 5) and not allow_large_prime:
+    if p not in (2, 3, 5):
         raise ResourceGuardError(
             f"prime {p} outside the supported desk-scale range {{2, 3, 5}}")
     d_max = bp_degree_range(p)
@@ -431,9 +397,7 @@ def bar_tor_check(coord_flavor: CoordFlavor, weight_max, q_max):
                 merged = tup[:i - 1] + (mono_mul(tup[i - 1], tup[i]),) + tup[i + 1:]
                 sign = -1 if i % 2 else 1
                 rows[index[merged]][j] += sign
-        dom_labels = tuple("|".join(table.mono_text(m) for m in t) or "1" for t in dom)
-        cod_labels = tuple("|".join(table.mono_text(m) for m in t) or "1" for t in cod)
-        return IntMatrix.from_rows(rows, cod_labels, dom_labels, cols=len(dom))
+        return IntMatrix.from_rows(rows, cols=len(dom))
 
     gen_weights = weights
 

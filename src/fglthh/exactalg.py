@@ -10,6 +10,7 @@ there is no floating point anywhere in the package.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -69,7 +70,7 @@ class GenTable:
     A monomial is a tuple of ``(generator index, exponent)`` pairs with
     positive exponents, sorted by index.  The table's sort order fixes the
     canonical monomial order (graded, then exponent-lexicographic), which in
-    turn fixes matrix labels and all rendered output.
+    turn fixes the basis order of every matrix and all rendered output.
     """
 
     __slots__ = ("gens", "_index", "_mono_cache")
@@ -602,13 +603,11 @@ def rational_rank(matrix):
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Dense integer matrix with optional basis labels."""
+    """Dense integer matrix."""
 
     rows: int
     cols: int
     entries: tuple
-    row_labels: tuple = ()
-    col_labels: tuple = ()
 
     def __post_init__(self):
         if len(self.entries) != self.rows:
@@ -619,25 +618,18 @@ class IntMatrix:
             for x in row:
                 if not isinstance(x, int):
                     raise TypeError("integer entries required")
-        if self.row_labels and len(self.row_labels) != self.rows:
-            raise ValueError("row label count mismatch")
-        if self.col_labels and len(self.col_labels) != self.cols:
-            raise ValueError("column label count mismatch")
-        for labels in (self.row_labels, self.col_labels):
-            if labels and len(set(labels)) != len(labels):
-                raise ValueError("basis labels must be unique")
 
     @classmethod
-    def from_rows(cls, rows, row_labels=(), col_labels=(), cols=None):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+    def from_rows(cls, rows, cols=None):
+        # operator.index refuses Fractions and floats instead of truncating them
+        rows = tuple(tuple(operator.index(x) for x in r) for r in rows)
         if cols is None:
-            cols = len(rows[0]) if rows else len(col_labels)
-        return cls(len(rows), cols, rows, tuple(row_labels), tuple(col_labels))
+            cols = len(rows[0]) if rows else 0
+        return cls(len(rows), cols, rows)
 
     @classmethod
-    def zero(cls, rows, cols, row_labels=(), col_labels=()):
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)),
-                   tuple(row_labels), tuple(col_labels))
+    def zero(cls, rows, cols):
+        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     @classmethod
     def identity(cls, n):
@@ -660,8 +652,7 @@ class IntMatrix:
                         if y:
                             row[j] += x * y
             out.append(tuple(row))
-        return IntMatrix(self.rows, other.cols, tuple(out),
-                         self.row_labels, other.col_labels)
+        return IntMatrix(self.rows, other.cols, tuple(out))
 
     def column(self, j):
         return [self.entries[i][j] for i in range(self.rows)]
@@ -777,15 +768,8 @@ def smith_normal_form_full(matrix):
     ``U``, ``V`` and their inverses from the recorded operations only when
     they are read.
     """
-    if isinstance(matrix, IntMatrix):
-        A = matrix.to_lists()
-        n, m = matrix.rows, matrix.cols
-        labels = (matrix.row_labels, matrix.col_labels)
-    else:
-        A = [list(r) for r in matrix]
-        n = len(A)
-        m = len(A[0]) if A else 0
-        labels = ((), ())
+    A = matrix.to_lists()
+    n, m = matrix.rows, matrix.cols
     row_ops = []
     col_ops = []
 
@@ -874,7 +858,7 @@ def smith_normal_form_full(matrix):
         if t == min(n, m):
             break
 
-    D = IntMatrix.from_rows(A, labels[0], labels[1], cols=m)
+    D = IntMatrix.from_rows(A, cols=m)
     return SmithDecomposition(D, row_ops, col_ops)
 
 
@@ -897,12 +881,8 @@ def invariant_factors(matrix):
 
 def solve_integer(matrix, rhs):
     """Solve ``A x = rhs`` over the integers; ``None`` if no integral solution."""
-    if isinstance(matrix, IntMatrix):
-        n, m = matrix.rows, matrix.cols
-        M = matrix
-    else:
-        M = IntMatrix.from_rows(matrix)
-        n, m = M.rows, M.cols
+    M = matrix if isinstance(matrix, IntMatrix) else IntMatrix.from_rows(matrix)
+    n, m = M.rows, M.cols
     U, D, V = smith_normal_form(M)
     urhs = [sum(U.entries[i][k] * rhs[k] for k in range(n)) for i in range(n)]
     y = [0] * m
@@ -1091,18 +1071,19 @@ class FinAbGroup:
 # ---------------------------------------------------------------------------
 
 class SubquotientPresentation:
-    """Presentation of ``ker(d_out) / im(d_in)`` over a labeled free module.
+    """Presentation of ``ker(d_out) / im(d_in)`` over a free module.
 
-    ``kernel_basis`` spans the (saturated) kernel of ``d_out``; ``relations``
-    expresses the image of ``d_in`` in kernel coordinates.  Generator lifts
-    are returned in ambient coordinates, HNF-reduced modulo the image.
+    ``out_snf`` is the Smith form of ``d_out``: the columns of its ``V``
+    past the rank span the (saturated) kernel, and ``V^-1`` gives kernel
+    coordinates.  ``relations`` expresses the image of ``d_in`` in those
+    coordinates.  Generator lifts are returned in ambient coordinates,
+    HNF-reduced modulo the image.
     """
 
-    def __init__(self, labels, kernel_basis, relations, out_snf=None):
-        self.labels = tuple(labels)
-        self.kernel_basis = [list(c) for c in kernel_basis]  # columns, len n each
-        self.relations = [list(c) for c in relations]        # columns, kernel coords
-        self._out_snf = out_snf  # SmithDecomposition of the outgoing map
+    def __init__(self, out_snf, relations):
+        self._out_snf = out_snf
+        self.kernel_basis = out_snf.kernel_columns()  # columns, len n each
+        self.relations = [list(c) for c in relations]  # columns, kernel coords
         k = len(self.kernel_basis)
         if self.relations:
             rel_rows = [[c[i] for c in self.relations] for i in range(k)]
@@ -1136,14 +1117,13 @@ class SubquotientPresentation:
                                 tuple(vec for _, vec in gens))
 
     def _image_rows(self):
-        n = len(self.labels)
         rows = []
         for c in self.relations:
             rows.append(self._ambient(c))
         return [r for r in rows if any(r)]
 
     def _ambient(self, kernel_coords):
-        n = len(self.labels)
+        n = self._out_snf.D.cols
         out = [0] * n
         for k, c in enumerate(kernel_coords):
             if c:
@@ -1160,21 +1140,9 @@ class SubquotientPresentation:
     def kernel_coords(self, vector):
         """Coordinates of an ambient cocycle in the kernel basis; None if
         the vector is not a cocycle."""
-        if not self.kernel_basis:
-            return [] if not any(vector) else None
-        if self._out_snf is not None:
-            y = self._out_snf.v_inv_times(list(vector))
-            r = self._out_snf.rank
-            if any(y[:r]):
-                return None
-            return y[r:]
-        if all(self.kernel_basis[k][i] == (1 if i == k else 0)
-               for k in range(len(self.kernel_basis))
-               for i in range(len(self.labels))):
-            return list(vector)
-        n = len(self.labels)
-        rows = [[col[i] for col in self.kernel_basis] for i in range(n)]
-        return solve_integer(rows, list(vector))
+        y = self._out_snf.v_inv_times(list(vector))
+        r = self._out_snf.rank
+        return None if any(y[:r]) else y[r:]
 
     def class_order(self, vector):
         """Order of the class of ``vector``; 0 means infinite order.
@@ -1213,48 +1181,27 @@ class SubquotientPresentation:
         return len(facs) == k and all(d == 1 for d in facs)
 
 
-def kernel_basis_columns(matrix):
-    """Basis (as columns) of the integer kernel of ``matrix``."""
-    if matrix.cols == 0:
-        return []
-    if matrix.rows == 0:
-        ident = IntMatrix.identity(matrix.cols)
-        return [ident.column(j) for j in range(matrix.cols)]
-    return smith_normal_form_full(matrix).kernel_columns()
-
-
 def subquotient_group(d_in, d_out):
     """Presentation of ``ker(d_out)/im(d_in)`` for composable differentials.
 
     ``d_in`` maps into the middle module (its rows), ``d_out`` maps out of it
     (its columns); the composite must vanish.  That is checked on the Smith
     form of ``d_out``: a column of ``d_in`` is rejected when its coordinates
-    against the nonzero invariant factors do not all vanish.
+    against the nonzero invariant factors do not all vanish.  When ``d_out``
+    is injective its kernel is zero and ``d_in`` itself must vanish.
     """
     if d_in.rows != d_out.cols:
         raise ValueError("differentials do not compose through a common module")
-    if d_in.row_labels and d_out.col_labels and d_in.row_labels != d_out.col_labels:
-        raise ValueError("middle-module labels disagree")
-    labels = d_in.row_labels or d_out.col_labels or tuple(str(i) for i in range(d_in.rows))
-    n = d_in.rows
-    if d_out.rows == 0:
-        out_snf = None
-        kernel = kernel_basis_columns(d_out)
-    else:
-        out_snf = smith_normal_form_full(d_out)
-        kernel = out_snf.kernel_columns()
+    out_snf = smith_normal_form_full(d_out)
+    r = out_snf.rank
     relations = []
-    if kernel:
-        r = out_snf.rank if out_snf is not None else 0
+    if r == d_out.cols:
+        if not d_in.is_zero():
+            raise ComplexViolationError("image does not lie in the kernel")
+    else:
         for j in range(d_in.cols):
-            target = d_in.column(j)
-            if out_snf is not None:
-                y = out_snf.v_inv_times(target)
-                if any(y[:r]):
-                    raise ComplexViolationError("image does not lie in the kernel")
-                relations.append(y[r:])
-            else:
-                relations.append(target)
-    elif d_in.cols and any(any(r) for r in d_in.entries):
-        raise ComplexViolationError("image does not lie in the kernel")
-    return SubquotientPresentation(labels, kernel, relations, out_snf=out_snf)
+            y = out_snf.v_inv_times(d_in.column(j))
+            if any(y[:r]):
+                raise ComplexViolationError("image does not lie in the kernel")
+            relations.append(y[r:])
+    return SubquotientPresentation(out_snf, relations)

@@ -82,14 +82,8 @@ class LazardBasis:
 
     CLASSICAL_MAX = 4
 
-    def __init__(self, N, source="auto", user_table=None):
-        if source not in ("auto", "classical-table", "user-supplied"):
-            raise ValueError(f"unknown generator source {source!r}")
-        if source == "classical-table" and N > self.CLASSICAL_MAX:
-            raise DegreeGuardError(
-                f"the classical table provides generators up to weight {self.CLASSICAL_MAX}")
+    def __init__(self, N):
         self.N = N
-        self.source = source
         self.m_table = GenTable([(m_name(n), n) for n in range(1, N + 1)])
         self.x_table = GenTable([(x_name(n), n) for n in range(1, N + 1)])
         self.fgl = fgl_from_log(
@@ -99,27 +93,12 @@ class LazardBasis:
         for (i, j), poly in self.fgl.coefficients().items():
             if i <= j:
                 self.a_in_m[(i, j)] = poly
-        self.provenance = {}
         self.x_in_m = {}
-        if source == "user-supplied":
-            if not user_table:
-                raise ValueError("user-supplied source requires a generator table")
-            for n in range(1, N + 1):
-                poly = user_table[n]
-                if poly.table != self.m_table:
-                    poly = poly.extend_to(self.m_table)
-                if poly.weight() != n:
-                    raise ValueError(f"user generator {n} is not homogeneous of weight {n}")
-                self.x_in_m[n] = poly
-                self.provenance[n] = "user"
-        else:
-            for n in range(1, N + 1):
-                if n <= self.CLASSICAL_MAX:
-                    self.x_in_m[n] = self._fixed_generator(n)
-                    self.provenance[n] = "classical"
-                else:
-                    self.x_in_m[n] = self._auto_generator(n)
-                    self.provenance[n] = "auto"
+        for n in range(1, N + 1):
+            if n <= self.CLASSICAL_MAX:
+                self.x_in_m[n] = self._fixed_generator(n)
+            else:
+                self.x_in_m[n] = self._auto_generator(n)
         self._m_in_x = {}
         self._rewrite_cache = {}
         for n in range(1, N + 1):
@@ -284,9 +263,9 @@ class LazardBasis:
         return solve_integer(rows, rhs) is not None
 
 
-def lazard_generators(N, source="auto", user_table=None):
+def lazard_generators(N):
     """Build a :class:`LazardBasis` through weight ``N``."""
-    return LazardBasis(N, source=source, user_table=user_table)
+    return LazardBasis(N)
 
 
 # ---------------------------------------------------------------------------

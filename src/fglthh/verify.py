@@ -9,10 +9,11 @@ check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .exactalg import (GradedPoly, IntMatrix, det_int, invariant_factors,
+from .exactalg import (GradedPoly, det_int, invariant_factors,
                        IntegralityError, DegreeGuardError)
 from .fgl import LazardBasis, TypicalBasis, m_name, x_name, ell_name, v_name
 from .algebroid import (MuStructure, TypicalStructure, CoordFlavor,
@@ -36,9 +37,8 @@ class CheckResult:
 def minor_gcd_invariants(matrix):
     """Invariant factors recomputed as successive quotients of gcds of
     k-by-k minors: the independent oracle for the Smith form."""
-    entries = matrix.entries if isinstance(matrix, IntMatrix) else matrix
-    n = len(entries)
-    m = len(entries[0]) if n else 0
+    entries = matrix.entries
+    n, m = matrix.rows, matrix.cols
     out = []
     prev = 1
     for k in range(1, min(n, m) + 1):
@@ -46,20 +46,12 @@ def minor_gcd_invariants(matrix):
         for rows in combinations(range(n), k):
             for cols in combinations(range(m), k):
                 sub = [[entries[i][j] for j in cols] for i in rows]
-                d = det_int(sub)
-                if d:
-                    g = _gcd(g, abs(d))
+                g = math.gcd(g, det_int(sub))
         if g == 0:
             break
         out.append(g // prev)
         prev = g
     return tuple(out)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _check(results, name, ok, detail=""):

@@ -37,8 +37,9 @@ def xg(basis, n, exp=1):
 def test_displayed_two_by_two(sigma_moving10):
     st = assemble_complex(SigmaDifferential(sigma_moving10), 5)
     assert st.diffs[0].entries == ((-4, -4), (0, -3))
-    assert st.diffs[0].col_labels == ("x_1^2", "x_2")
-    assert st.diffs[0].row_labels == ("x_1*lambda'_1", "lambda'_2")
+    # basis x_1^2, x_2 maps to basis x_1*lambda'_1, lambda'_2
+    assert st.bases[0] == (((), ((0, 2),)), ((), ((1, 1),)))
+    assert st.bases[1] == (((1,), ((0, 1),)), ((2,), ()))
 
 
 def test_displayed_degree_ten_block(sigma_moving10):

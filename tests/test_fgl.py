@@ -28,8 +28,6 @@ def test_generators_low_weights(lazard6):
     assert b.x_in_m[3] == -12 * m1 ** 3 + 12 * m1 * m2 - 2 * m3
     assert b.x_in_m[4] == (16 * m1 ** 4 - 36 * m1 ** 2 * m2 + 9 * m2 ** 2
                            + 16 * m1 * m3 - 5 * m4)
-    assert all(b.provenance[n] == "classical" for n in range(1, 5))
-    assert b.provenance[5] == "auto"
 
 
 def test_indecomposable_units():
@@ -81,20 +79,6 @@ def test_generators_in_integer_span(lazard6):
 def test_weight_guard(lazard6):
     with pytest.raises(DegreeGuardError):
         lazard6.rewrite_m_to_x(mg(lazard6, 1) ** 7)
-
-
-def test_fixed_table_source_bound():
-    basis = lazard_generators(4, source="classical-table")
-    assert basis.N == 4
-    with pytest.raises(DegreeGuardError):
-        lazard_generators(5, source="classical-table")
-
-
-def test_user_supplied_source(lazard6):
-    table = {n: lazard6.x_in_m[n] for n in range(1, 4)}
-    basis = lazard_generators(3, source="user-supplied", user_table=table)
-    assert basis.provenance[2] == "user"
-    assert basis.x_in_m[2] == table[2].extend_to(basis.m_table)
 
 
 # ---------------------------------------------------------------------------
