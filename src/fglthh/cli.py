@@ -421,7 +421,8 @@ def cmd_de_rham(args):
     basis = LazardBasis(N)
     structure = MuStructure(basis)
     sig = sigma_mu_moving(basis)
-    cmp = de_rham_comparison(structure, sig, d_max)
+    cmp = de_rham_comparison(structure, sig,
+                             cohomology_groups(SigmaDifferential(sig), d_max), d_max)
     if not cmp.chain_map_residuals_zero:
         raise ContractFailure("a de Rham inclusion fails to be a chain map")
     rows = []

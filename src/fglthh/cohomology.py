@@ -485,19 +485,24 @@ def _include_thh_to_forms(structure, derham_c, elt):
     return out
 
 
-def de_rham_comparison(structure, sigma_moving, d_max):
+def de_rham_comparison(structure, sigma_moving, thh_table, d_max):
     """de Rham cohomology of the base and coordinate rings bracketing the
     sigma cohomology, with both inclusions verified as chain maps and the
-    induced maps on cohomology reported."""
+    induced maps on cohomology reported.
+
+    ``thh_table`` is the cohomology table of ``sigma_moving`` through at
+    least ``d_max``; the caller builds it once and may read it elsewhere.
+    """
     basis = structure.basis
     if d_max > 2 * basis.N:
         raise DegreeGuardError("comparison range exceeds the truncation")
+    if thh_table.d_max < d_max:
+        raise ValueError("the sigma table stops below the comparison range")
     derham_l = DeRhamDifferential(basis.x_table, truncation_weight=basis.N)
     derham_c = DeRhamDifferential(structure.c_table, truncation_weight=basis.N)
     sig = SigmaDifferential(sigma_moving)
 
     forms_l = cohomology_groups(derham_l, d_max)
-    thh_table = cohomology_groups(sig, d_max)
     forms_c = cohomology_groups(derham_c, d_max)
 
     residual_ok = True

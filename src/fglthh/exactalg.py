@@ -1,10 +1,11 @@
 """Exact arithmetic kernel.
 
 Sparse graded polynomials with rational coefficients, exact rational
-linear solving, integer matrices with Smith and Hermite normal forms,
-and finitely generated abelian groups presented as kernel-mod-image
-subquotients.  Coefficients are Python ints or ``fractions.Fraction``;
-there is no floating point anywhere in the package.
+linear solving, integer matrices with Smith normal forms, canonical
+representatives modulo integer lattices, and finitely generated abelian
+groups presented as kernel-mod-image subquotients.  Coefficients are
+Python ints or ``fractions.Fraction``; there is no floating point
+anywhere in the package.
 """
 
 from __future__ import annotations
@@ -686,10 +687,11 @@ def _replay(ops, n, inverse, transpose):
     """Apply logged elementary operations, in order, to the ``n x n``
     identity as row operations.
 
-    ``("add", i, k, q)`` is ``row_i -= q * row_k``; ``("swap", i, k)`` and
-    ``("neg", i)`` swap and negate rows.  With ``inverse`` each operation is
-    replaced by the transpose of its inverse, which yields the inverse
-    transpose of the plain replay.  ``transpose`` transposes the result.
+    ``("add", i, k, q)`` is ``row_i -= q * row_k`` with ``q != 0``;
+    ``("swap", i, k)`` and ``("neg", i)`` swap and negate rows.  With
+    ``inverse`` each operation is replaced by the transpose of its inverse,
+    which yields the inverse transpose of the plain replay.  ``transpose``
+    transposes the result.
     """
     M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for op in ops:
@@ -714,10 +716,11 @@ class SmithDecomposition:
     """``U M V = D`` with ``U``, ``V`` unimodular and ``D`` the Smith form.
 
     The reduction computes ``D`` and records its elementary row operations
-    (which make ``U``) and column operations (which make ``V``).  Each of
-    ``U``, ``V``, ``U_inv`` and ``V_inv`` is built from that record the
-    first time it is read and then cached, so a caller pays only for the
-    transforms it reads.
+    (which make ``U``) and column operations (which make ``V``); an
+    ``add`` is recorded only with a nonzero multiple ``q``, since a zero
+    one changes nothing.  Each of ``U``, ``V``, ``U_inv`` and ``V_inv`` is
+    built from that record the first time it is read and then cached, so a
+    caller pays only for the transforms it reads.
     """
 
     def __init__(self, D, row_ops, col_ops):
@@ -764,9 +767,9 @@ def smith_normal_form_full(matrix):
     """Smith normal form ``U M V = D`` with ``U``, ``V`` unimodular and
     ``D`` diagonal, nonnegative, in a divisibility chain.  Pivoting picks a
     minimal-absolute-value nonzero entry each round to control coefficient
-    growth; exactness holds regardless.  The returned decomposition builds
-    ``U``, ``V`` and their inverses from the recorded operations only when
-    they are read.
+    growth; exactness holds regardless.  Zero-multiple eliminations are
+    skipped.  The returned decomposition builds ``U``, ``V`` and their
+    inverses from the recorded operations only when they are read.
     """
     A = matrix.to_lists()
     n, m = matrix.rows, matrix.cols
@@ -774,17 +777,21 @@ def smith_normal_form_full(matrix):
     col_ops = []
 
     def row_op(i, k, q):
-        # row_i -= q * row_k
-        Ai, Ak = A[i], A[k]
-        for j in range(m):
-            Ai[j] -= q * Ak[j]
-        row_ops.append(("add", i, k, q))
+        # row_i -= q * row_k; a zero multiple is neither applied nor logged
+        if q:
+            Ai = A[i]
+            for j, x in enumerate(A[k]):
+                if x:
+                    Ai[j] -= q * x
+            row_ops.append(("add", i, k, q))
 
-    def col_op(j, k, q):
-        # col_j -= q * col_k
-        for row in A:
-            row[j] -= q * row[k]
-        col_ops.append(("add", j, k, q))
+    def col_op(j, t, q):
+        # col_j -= q * col_t, called once column t is clear off the pivot
+        # (rows below t by the row sweep, rows above t are finished), so
+        # only the pivot row changes
+        if q:
+            A[t][j] -= q * A[t][t]
+            col_ops.append(("add", j, t, q))
 
     def swap_rows(i, k):
         A[i], A[k] = A[k], A[i]
@@ -899,10 +906,14 @@ def solve_integer(matrix, rhs):
 
 
 def row_hnf(rows):
-    """Row Hermite normal form.
+    """Row echelon basis with positive pivots, not reduced above the pivots.
 
-    Returns ``(hnf_rows, pivot_cols)`` with positive pivots, zeros below
-    each pivot and entries above each pivot reduced into ``[0, pivot)``.
+    Returns ``(rows, pivot_cols)`` for the lattice spanned by ``rows``:
+    each row is zero left of its pivot, and the pivot columns increase.
+    Reducing the entries above the pivots would give the Hermite normal
+    form, but ``reduce_mod_rows`` does not need it: the pivot columns and
+    pivot values of any such basis are those of the Hermite form, so the
+    representatives it returns are the same.
     """
     work = [list(r) for r in rows if any(r)]
     if not work:
@@ -923,8 +934,9 @@ def row_hnf(rows):
             new_rest = []
             for r in nonzero[1:]:
                 q = r[col] // base[col]
-                for j in range(m):
-                    r[j] -= q * base[j]
+                for j, x in enumerate(base):
+                    if x:
+                        r[j] -= q * x
                 if r[col]:
                     new_rest.append(r)
                 elif any(r):
@@ -937,20 +949,18 @@ def row_hnf(rows):
         pivots.append(col)
         work = rest
         col += 1
-    # reduce entries above pivots
-    for k in range(len(hnf) - 1, -1, -1):
-        pc = pivots[k]
-        pv = hnf[k][pc]
-        for i in range(k):
-            q = hnf[i][pc] // pv
-            if q:
-                for j in range(len(hnf[i])):
-                    hnf[i][j] -= q * hnf[k][j]
     return hnf, pivots
 
 
 def reduce_mod_rows(hnf, pivots, vector):
-    """Canonical representative of ``vector`` modulo the row lattice."""
+    """Canonical representative of ``vector`` modulo the row lattice.
+
+    The result is the unique ``v`` in the coset whose pivot coordinates lie
+    in ``[0, pivot)``.  It is unique for any echelon basis with positive
+    pivots: if two such ``v`` differ by ``sum(c_k row_k)`` and ``c_k`` is
+    the first nonzero coefficient, their difference at pivot column ``k``
+    is ``c_k`` times the pivot, yet smaller than the pivot in size.
+    """
     v = list(vector)
     for row, pc in zip(hnf, pivots):
         q = v[pc] // row[pc]
@@ -1077,7 +1087,7 @@ class SubquotientPresentation:
     past the rank span the (saturated) kernel, and ``V^-1`` gives kernel
     coordinates.  ``relations`` expresses the image of ``d_in`` in those
     coordinates.  Generator lifts are returned in ambient coordinates,
-    HNF-reduced modulo the image.
+    reduced to their canonical representatives modulo the image.
     """
 
     def __init__(self, out_snf, relations):
@@ -1087,15 +1097,12 @@ class SubquotientPresentation:
         k = len(self.kernel_basis)
         if self.relations:
             rel_rows = [[c[i] for c in self.relations] for i in range(k)]
-            full = smith_normal_form_full(
+            self._rel_snf = smith_normal_form_full(
                 IntMatrix.from_rows(rel_rows, cols=len(self.relations)))
-            U, D, Uinv = full.U, full.D, full.U_inv
+            D, Uinv = self._rel_snf.D, self._rel_snf.U_inv
         else:
-            U, D, Uinv = (IntMatrix.identity(k), IntMatrix.zero(k, 0),
-                          IntMatrix.identity(k))
-        self._U = U
-        self._D = D
-        self._Uinv = Uinv
+            self._rel_snf = None
+            D, Uinv = IntMatrix.zero(k, 0), IntMatrix.identity(k)
         diag = [D.entries[i][i] for i in range(min(D.rows, D.cols))]
         self._orders = [diag[i] if i < len(diag) else 0 for i in range(k)]
         factors = [d for d in self._orders if d > 1]
@@ -1107,7 +1114,7 @@ class SubquotientPresentation:
             order = self._orders[i]
             if order == 1:
                 continue
-            vec = self._ambient(self._Uinv.column(i))
+            vec = self._ambient(Uinv.column(i))
             vec = reduce_mod_rows(hnf, pivots, vec) if hnf else vec
             vec = self._sign_normalize(vec)
             gens.append((order, tuple(vec)))
@@ -1115,6 +1122,13 @@ class SubquotientPresentation:
         self.generator_vectors = tuple(gens)
         self.group = FinAbGroup(free, _chain_from_factors(factors),
                                 tuple(vec for _, vec in gens))
+
+    @cached_property
+    def _U(self):
+        # only class_order reads U, so it is replayed on first use
+        if self._rel_snf is None:
+            return IntMatrix.identity(len(self.kernel_basis))
+        return self._rel_snf.U
 
     def _image_rows(self):
         rows = []

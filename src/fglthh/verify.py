@@ -215,7 +215,8 @@ def verify_mu(flavor_tag, N, d_max):
            rep_bar.all_ok)
 
     cmp_range = min(d_max, 10)
-    cmp = de_rham_comparison(structure, mov, cmp_range)
+    mov_table = table if flavor_tag == "mu-moving" else other_table
+    cmp = de_rham_comparison(structure, mov, mov_table, cmp_range)
     _check(results, f"de Rham inclusions are chain maps (degree <= {cmp_range})",
            cmp.chain_map_residuals_zero)
 

@@ -438,7 +438,9 @@ def test_criterion_6_property_suites(lazard10, structure10, sigma_moving10,
     checks.append(("single-generator de Rham oracle through degree 12", ok))
 
     # both cochain inclusions are chain maps through degree 10
-    cmp = de_rham_comparison(structure10, sigma_moving10, 10)
+    cmp = de_rham_comparison(
+        structure10, sigma_moving10,
+        cohomology_groups(SigmaDifferential(sigma_moving10), 10), 10)
     checks.append(("inclusion chain-map residuals vanish", cmp.chain_map_residuals_zero))
 
     # homology images integral through weight 4

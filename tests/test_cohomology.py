@@ -295,8 +295,8 @@ def test_de_rham_h0_polynomial_ring():
     assert table.groups[0] == FinAbGroup(1)
 
 
-def test_de_rham_comparison(structure10, sigma_moving10):
-    rep = de_rham_comparison(structure10, sigma_moving10, 10)
+def test_de_rham_comparison(structure10, sigma_moving10, moving_table):
+    rep = de_rham_comparison(structure10, sigma_moving10, moving_table, 10)
     assert rep.chain_map_residuals_zero
     # the bracketing maps are rational isomorphisms only: integrally the
     # middle groups are strictly bigger in several degrees
@@ -320,7 +320,11 @@ def test_each_staircase_is_assembled_once(monkeypatch, structure10, sigma_moving
     monkeypatch.setattr(cohomology, "staircase", recording)
     monkeypatch.setattr(verify, "staircase", recording)
     for run in (lambda: verify.verify_bp(2, 3, 10),
-                lambda: cohomology.de_rham_comparison(structure10, sigma_moving10, 10)):
+                lambda: verify.verify_mu("mu-split", 5, 10),
+                lambda: cohomology.de_rham_comparison(
+                    structure10, sigma_moving10,
+                    cohomology.cohomology_groups(SigmaDifferential(sigma_moving10), 10),
+                    10)):
         built.clear()
         run()
         keys = [(table_id, root) for table_id, root, _ in built]

@@ -2,13 +2,13 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fglthh import exactalg
 from fglthh.exactalg import (
     GenTable, GradedPoly, GradedWeightError, GeneratorTableError,
     UnderdeterminedSystemError, ComplexViolationError, IntMatrix, FinAbGroup,
-    smith_normal_form_full, invariant_factors, det_int,
+    SmithDecomposition, smith_normal_form_full, invariant_factors, det_int,
     solve_rational_linear, solve_integer, subquotient_group, row_hnf,
     reduce_mod_rows, rational_rank)
 
@@ -193,9 +193,9 @@ TRANSFORMS = ("U", "V", "U_inv", "V_inv")
 
 
 @st.composite
-def int_matrices(draw, rows=dim, cols=dim):
+def int_matrices(draw, rows=dim, cols=dim, entry=sparse_entry):
     n, m = draw(rows), draw(cols)
-    entries = draw(st.lists(st.lists(sparse_entry, min_size=m, max_size=m),
+    entries = draw(st.lists(st.lists(entry, min_size=m, max_size=m),
                             min_size=n, max_size=n))
     return IntMatrix.from_rows(entries, cols=m)
 
@@ -223,6 +223,131 @@ def test_snf_properties(M, read_order):
     again = smith_normal_form_full(M)
     for name in read_order:
         assert getattr(again, name) == getattr(full, name)
+
+
+# Dense reference reduction: the same pivoting, but every zero-multiple
+# operation is applied and logged and every column operation sweeps all
+# rows.  The printed generators, and so the output bytes, depend on the
+# pivot sequence, so the engine must take exactly these nonzero steps.
+def reference_smith_normal_form_full(matrix):
+    """Smith normal form ``U M V = D`` with ``U``, ``V`` unimodular and
+    ``D`` diagonal, nonnegative, in a divisibility chain.  Pivoting picks a
+    minimal-absolute-value nonzero entry each round to control coefficient
+    growth; exactness holds regardless.  The returned decomposition builds
+    ``U``, ``V`` and their inverses from the recorded operations only when
+    they are read.
+    """
+    A = matrix.to_lists()
+    n, m = matrix.rows, matrix.cols
+    row_ops = []
+    col_ops = []
+
+    def row_op(i, k, q):
+        # row_i -= q * row_k
+        Ai, Ak = A[i], A[k]
+        for j in range(m):
+            Ai[j] -= q * Ak[j]
+        row_ops.append(("add", i, k, q))
+
+    def col_op(j, k, q):
+        # col_j -= q * col_k
+        for row in A:
+            row[j] -= q * row[k]
+        col_ops.append(("add", j, k, q))
+
+    def swap_rows(i, k):
+        A[i], A[k] = A[k], A[i]
+        row_ops.append(("swap", i, k))
+
+    def swap_cols(j, k):
+        for row in A:
+            row[j], row[k] = row[k], row[j]
+        col_ops.append(("swap", j, k))
+
+    def negate_row(t):
+        for j in range(m):
+            A[t][j] = -A[t][j]
+        row_ops.append(("neg", t))
+
+    t = 0
+    while True:
+        pivot = None
+        best = None
+        for i in range(t, n):
+            Ai = A[i]
+            for j in range(t, m):
+                v = Ai[j]
+                if v and (best is None or abs(v) < best):
+                    best = abs(v)
+                    pivot = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        if A[t][t] < 0:
+            negate_row(t)
+        while True:
+            for i in range(t + 1, n):
+                if A[i][t]:
+                    row_op(i, t, A[i][t] // A[t][t])
+            dirty = next((i for i in range(t + 1, n) if A[i][t]), None)
+            if dirty is not None:
+                swap_rows(t, dirty)
+                if A[t][t] < 0:
+                    negate_row(t)
+                continue
+            for j in range(t + 1, m):
+                if A[t][j]:
+                    col_op(j, t, A[t][j] // A[t][t])
+            dirty = next((j for j in range(t + 1, m) if A[t][j]), None)
+            if dirty is not None:
+                swap_cols(t, dirty)
+                if A[t][t] < 0:
+                    negate_row(t)
+                continue
+            if A[t][t] == 1:
+                break
+            offender = None
+            for i in range(t + 1, n):
+                Ai = A[i]
+                for j in range(t + 1, m):
+                    if Ai[j] % A[t][t]:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_op(t, offender, -1)
+        t += 1
+        if t == min(n, m):
+            break
+
+    D = IntMatrix.from_rows(A, cols=m)
+    return SmithDecomposition(D, row_ops, col_ops)
+
+
+def without_zero_multiples(ops):
+    return [op for op in ops if op[0] != "add" or op[3]]
+
+
+@settings(max_examples=200)
+@given(int_matrices(st.integers(0, 10), st.integers(0, 10),
+                    st.one_of(st.just(0), st.integers(min_value=-50, max_value=50))))
+@example(IntMatrix.from_rows([[5], [9], [7]]))  # the row sweep meets 2 // 4
+@example(IntMatrix.from_rows([[5, 9, 7]]))      # the column sweep likewise
+def test_snf_pivot_sequence_matches_dense_reference(M):
+    ref = reference_smith_normal_form_full(M)
+    got = smith_normal_form_full(M)
+    assert got.D == ref.D
+    assert got._row_ops == without_zero_multiples(ref._row_ops)
+    assert got._col_ops == without_zero_multiples(ref._col_ops)
+    for op in got._row_ops + got._col_ops:
+        assert op[0] != "add" or op[3], op
 
 
 def naive_mul(a, b):
@@ -301,10 +426,16 @@ def test_subquotient_builds_only_read_transforms(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(exactalg, "smith_normal_form_full", recording)
-    for d_in, d_out in (DEGREE_NINE_PAIR, Z2_PAIR):
+    for (d_in, d_out), cocycle in ((DEGREE_NINE_PAIR, [0, -2, 1, 0, 0, 1, 0]),
+                                   (Z2_PAIR, [1])):
         made.clear()
-        subquotient_group(d_in, d_out)
+        pres = subquotient_group(d_in, d_out)
         out_snf, rel_snf = made
+        assert built_transforms(out_snf) == {"V", "V_inv"}
+        assert built_transforms(rel_snf) == {"U_inv"}
+        # a class order is the one reader of the relations' U
+        assert pres.class_order(cocycle) > 1
+        assert len(made) == 2
         assert built_transforms(out_snf) == {"V", "V_inv"}
         assert built_transforms(rel_snf) == {"U", "U_inv"}
     made.clear()
@@ -383,6 +514,29 @@ def test_solve_integer_and_hnf():
     assert solve_integer(A, [1, 0]) is None
     hnf, piv = row_hnf([[2, 4, 1], [0, 2, 0]])
     assert reduce_mod_rows(hnf, piv, [2, 4, 1]) == [0, 0, 0]
+
+
+@given(st.data())
+def test_lattice_representative_ignores_echelon_basis(data):
+    # row_hnf returns an echelon basis that is not reduced above its pivots;
+    # the representative must still depend on the lattice alone
+    m = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=m, max_size=m),
+                              min_size=2, max_size=5))
+    v = data.draw(st.lists(st.integers(-40, 40), min_size=m, max_size=m))
+    hnf, pivots = row_hnf(rows)
+    rep = reduce_mod_rows(hnf, pivots, v)
+    for row, pc in zip(hnf, pivots):
+        assert 0 <= rep[pc] < row[pc]
+    # the same lattice from another basis: rows shuffled, one added to another
+    other = [list(rows[i]) for i in data.draw(st.permutations(range(len(rows))))]
+    i, k = data.draw(st.permutations(range(len(rows))))[:2]
+    other[i] = [a + b for a, b in zip(other[i], other[k])]
+    assert reduce_mod_rows(*row_hnf(other), v) == rep
+    # v - rep is an integer combination of the rows
+    columns = IntMatrix.from_rows([[r[j] for r in rows] for j in range(m)],
+                                  cols=len(rows))
+    assert solve_integer(columns, [a - b for a, b in zip(v, rep)]) is not None
 
 
 def test_integer_matrices_reject_non_integers():
