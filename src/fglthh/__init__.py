@@ -2,9 +2,8 @@
 topological Hochschild homology, and their torsion cohomology."""
 
 from .exactalg import (GenTable, GradedPoly, IntMatrix, FinAbGroup,
-                       smith_normal_form, smith_normal_form_full,
-                       invariant_factors, solve_rational_linear,
-                       subquotient_group)
+                       smith_normal_form_full, invariant_factors,
+                       solve_rational_linear, subquotient_group)
 from .series import TruncatedSeries, FGLaw, compose, comp_inverse, fgl_from_log, fgl_formal_sum
 from .fgl import LazardBasis, TypicalBasis, lazard_generators, hazewinkel_generators
 from .algebroid import MuStructure, TypicalStructure, CoordFlavor
@@ -19,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GenTable", "GradedPoly", "IntMatrix", "FinAbGroup",
-    "smith_normal_form", "smith_normal_form_full", "invariant_factors",
+    "smith_normal_form_full", "invariant_factors",
     "solve_rational_linear", "subquotient_group",
     "TruncatedSeries", "FGLaw", "compose", "comp_inverse", "fgl_from_log",
     "fgl_formal_sum",

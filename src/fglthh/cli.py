@@ -232,13 +232,16 @@ def _rows(rows, fmt):
     return [f"{_label(label, fmt)}{eq}{_value(v, fmt)}" for label, v in rows.items()]
 
 
-def emit_report(report, fmt, config):
-    """Serialize a command's report deterministically in ``fmt`` alone."""
+def emit_report(report, fmt, config, out):
+    """Serialize a command's report deterministically in ``fmt`` alone,
+    writing it to the text stream ``out``."""
     if fmt == "json":
         results = {key: _rows(rows, fmt) for _title, key, rows in report.sections}
         results.update(report.flags)
         doc = {"schema": SCHEMA, "config": config, "results": results}
-        return json.dumps(doc, indent=2) + "\n"
+        json.dump(doc, out, indent=2)
+        out.write("\n")
+        return
     lines = []
     for title, _key, rows in report.sections:
         if fmt == "tex":
@@ -247,15 +250,15 @@ def emit_report(report, fmt, config):
                       "\\end{align*}", ""]
         else:
             lines += [f"# {title}", *_rows(rows, fmt), ""]
-    return "\n".join(lines) + "\n"
+    out.write("\n".join(lines) + "\n")
 
 
-def write_output(text, path):
+def write_output(report, fmt, config, path):
     if path is None:
-        sys.stdout.write(text)
+        emit_report(report, fmt, config, sys.stdout)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            emit_report(report, fmt, config, fh)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +532,7 @@ def main(argv=None):
                 raise UsageError(f"--{flag.replace('_', '-')} must be nonnegative, "
                                  f"got {value}")
         report = COMMANDS[args.command](args)
-        write_output(emit_report(report, args.format, _config(args)), args.output)
+        write_output(report, args.format, _config(args), args.output)
         if report.failed:
             sys.stderr.write(f"failed: {'; '.join(report.failed)}\n")
             return 1

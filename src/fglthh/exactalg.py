@@ -753,15 +753,6 @@ class SmithDecomposition:
         """Basis of the integer kernel of M, as columns of V."""
         return [self.V.column(j) for j in range(self.rank, self.D.cols)]
 
-    def v_inv_times(self, vector):
-        n = self.D.cols
-        out = [0] * n
-        for j, c in enumerate(vector):
-            if c:
-                for i in range(n):
-                    out[i] += c * self.V_inv.entries[i][j]
-        return out
-
 
 def smith_normal_form_full(matrix):
     """Smith normal form ``U M V = D`` with ``U``, ``V`` unimodular and
@@ -869,12 +860,6 @@ def smith_normal_form_full(matrix):
     return SmithDecomposition(D, row_ops, col_ops)
 
 
-def smith_normal_form(matrix):
-    """Smith normal form ``(U, D, V)`` with ``U M V = D``."""
-    full = smith_normal_form_full(matrix)
-    return full.U, full.D, full.V
-
-
 def invariant_factors(matrix):
     """Nonzero diagonal of the Smith form, as a divisibility chain."""
     D = smith_normal_form_full(matrix).D
@@ -890,7 +875,8 @@ def solve_integer(matrix, rhs):
     """Solve ``A x = rhs`` over the integers; ``None`` if no integral solution."""
     M = matrix if isinstance(matrix, IntMatrix) else IntMatrix.from_rows(matrix)
     n, m = M.rows, M.cols
-    U, D, V = smith_normal_form(M)
+    full = smith_normal_form_full(M)
+    U, D, V = full.U, full.D, full.V
     urhs = [sum(U.entries[i][k] * rhs[k] for k in range(n)) for i in range(n)]
     y = [0] * m
     r = min(n, m)
@@ -1084,21 +1070,22 @@ class SubquotientPresentation:
     """Presentation of ``ker(d_out) / im(d_in)`` over a free module.
 
     ``out_snf`` is the Smith form of ``d_out``: the columns of its ``V``
-    past the rank span the (saturated) kernel, and ``V^-1`` gives kernel
-    coordinates.  ``relations`` expresses the image of ``d_in`` in those
-    coordinates.  Generator lifts are returned in ambient coordinates,
-    reduced to their canonical representatives modulo the image.
+    past the rank span the (saturated) kernel, and the rows of ``V^-1``
+    past the rank give kernel coordinates.  ``relations`` is the image of
+    ``d_in`` in those coordinates, one ``V^-1`` product; with no columns
+    the image is zero and takes no Smith form.  The image lattice in
+    ambient coordinates is spanned by the columns of ``d_in`` itself.
+    Generator lifts are returned in ambient coordinates, reduced to their
+    canonical representatives modulo that lattice.
     """
 
-    def __init__(self, out_snf, relations):
+    def __init__(self, out_snf, d_in, relations):
         self._out_snf = out_snf
         self.kernel_basis = out_snf.kernel_columns()  # columns, len n each
-        self.relations = [list(c) for c in relations]  # columns, kernel coords
+        self.relations = relations  # d_in in kernel coords; 0 x 0 if d_out is injective
         k = len(self.kernel_basis)
-        if self.relations:
-            rel_rows = [[c[i] for c in self.relations] for i in range(k)]
-            self._rel_snf = smith_normal_form_full(
-                IntMatrix.from_rows(rel_rows, cols=len(self.relations)))
+        if relations.cols:
+            self._rel_snf = smith_normal_form_full(relations)
             D, Uinv = self._rel_snf.D, self._rel_snf.U_inv
         else:
             self._rel_snf = None
@@ -1108,14 +1095,13 @@ class SubquotientPresentation:
         factors = [d for d in self._orders if d > 1]
         free = sum(1 for d in self._orders if d == 0)
         gens = []
-        image_rows = self._image_rows()
-        hnf, pivots = row_hnf(image_rows) if image_rows else ([], [])
+        hnf, pivots = row_hnf(zip(*d_in.entries))
         for i in range(k):
             order = self._orders[i]
             if order == 1:
                 continue
             vec = self._ambient(Uinv.column(i))
-            vec = reduce_mod_rows(hnf, pivots, vec) if hnf else vec
+            vec = reduce_mod_rows(hnf, pivots, vec)
             vec = self._sign_normalize(vec)
             gens.append((order, tuple(vec)))
         gens.sort(key=lambda g: (g[0] != 0, g[0]))  # free generators first
@@ -1129,12 +1115,6 @@ class SubquotientPresentation:
         if self._rel_snf is None:
             return IntMatrix.identity(len(self.kernel_basis))
         return self._rel_snf.U
-
-    def _image_rows(self):
-        rows = []
-        for c in self.relations:
-            rows.append(self._ambient(c))
-        return [r for r in rows if any(r)]
 
     def _ambient(self, kernel_coords):
         n = self._out_snf.D.cols
@@ -1154,7 +1134,9 @@ class SubquotientPresentation:
     def kernel_coords(self, vector):
         """Coordinates of an ambient cocycle in the kernel basis; None if
         the vector is not a cocycle."""
-        y = self._out_snf.v_inv_times(list(vector))
+        nonzero = [(j, x) for j, x in enumerate(vector) if x]
+        y = [sum(row[j] * x for j, x in nonzero)
+             for row in self._out_snf.V_inv.entries]
         r = self._out_snf.rank
         return None if any(y[:r]) else y[r:]
 
@@ -1186,12 +1168,13 @@ class SubquotientPresentation:
             if z is None:
                 raise ValueError("vector is not a cocycle")
             extra.append(z)
-        cols = self.relations + extra
         k = len(self.kernel_basis)
         if k == 0:
             return True
-        rows = [[c[i] for c in cols] for i in range(k)]
-        facs = invariant_factors(IntMatrix.from_rows(rows, cols=len(cols)))
+        rows = [list(row) + [z[i] for z in extra]
+                for i, row in enumerate(self.relations.entries)]
+        facs = invariant_factors(
+            IntMatrix.from_rows(rows, cols=self.relations.cols + len(extra)))
         return len(facs) == k and all(d == 1 for d in facs)
 
 
@@ -1200,7 +1183,7 @@ def subquotient_group(d_in, d_out):
 
     ``d_in`` maps into the middle module (its rows), ``d_out`` maps out of it
     (its columns); the composite must vanish.  That is checked on the Smith
-    form of ``d_out``: a column of ``d_in`` is rejected when its coordinates
+    form of ``d_out``: ``d_in`` is rejected when the rows of ``V^-1 d_in``
     against the nonzero invariant factors do not all vanish.  When ``d_out``
     is injective its kernel is zero and ``d_in`` itself must vanish.
     """
@@ -1208,14 +1191,12 @@ def subquotient_group(d_in, d_out):
         raise ValueError("differentials do not compose through a common module")
     out_snf = smith_normal_form_full(d_out)
     r = out_snf.rank
-    relations = []
     if r == d_out.cols:
         if not d_in.is_zero():
             raise ComplexViolationError("image does not lie in the kernel")
-    else:
-        for j in range(d_in.cols):
-            y = out_snf.v_inv_times(d_in.column(j))
-            if any(y[:r]):
-                raise ComplexViolationError("image does not lie in the kernel")
-            relations.append(y[r:])
-    return SubquotientPresentation(out_snf, relations)
+        return SubquotientPresentation(out_snf, d_in, IntMatrix.zero(0, 0))
+    y = out_snf.V_inv.mul(d_in)
+    if any(any(row) for row in y.entries[:r]):
+        raise ComplexViolationError("image does not lie in the kernel")
+    return SubquotientPresentation(out_snf, d_in,
+                                   IntMatrix(y.rows - r, y.cols, y.entries[r:]))

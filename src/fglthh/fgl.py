@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .exactalg import (GenTable, GradedPoly, DegreeGuardError,
                        IntegralityError, row_hnf, reduce_mod_rows,
-                       solve_integer, solve_rational_linear)
+                       solve_integer)
 from .series import fgl_from_log
 
 
@@ -100,7 +100,6 @@ class LazardBasis:
             else:
                 self.x_in_m[n] = self._auto_generator(n)
         self._m_in_x = {}
-        self._rewrite_cache = {}
         for n in range(1, N + 1):
             if self.x_in_m[n].coefficient_of_gen(m_name(n)) == 0:
                 raise ValueError(f"generator {n} has no indecomposable part")
@@ -165,28 +164,6 @@ class LazardBasis:
 
     # -- conversion ----------------------------------------------------------
 
-    def _weight_data(self, w):
-        if w > self.N:
-            raise DegreeGuardError(f"weight {w} exceeds the basis table (N={self.N})")
-        if w not in self._rewrite_cache:
-            m_monos = self.m_table.monomials_of_weight(w)
-            x_monos = self.x_table.monomials_of_weight(w)
-            index = {m: k for k, m in enumerate(m_monos)}
-            cols = []
-            for mono in x_monos:
-                poly = GradedPoly.one(self.m_table)
-                for gi, e in mono:
-                    k = int(self.x_table.name(gi).split("_")[1])
-                    poly = poly * self.x_in_m[k] ** e
-                col = [0] * len(m_monos)
-                for m, c in poly.terms.items():
-                    col[index[m]] = c
-                cols.append(col)
-            matrix = [[cols[j][i] for j in range(len(x_monos))]
-                      for i in range(len(m_monos))]
-            self._rewrite_cache[w] = (m_monos, x_monos, matrix)
-        return self._rewrite_cache[w]
-
     def rewrite_m_to_x(self, poly):
         """Rewrite a homogeneous polynomial in the logarithmic basis into the
         integral basis.  Returns ``(result, integral)``."""
@@ -195,23 +172,24 @@ class LazardBasis:
         if poly.table != self.m_table:
             poly = poly.extend_to(self.m_table)
         w = poly.weight()
-        m_monos, x_monos, matrix = self._weight_data(w)
-        index = {m: k for k, m in enumerate(m_monos)}
-        rhs = [0] * len(m_monos)
-        for m, c in poly.terms.items():
-            rhs[index[m]] = c
-        sol = solve_rational_linear(matrix, rhs)
-        if sol is None:
-            raise IntegralityError("polynomial does not lie in the integral span")
-        out = GradedPoly(self.x_table,
-                         {x_monos[j]: sol[j] for j in range(len(x_monos))})
+        if w > self.N:
+            raise DegreeGuardError(f"weight {w} exceeds the basis table (N={self.N})")
+        out = poly.substitute(self.m_images(self.x_table), self.x_table)
         return out, out.is_integral()
 
     def m_in_x(self, n):
-        """The weight-n logarithm coefficient in the integral basis."""
+        """The weight-n logarithm coefficient in the integral basis.
+
+        ``x_n = c m_n + r_n(m_1..m_{n-1})`` with ``c != 0``, so
+        ``m_n = (x_n - r_n) / c`` with the lower ``m_i`` already rewritten.
+        """
         if n not in self._m_in_x:
-            poly, _ = self.rewrite_m_to_x(GradedPoly.gen(self.m_table, m_name(n)))
-            self._m_in_x[n] = poly
+            c = self.x_in_m[n].coefficient_of_gen(m_name(n))
+            r = self.x_in_m[n] - GradedPoly.gen(self.m_table, m_name(n), coeff=c)
+            lower = r.substitute({m_name(i): self.m_in_x(i) for i in range(1, n)},
+                                 self.x_table)
+            self._m_in_x[n] = (GradedPoly.gen(self.x_table, x_name(n))
+                               - lower).scale(Fraction(1, c))
         return self._m_in_x[n]
 
     def m_images(self, target):

@@ -10,11 +10,11 @@ construction.
 
 from __future__ import annotations
 
-from .exactalg import GradedPoly, GeneratorTableError, _accumulate
+from .exactalg import ExactAlgError, GradedPoly, GeneratorTableError, _accumulate
 
 
-class SeriesError(Exception):
-    pass
+class SeriesError(ExactAlgError):
+    """Series operands are incompatible or outside an operation's domain."""
 
 
 def _as_tuple(exp, nvars):

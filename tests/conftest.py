@@ -22,6 +22,11 @@ def structure6(lazard6):
 
 
 @pytest.fixture(scope="session")
+def lazard8():
+    return lazard_generators(8)
+
+
+@pytest.fixture(scope="session")
 def lazard10():
     return lazard_generators(10)
 

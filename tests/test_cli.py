@@ -9,8 +9,10 @@ import pytest
 
 import fglthh
 import fglthh.cli
+import fglthh.fgl
 from fglthh.cli import main
 from fglthh.exactalg import GradedPoly
+from fglthh.series import SeriesError
 from fglthh.thh import ExtElement
 
 
@@ -152,14 +154,31 @@ def test_bad_input_is_usage_error_without_traceback(argv):
 
 
 def test_output_file(tmp_path, capsys):
-    target = tmp_path / "out.json"
-    code, out, _ = run(capsys, "sigma", "--flavor", "bp", "--prime", "2",
-                       "--max-n", "2", "--format", "json",
-                       "--output", str(target))
-    assert code == 0
-    assert out == ""
-    doc = json.loads(target.read_text())
-    assert doc["schema"] == "fgl-thh/1"
+    for fmt in ("json", "text"):
+        argv = ("sigma", "--flavor", "bp", "--prime", "2", "--max-n", "2",
+                "--format", fmt)
+        target = tmp_path / f"out.{fmt}"
+        code, out, _ = run(capsys, *argv, "--output", str(target))
+        assert code == 0
+        assert out == ""
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        # the file and stdout receive the same streamed bytes
+        assert target.read_bytes() == stdout.encode("utf-8")
+    assert json.loads((tmp_path / "out.json").read_text())["schema"] == "fgl-thh/1"
+
+
+def test_series_error_is_a_contract_violation(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise SeriesError("insufficient truncation data for the requested bound")
+
+    monkeypatch.setattr(fglthh.fgl, "fgl_from_log", broken)
+    code, _, err = run(capsys, "structure-maps", "--flavor", "mu-moving",
+                       "--max-n", "2", "-N", "2")
+    assert code == 1
+    assert err.startswith("contract violation: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_bar_tor_command(capsys):

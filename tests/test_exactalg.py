@@ -474,6 +474,32 @@ def test_subquotient_rejects_exactly_nonzero_composites(data):
             subquotient_group(d_in, d_out)
 
 
+@given(st.data())
+def test_generator_lifts_on_random_complexes(data):
+    # few outgoing rows and wide combinations leave torsion whose lifts
+    # need the reduction modulo the image
+    m, a, b = (data.draw(st.integers(lo, hi))
+               for lo, hi in ((2, 5), (1, 4), (0, 2)))
+    entry = st.integers(-3, 3)
+    d_out = IntMatrix.from_rows(
+        [[data.draw(entry) for _ in range(m)] for _ in range(b)], cols=m)
+    kernel = smith_normal_form_full(d_out).kernel_columns()
+    combos = [[data.draw(st.integers(-6, 6)) for _ in kernel] for _ in range(a)]
+    d_in = IntMatrix.from_rows(
+        [[sum(c * v[i] for c, v in zip(combo, kernel)) for combo in combos]
+         for i in range(m)], cols=a)
+    pres = subquotient_group(d_in, d_out)
+    hnf, pivots = row_hnf([d_in.column(j) for j in range(a)])
+    lifts = [list(vec) for _, vec in pres.generator_vectors]
+    for (order, _), g in zip(pres.generator_vectors, lifts):
+        assert all(sum(a * x for a, x in zip(row, g)) == 0 for row in d_out.entries)
+        neg = [-x for x in g]
+        assert g == reduce_mod_rows(hnf, pivots, g) or \
+            neg == reduce_mod_rows(hnf, pivots, neg)
+        assert pres.class_order(g) == order
+    assert pres.generates(lifts)
+
+
 @given(st.permutations(range(4)), st.permutations(range(3)))
 def test_subquotient_permutation_invariance(row_perm, col_perm):
     base_in = [[-6, -4, -5], [0, -2, -4], [0, -3, -6], [0, 0, -2]]

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from fglthh.exactalg import GradedPoly, DegreeGuardError
+from fglthh.exactalg import GradedPoly, DegreeGuardError, solve_rational_linear
 from fglthh.fgl import (lazard_generators, hazewinkel_generators,
                         lazard_indecomposable_unit,
                         m_name, x_name, ell_name, v_name)
@@ -70,6 +71,49 @@ def test_round_trip(lazard10):
         assert out == xg(b, n) and integral
         back = b.m_in_x(n).substitute(b.x_images(b.m_table), b.m_table)
         assert back == mg(b, n)
+
+
+def dense_rewrite(basis, poly):
+    """Reference m -> x rewrite: one rational solve per weight, whose
+    columns are the weight's x-monomials expanded in the m basis."""
+    w = poly.weight()
+    m_monos = basis.m_table.monomials_of_weight(w)
+    x_monos = basis.x_table.monomials_of_weight(w)
+    index = {m: k for k, m in enumerate(m_monos)}
+    matrix = [[0] * len(x_monos) for _ in m_monos]
+    for j, mono in enumerate(x_monos):
+        expanded = GradedPoly.one(basis.m_table)
+        for gi, e in mono:
+            k = int(basis.x_table.name(gi).split("_")[1])
+            expanded = expanded * basis.x_in_m[k] ** e
+        for m, c in expanded.terms.items():
+            matrix[index[m]][j] = c
+    rhs = [poly.terms.get(m, 0) for m in m_monos]
+    sol = solve_rational_linear(matrix, rhs)
+    out = GradedPoly(basis.x_table, dict(zip(x_monos, sol)))
+    return out, out.is_integral()
+
+
+@st.composite
+def m_polys(draw, basis):
+    monos = basis.m_table.monomials_of_weight(draw(st.integers(1, 8)))
+    picks = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=6,
+                          unique=True))
+    coeff = st.fractions(min_value=-20, max_value=20,
+                         max_denominator=12).filter(bool)
+    return GradedPoly(basis.m_table, {mono: draw(coeff) for mono in picks})
+
+
+@given(st.data())
+def test_rewrite_substitution_matches_dense_solve(lazard8, data):
+    poly = data.draw(m_polys(lazard8))
+    assert lazard8.rewrite_m_to_x(poly) == dense_rewrite(lazard8, poly)
+
+
+def test_m_in_x_matches_dense_solve(lazard10):
+    for n in range(1, 11):
+        expected, _ = dense_rewrite(lazard10, mg(lazard10, n))
+        assert lazard10.m_in_x(n) == expected
 
 
 def test_generators_in_integer_span(lazard6):
