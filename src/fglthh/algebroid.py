@@ -110,10 +110,11 @@ def moving_right_unit(n, table=None):
 class MuStructure:
     """Structure-map tables over one Lazard basis.
 
-    Everything heavier than the conjugates is computed lazily and cached:
-    right units on the logarithm and integral generators, the moving
-    coordinates, the homology images of the integral generators, and the
-    coproduct.
+    Only the conjugates are built up front.  Each series-derived table (the
+    exponential, the right unit on the logarithm, the moving coordinates,
+    the homology images of the integral generators and the coproduct) is a
+    cached property built on first read; the per-index accessors rewrite
+    from those tables on every call.
     """
 
     def __init__(self, basis: LazardBasis):
@@ -131,16 +132,16 @@ class MuStructure:
         fbar = comp_inverse(f_b)
         self.chi = {n: fbar.coeff(n + 1) for n in range(1, N + 1)}
 
+    @cached_property
+    def mbar(self):
+        """Coefficients of the exponential, the compositional inverse of the
+        logarithm."""
+        table = self.basis.m_table
         log_m = series_from_coefficient_table(
-            basis.m_table, N + 1,
-            {n: GradedPoly.gen(basis.m_table, m_name(n)) for n in range(1, N + 1)})
+            table, self.N + 1,
+            {n: GradedPoly.gen(table, m_name(n)) for n in range(1, self.N + 1)})
         exp_m = comp_inverse(log_m)
-        self.mbar = {n: exp_m.coeff(n + 1) for n in range(1, N + 1)}
-
-        self._eta_m = None
-        self._eta_x = {}
-        self._c_in_xb = None
-        self._psi = None
+        return {n: exp_m.coeff(n + 1) for n in range(1, self.N + 1)}
 
     def _check_range(self, n):
         if not 1 <= n <= self.N:
@@ -149,36 +150,33 @@ class MuStructure:
 
     # -- right unit, absolute coordinates ------------------------------------
 
+    @cached_property
+    def _eta_m_images(self):
+        """Right unit on every logarithm generator, keyed by its name."""
+        table, bound = self.mb_table, self.N + 1
+        log_mb = series_from_coefficient_table(
+            table, bound,
+            {k: GradedPoly.gen(table, m_name(k)) for k in range(1, self.N + 1)})
+        fbar_mb = series_from_coefficient_table(
+            table, bound, {k: chi.extend_to(table) for k, chi in self.chi.items()})
+        eta_series = compose(log_mb, fbar_mb)
+        return {m_name(k): eta_series.coeff(k + 1) for k in range(1, self.N + 1)}
+
     def eta_m(self, n):
         """Right unit on the weight-n logarithm coefficient, in the split
         alphabet: the degree-n coefficient of ``log(f^{-1}(x))``."""
         self._check_range(n)
-        if self._eta_m is None:
-            table = self.mb_table
-            log_mb = series_from_coefficient_table(
-                table, self.N + 1,
-                {k: GradedPoly.gen(table, m_name(k)) for k in range(1, self.N + 1)})
-            f_mb = generic_strict_series(table,
-                                         {k: b_name(k) for k in range(1, self.N + 1)},
-                                         self.N + 1)
-            fbar_mb = comp_inverse(f_mb)
-            eta_series = compose(log_mb, fbar_mb)
-            self._eta_m = {k: eta_series.coeff(k + 1) for k in range(1, self.N + 1)}
-        return self._eta_m[n]
+        return self._eta_m_images[m_name(n)]
 
     def eta_x(self, n):
         """Right unit on the weight-n integral generator: computed rationally
         on the logarithm expansion, then rewritten integrally."""
         self._check_range(n)
-        if n not in self._eta_x:
-            images = {m_name(k): self.eta_m(k) for k in range(1, self.N + 1)}
-            raw = self.basis.x_in_m[n].extend_to(self.mb_table).substitute(
-                images, self.mb_table)
-            out = self._rewrite_mb_to_xb(raw)
-            if not out.is_integral():
-                raise IntegralityError(f"right unit of x_{n} is not integral")
-            self._eta_x[n] = out
-        return self._eta_x[n]
+        raw = self.basis.x_in_m[n].substitute(self._eta_m_images, self.mb_table)
+        out = self._rewrite_mb_to_xb(raw)
+        if not out.is_integral():
+            raise IntegralityError(f"right unit of x_{n} is not integral")
+        return out
 
     def _rewrite_mb_to_xb(self, poly):
         images = self.basis.m_images(self.xb_table)
@@ -193,17 +191,13 @@ class MuStructure:
 
     # -- moving coordinates ----------------------------------------------------
 
-    def c_in_xb(self, n):
-        """The weight-n moving coordinate expressed in integral and split
-        generators, from the degree-by-degree formal-sum solve."""
-        self._check_range(n)
-        if self._c_in_xb is None:
-            self._c_in_xb = self._solve_moving()
-        return self._c_in_xb[n]
-
-    def _solve_moving(self):
+    @cached_property
+    def _c_in_mb_table(self):
+        """Moving coordinates solved degree by degree from the formal sum,
+        over the logarithm and split alphabets: each coefficient of the sum
+        is ``c_n`` plus a tail in the m's and the lower c's."""
         N = self.N
-        mc = self.mc_table
+        mc, mb = self.mc_table, self.mb_table
         bound = N + 1
         law = self.basis.fgl.extend_table(mc)
         terms = [TruncatedSeries.variable(mc, bound)]
@@ -212,7 +206,6 @@ class MuStructure:
                 mc, bound, GradedPoly.gen(mc, c_name(k)), k + 1))
         phi = fgl_formal_sum(law, terms)
 
-        m_images = self.basis.m_images(self.xb_table)
         c_solved = {}
         for n in range(1, N + 1):
             coeff = phi.coeff(n + 1)
@@ -220,19 +213,23 @@ class MuStructure:
                 raise IntegralityError(
                     f"moving coordinate {n} does not enter the formal sum linearly")
             tail = coeff - GradedPoly.gen(mc, c_name(n))
-            images = dict(m_images)
-            images.update({c_name(j): c_solved[j] for j in range(1, n)})
-            lowered = tail.substitute(images, self.xb_table)
-            c_solved[n] = self.chi[n].extend_to(self.xb_table) - lowered
-            if not c_solved[n].is_integral():
-                raise IntegralityError(f"moving coordinate {n} is not integral")
+            lowered = tail.substitute({c_name(j): c_solved[j] for j in range(1, n)}, mb)
+            c_solved[n] = self.chi[n].extend_to(mb) - lowered
         return c_solved
 
     def c_in_mb(self, n):
-        """Moving coordinate pushed back to the logarithm alphabet, for
-        cross-checking the two right-unit presentations."""
-        images = self.basis.x_images(self.mb_table)
-        return self.c_in_xb(n).substitute(images, self.mb_table)
+        """The weight-n moving coordinate in the logarithm and split
+        alphabets, as the formal-sum solve gives it."""
+        self._check_range(n)
+        return self._c_in_mb_table[n]
+
+    def c_in_xb(self, n):
+        """The weight-n moving coordinate expressed in integral and split
+        generators."""
+        out = self._rewrite_mb_to_xb(self.c_in_mb(n))
+        if not out.is_integral():
+            raise IntegralityError(f"moving coordinate {n} is not integral")
+        return out
 
     @cached_property
     def x_in_c(self):
@@ -245,27 +242,23 @@ class MuStructure:
 
     # -- coproduct --------------------------------------------------------------
 
-    @property
+    @cached_property
     def psi_tables(self):
         """Coproduct data: raw polynomials over the doubled alphabet, with the
         inner alphabet carrying the left tensor factor."""
-        if self._psi is None:
-            N = self.N
-            inner = GenTable([(f"b''_{n}", n) for n in range(1, N + 1)])
-            outer = GenTable([(f"b'_{n}", n) for n in range(1, N + 1)])
-            both = inner.union(outer)
-            f_inner = generic_strict_series(both,
-                                            {n: f"b''_{n}" for n in range(1, N + 1)},
-                                            N + 1)
-            f_outer = generic_strict_series(both,
-                                            {n: f"b'_{n}" for n in range(1, N + 1)},
-                                            N + 1)
-            comp = compose(f_outer, f_inner)
-            self._psi = {
-                "inner": inner, "outer": outer, "table": both,
-                "raw": {n: comp.coeff(n + 1) for n in range(1, N + 1)},
-            }
-        return self._psi
+        N = self.N
+        inner = GenTable([(f"b''_{n}", n) for n in range(1, N + 1)])
+        outer = GenTable([(f"b'_{n}", n) for n in range(1, N + 1)])
+        both = inner.union(outer)
+        f_inner = generic_strict_series(both,
+                                        {n: f"b''_{n}" for n in range(1, N + 1)},
+                                        N + 1)
+        f_outer = generic_strict_series(both,
+                                        {n: f"b'_{n}" for n in range(1, N + 1)},
+                                        N + 1)
+        comp = compose(f_outer, f_inner)
+        return {"inner": inner, "outer": outer, "table": both,
+                "raw": {n: comp.coeff(n + 1) for n in range(1, N + 1)}}
 
     def psi(self, n):
         """Coproduct of the weight-n split coordinate as sorted tensor pairs
@@ -383,15 +376,13 @@ class TypicalStructure:
         return self.eta_ell(n).substitute(images, self.tbasis.ell_table)
 
 
-def typicality_filter(structure, tstruct: TypicalStructure, n):
+def typicality_filter(tstruct: TypicalStructure, n):
     """Apply the p-typicalization correspondence to the moving right unit:
     logarithm and moving coordinates survive exactly at prime-power indices,
-    landing on the p-typical alphabet.  ``structure`` may be None, in which
-    case the closed divisor sum is used directly."""
+    landing on the p-typical alphabet."""
     p = tstruct.tbasis.p
     target = tstruct.ellt_table
-    poly = (structure.eta_m_moving(n) if structure is not None
-            else moving_right_unit(n))
+    poly = moving_right_unit(n)
     used = {poly.table.name(i) for mono in poly.terms for i, _ in mono}
     images = {}
     for name in used:

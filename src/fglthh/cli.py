@@ -301,7 +301,7 @@ def cmd_structure_maps(args):
     ns = range(1, args.max_n + 1)
     if args.flavor == "bp":
         p = _require_prime(args)
-        tbasis = TypicalBasis(p, args.max_n)
+        tbasis = TypicalBasis(p, max(args.max_n, 1))
         tstruct = TypicalStructure(tbasis)
         rows = {}
         for n in ns:
@@ -341,7 +341,7 @@ def cmd_sigma(args):
         return Report([("sigma in split coordinates", "sigma", rows)])
     if args.flavor == "bp":
         p = _require_prime(args)
-        sig, name = sigma_bp(TypicalBasis(p, args.max_n)), v_name
+        sig, name = sigma_bp(TypicalBasis(p, max(args.max_n, 1))), v_name
         title = f"sigma on the p-typical ring at p={p}"
     else:
         sig = sigma_mu_moving(LazardBasis(max(args.truncation, args.max_n)))

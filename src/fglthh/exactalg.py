@@ -573,29 +573,13 @@ def solve_rational_linear(matrix, rhs):
 
 
 def rational_rank(matrix):
-    """Rank of a matrix with exact rational entries."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    n = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col] / pr[col]
-                for j in range(col, n):
-                    rows[i][j] -= f * pr[j]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    """Rank of a matrix with exact rational entries: each row is scaled to
+    integers, which keeps the rank, and put into echelon form."""
+    rows = []
+    for row in matrix:
+        scale = math.lcm(*(Fraction(x).denominator for x in row))
+        rows.append([int(x * scale) for x in row])
+    return len(row_hnf(rows)[0])
 
 
 # ---------------------------------------------------------------------------

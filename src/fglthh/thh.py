@@ -307,22 +307,26 @@ def sigma_mu_moving(basis: LazardBasis):
     return SigmaTable(flavor, on_base)
 
 
+def _linear_split_part(structure: MuStructure, flavor, poly):
+    """The part of ``poly`` (over the integral and split alphabets) linear in
+    the b's, with each ``b_k`` read as the exterior generator ``e_k``."""
+    b_names = [b_name(k) for k in range(1, structure.N + 1)]
+    linear = poly.component_in(b_names, 1)
+    terms = {}
+    for bmono, cof in linear.collect_by(b_names).items():
+        idx = int(structure.xb_table.name(bmono[0][0]).split("_")[1])
+        terms[(idx,)] = cof.substitute({}, structure.basis.x_table)
+    return ExtElement(flavor, terms)
+
+
 def sigma_mu_split(structure: MuStructure):
     """Split-coordinate sigma: base values are the linear split part of the
     right unit; exterior values are solved inductively from the vanishing
     of sigma squared, with exact division."""
     basis = structure.basis
     flavor = mu_split_flavor(basis)
-    b_names = [b_name(k) for k in range(1, basis.N + 1)]
-    on_base = {}
-    for n in range(1, basis.N + 1):
-        eta = structure.eta_x(n)
-        linear = eta.component_in(b_names, 1)
-        terms = {}
-        for bmono, cof in linear.collect_by(b_names).items():
-            idx = int(structure.xb_table.name(bmono[0][0]).split("_")[1])
-            terms[(idx,)] = cof.substitute({}, basis.x_table)
-        on_base[x_name(n)] = ExtElement(flavor, terms)
+    on_base = {x_name(n): _linear_split_part(structure, flavor, structure.eta_x(n))
+               for n in range(1, basis.N + 1)}
 
     table = SigmaTable(flavor, on_base, {})
     for n in range(1, basis.N + 1):
@@ -341,18 +345,9 @@ def sigma_mu_split(structure: MuStructure):
 def lambda_in_e(structure: MuStructure):
     """Conversion of the moving exterior generators into the split flavor:
     the linear split part of each moving coordinate."""
-    basis = structure.basis
-    flavor = mu_split_flavor(basis)
-    b_names = [b_name(k) for k in range(1, basis.N + 1)]
-    out = {}
-    for n in range(1, basis.N + 1):
-        linear = structure.c_in_xb(n).component_in(b_names, 1)
-        terms = {}
-        for bmono, cof in linear.collect_by(b_names).items():
-            idx = int(structure.xb_table.name(bmono[0][0]).split("_")[1])
-            terms[(idx,)] = cof.substitute({}, basis.x_table)
-        out[n] = ExtElement(flavor, terms)
-    return out
+    flavor = mu_split_flavor(structure.basis)
+    return {n: _linear_split_part(structure, flavor, structure.c_in_xb(n))
+            for n in range(1, structure.N + 1)}
 
 
 def convert_moving_to_split(conversion, elt):

@@ -256,7 +256,7 @@ def verify_bp(p, max_n, d_max):
 
     ok = True
     for k in range(1, max_n + 1):
-        if typicality_filter(None, tstruct, p ** k - 1) != tstruct.eta_ell(k):
+        if typicality_filter(tstruct, p ** k - 1) != tstruct.eta_ell(k):
             ok = False
     _check(results, "p-typicalization filter matches the p-typical right unit", ok)
 

@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import fglthh.algebroid
 from fglthh.exactalg import GradedPoly
-from fglthh.fgl import m_name, x_name, ell_name
-from fglthh.algebroid import (CoordFlavor, moving_right_unit,
-                              typicality_filter, b_name, c_name)
+from fglthh.fgl import LazardBasis, m_name, x_name, ell_name
+from fglthh.series import compose, comp_inverse, series_from_coefficient_table
+from fglthh.algebroid import (CoordFlavor, MuStructure, generic_strict_series,
+                              moving_right_unit, typicality_filter, b_name, c_name)
 
 
 def gens(table, *names):
@@ -33,6 +35,18 @@ def test_eta_on_integral_generators(structure6):
 
 def test_eta_m_unit_element():
     assert moving_right_unit(0) == GradedPoly.one(moving_right_unit(0).table)
+
+
+def test_eta_m_matches_inverting_over_the_larger_table(structure6):
+    # reference: invert the conjugate series again over the m and b alphabets
+    ms = structure6
+    table = ms.mb_table
+    log_mb = series_from_coefficient_table(
+        table, 7, {k: GradedPoly.gen(table, m_name(k)) for k in range(1, 7)})
+    f_mb = generic_strict_series(table, {k: b_name(k) for k in range(1, 7)}, 7)
+    eta = compose(log_mb, comp_inverse(f_mb))
+    for n in range(1, 7):
+        assert ms.eta_m(n) == eta.coeff(n + 1)
 
 
 def test_counit_after_eta(structure6):
@@ -94,6 +108,29 @@ def test_moving_coordinates_additive_specialization(structure6):
     kill = {x_name(k): GradedPoly.zero(ms.b_table) for k in range(1, 7)}
     for n in range(1, 7):
         assert ms.c_in_xb(n).substitute(kill, ms.b_table) == ms.chi[n]
+
+
+def test_c_in_xb_maps_back_to_c_in_mb(structure6):
+    # the printed integral coordinates expand back to the formal-sum solve
+    ms = structure6
+    x_images = ms.basis.x_images(ms.mb_table)
+    for n in range(1, 7):
+        assert ms.c_in_xb(n).substitute(x_images, ms.mb_table) == ms.c_in_mb(n)
+
+
+def test_structure_maps_invert_the_conjugate_series_once(monkeypatch):
+    calls = []
+
+    def counting(series):
+        calls.append(series.table)
+        return comp_inverse(series)
+
+    monkeypatch.setattr(fglthh.algebroid, "comp_inverse", counting)
+    ms = MuStructure(LazardBasis(6))
+    for read in (ms.eta_x, ms.c_in_xb, ms.c_in_mb, ms.psi):
+        for n in range(1, 7):
+            read(n)
+    assert calls == [ms.b_table]
 
 
 def test_moving_absolute_consistency(structure6):
@@ -189,13 +226,11 @@ def test_eta_typical(typical_structures):
                     == GradedPoly.gen(ts.tbasis.ell_table, ell_name(n)))
 
 
-def test_typicality_filter(structure6, typical_structures):
+def test_typicality_filter(typical_structures):
     # the correspondence keeps exactly the prime-power indices
     for p, ts in typical_structures.items():
         for k in (1, 2):
-            n = p ** k - 1
-            source = structure6 if n <= 6 else None
-            assert typicality_filter(source, ts, n) == ts.eta_ell(k)
+            assert typicality_filter(ts, p ** k - 1) == ts.eta_ell(k)
 
 
 def test_coord_flavor_tables():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -6,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fglthh
 import fglthh.cli
@@ -104,6 +107,14 @@ def test_structure_maps_empty_table_is_valid_json(capsys):
     assert doc["results"]["x_in_m"] == {}
 
 
+@pytest.mark.parametrize("command", ["structure-maps", "sigma"])
+def test_bp_max_n_zero_is_an_empty_table(capsys, command):
+    code, out, err = run(capsys, command, "--flavor", "bp", "--prime", "2",
+                         "--max-n", "0", "--format", "json")
+    assert (code, err) == (0, "")
+    assert all(rows == {} for rows in json.loads(out)["results"].values())
+
+
 def test_verify_split_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--flavor", "mu-split",
                        "--max-degree", "10", "--truncation", "5")
@@ -199,3 +210,45 @@ def test_usage_error_unknown_flavor(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sigma", "--flavor", "nonsense"])
     assert exc.value.code == 2
+
+
+# Flags each subcommand accepts beyond the common ones, with small ranges
+# that include one invalid value below and, where there is a guard, above.
+_COMMAND_FLAGS = {
+    "structure-maps": {"--max-n": (-1, 3)},
+    "sigma": {"--max-n": (-1, 3)},
+    "cohomology": {"--max-degree": (-1, 6)},
+    "bar-tor": {"--max-weight": (-1, 9), "--max-q": (-1, 4)},
+    "de-rham": {"--max-degree": (-1, 6)},
+    "verify": {"--max-degree": (-1, 6)},
+}
+
+
+@st.composite
+def small_argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    argv = [command, "--flavor", draw(st.sampled_from(fglthh.cli.FLAVORS)),
+            "-N", str(draw(st.integers(0, 3))),
+            "--format", draw(st.sampled_from(fglthh.cli.FORMATS))]
+    prime = draw(st.sampled_from([None, 2, 3, 4, 5, 7]))
+    if prime is not None:
+        argv += ["--prime", str(prime)]
+    for flag, (lo, hi) in _COMMAND_FLAGS[command].items():
+        argv += [flag, str(draw(st.integers(lo, hi)))]
+    return argv
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60)
+@given(argv=small_argvs())
+def test_small_argvs_keep_the_exit_contract(argv):
+    code, out, err = _run_in_process(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert _run_in_process(argv) == (code, out, err)
