@@ -82,10 +82,16 @@ GOLDEN = {
         "text": "669e51ded0994432eb80ed5367a0b334126a355ed113c27fe95aeabb1aa54e6a",
         "tex": "c91302ab28f101e8fb9b8b498ee73eed4bf457ef1291de42703207013ba0bdaf",
     },
+    "structure-maps --flavor mu-moving --max-n 8 -N 8": {
+        "json": "f4cb21948058721f64d51aa67666fe3024d94dcdf775313bc46d197f69346a6f",
+    },
     "structure-maps --flavor mu-split --max-n 4 -N 4": {
         "json": "cb9f9c04d74cd6b1902ff6c29f65ca6c4ec6f4c4e98c41ac1d2d79109d87063a",
         "text": "4c03113ebf98be7396c59cda791afc4e3ae27414d9ab3fd5f26525e399762f2c",
         "tex": "01713d6ce4941d01a618577c52e142f8ca8ea41f2c55066dae2ac08680fb58d7",
+    },
+    "structure-maps --flavor mu-split --max-n 8 -N 8": {
+        "json": "06d9c074322400f8325c00e16527a44006597e2e7c7212e789e05f76050940a6",
     },
     "verify --flavor bp --prime 3 --max-degree 24": {
         "json": "e5af131c2b2511eb1d3fb2efc4667b14527061ad9278ffe95a6f7ebd86d37165",
