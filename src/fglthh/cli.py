@@ -78,7 +78,7 @@ def group_json(group, generators=()):
 
 _TEX_HEADS = {"lambda'": "\\lambda'", "lambda": "\\lambda", "ell": "\\ell",
               "sigma": "\\sigma", "psi": "\\psi", "chi": "\\chi",
-              "eta_R": "\\eta_R", "mbar": "\\bar m"}
+              "eta_R": "\\eta_R"}
 
 
 def tex_gen(name):

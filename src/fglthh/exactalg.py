@@ -54,6 +54,8 @@ class ResourceGuardError(ExactAlgError):
 
 
 def _norm_coeff(c):
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction):
         return int(c) if c.denominator == 1 else c
     if isinstance(c, int):
@@ -74,7 +76,7 @@ class GenTable:
     turn fixes the basis order of every matrix and all rendered output.
     """
 
-    __slots__ = ("gens", "_index", "_mono_cache")
+    __slots__ = ("gens", "_index", "_mono_cache", "_weights")
 
     def __init__(self, gens):
         gens = tuple(sorted(((str(n), int(w)) for (n, w) in gens),
@@ -87,6 +89,7 @@ class GenTable:
         self.gens = gens
         self._index = {n: i for i, (n, _) in enumerate(gens)}
         self._mono_cache = {}
+        self._weights = {}
 
     def __len__(self):
         return len(self.gens)
@@ -128,7 +131,11 @@ class GenTable:
         return GenTable(merged.items())
 
     def mono_weight(self, mono):
-        return sum(e * self.gens[i][1] for i, e in mono)
+        try:
+            return self._weights[mono]
+        except KeyError:
+            w = self._weights[mono] = sum(e * self.gens[i][1] for i, e in mono)
+            return w
 
     def mono_key(self, mono):
         """Canonical order key: ascending weight, then descending exponents."""
@@ -172,14 +179,27 @@ class GenTable:
 
 
 def mono_mul(a, b):
+    """Product of two monomials: a merge of their index-sorted pairs."""
     if not a:
         return b
     if not b:
         return a
-    exps = dict(a)
-    for i, e in b:
-        exps[i] = exps.get(i, 0) + e
-    return tuple(sorted(exps.items()))
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        pa, pb = a[i], b[j]
+        if pa[0] < pb[0]:
+            out.append(pa)
+            i += 1
+        elif pb[0] < pa[0]:
+            out.append(pb)
+            j += 1
+        else:
+            out.append((pa[0], pa[1] + pb[1]))
+            i += 1
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
 
 
 def coeff_text(c):
@@ -327,22 +347,25 @@ class GradedPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, GradedPoly):
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
             return NotImplemented
         self._check_table(other)
         out = {}
+        get = out.get
+        right = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            for m2, c2 in right:
                 m = mono_mul(m1, m2)
-                s = out.get(m, 0) + c1 * c2
+                s = get(m, 0) + c1 * c2
                 if s:
                     out[m] = s
                 else:
                     out.pop(m, None)
-        for m in list(out):
-            out[m] = _norm_coeff(out[m])
+        for m, c in out.items():
+            if type(c) is not int:
+                out[m] = _norm_coeff(c)
         return GradedPoly._raw(self.table, out)
 
     def __rmul__(self, other):
@@ -901,12 +924,13 @@ def row_hnf(rows):
         while len(nonzero) > 1:
             nonzero.sort(key=lambda r: abs(r[col]))
             base = nonzero[0]
+            # every working row is zero left of col
+            base_nz = [(j, base[j]) for j in range(col, m) if base[j]]
             new_rest = []
             for r in nonzero[1:]:
                 q = r[col] // base[col]
-                for j, x in enumerate(base):
-                    if x:
-                        r[j] -= q * x
+                for j, x in base_nz:
+                    r[j] -= q * x
                 if r[col]:
                     new_rest.append(r)
                 elif any(r):
@@ -935,7 +959,7 @@ def reduce_mod_rows(hnf, pivots, vector):
     for row, pc in zip(hnf, pivots):
         q = v[pc] // row[pc]
         if q:
-            for j in range(len(v)):
+            for j in range(pc, len(v)):
                 v[j] -= q * row[j]
     return v
 

@@ -171,19 +171,35 @@ def compose(outer, inner):
 def comp_inverse(f):
     """Compositional inverse of a strict series, degree by degree.
 
-    Each new coefficient of the inverse appears linearly, so appending the
-    correction ``-[x^k] f(g)`` at exponent ``k`` is an exact solve.
+    With ``f = x + sum a_j x^j`` and ``g = x + sum b_i x^i``, the table
+    ``P[j][k] = [x^k] g^j`` obeys ``P[j][j] = 1`` and
+    ``P[j][k] = sum_{i=1}^{k-j+1} b_i P[j-1][k-i]``, and ``[x^k] f(g) = 0``
+    solves ``b_k = -sum_{j=2}^{k} a_j P[j][k]``.  Each ``P[j][k]`` needs only
+    ``b_1 .. b_{k-1}``, so the table grows as each ``b_k`` lands and the
+    series is never recomposed (Brent & Kung, J. ACM 1978).
     """
     if not f.is_strict():
         raise SeriesError("compositional inverse requires a strict series")
     table, bound = f.table, f.bound
-    g = TruncatedSeries.variable(table, bound)
+    zero, one = GradedPoly.zero(table), GradedPoly.one(table)
+    b = [zero, one] + [zero] * (bound - 1)
+    powers = [None, b]
     for k in range(2, bound + 1):
-        h = compose(f, g)
-        err = h.coeff((k,))
-        if not err.is_zero():
-            g = g + TruncatedSeries.monomial(table, bound, -err, (k,))
-    return g
+        powers.append([zero] * k + [one] + [zero] * (bound - k))
+        bk = GradedPoly.zero(table)
+        for j in range(2, k + 1):
+            row, prev = powers[j], powers[j - 1]
+            if j < k:
+                pjk = _accumulate(GradedPoly.zero(table), prev[k - 1])
+                for i in range(2, k - j + 2):
+                    if b[i].terms and prev[k - i].terms:
+                        pjk = _accumulate(pjk, b[i] * prev[k - i])
+                row[k] = pjk
+            aj = f.coeffs.get((j,))
+            if aj is not None and row[k].terms:
+                bk = _accumulate(bk, aj * row[k])
+        b[k] = -bk
+    return TruncatedSeries(table, 1, bound, {(k,): bk for k, bk in enumerate(b)})
 
 
 def series_from_coefficient_table(table, bound, coeff_of_power):

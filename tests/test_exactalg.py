@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fglthh import exactalg
 from fglthh.exactalg import (
-    GenTable, GradedPoly, GradedWeightError, GeneratorTableError,
+    GenTable, GradedPoly, GradedWeightError, GeneratorTableError, mono_mul,
     UnderdeterminedSystemError, ComplexViolationError, IntMatrix, FinAbGroup,
     SmithDecomposition, smith_normal_form_full, invariant_factors, det_int,
     solve_rational_linear, solve_integer, subquotient_group, row_hnf,
@@ -101,6 +101,53 @@ def test_ring_axioms_products(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * b == b * a
     assert a * (b + b) == a * b + a * b
+
+
+def sorted_dict_mono_mul(a, b):
+    exps = dict(a)
+    for i, e in b:
+        exps[i] = exps.get(i, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def naive_poly_mul(a, b):
+    """Term-by-term product through dense exponent vectors, in Fractions."""
+    n = len(TABLE)
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            dense = [0] * n
+            for mono in (m1, m2):
+                for i, e in mono:
+                    dense[i] += e
+            m = tuple((i, e) for i, e in enumerate(dense) if e)
+            out[m] = out.get(m, 0) + Fraction(c1) * Fraction(c2)
+    return {m: c for m, c in out.items() if c}
+
+
+monomials = st.dictionaries(st.integers(0, len(TABLE) - 1), st.integers(1, 4),
+                            max_size=4).map(lambda d: tuple(sorted(d.items())))
+mixed_coeffs = st.one_of(coeffs, st.builds(Fraction, coeffs, st.integers(1, 4)))
+
+
+@st.composite
+def mixed_poly(draw):
+    monos = TABLE.monomials_of_weight(draw(weights))
+    picks = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+    return GradedPoly(TABLE, {m: draw(mixed_coeffs) for m in picks})
+
+
+@given(monomials, monomials, mixed_poly(), mixed_poly())
+def test_product_kernel_matches_references(m1, m2, a, b):
+    assert mono_mul(m1, m2) == sorted_dict_mono_mul(m1, m2)
+    for m in (m1, m2, mono_mul(m1, m2)):
+        plain = sum(e * TABLE.gens[i][1] for i, e in m)
+        assert TABLE.mono_weight(m) == plain  # computed and memoised
+        assert TABLE.mono_weight(m) == plain  # read from the memo
+    prod = a * b
+    assert {m: Fraction(c) for m, c in prod.terms.items()} == naive_poly_mul(a, b)
+    for c in prod.terms.values():
+        assert type(c) is int or c.denominator != 1
 
 
 # ---------------------------------------------------------------------------

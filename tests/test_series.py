@@ -1,5 +1,9 @@
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, strategies as st
+
+from fglthh import series
 from fglthh.exactalg import GenTable, GradedPoly
 from fglthh.series import (TruncatedSeries, SeriesError, compose, comp_inverse,
                            series_from_coefficient_table, fgl_from_log,
@@ -97,6 +101,59 @@ def test_weight_homogeneity_of_coefficients():
     for (k,), poly in inv.coeffs.items():
         if k > 1:
             assert poly.weight() == k - 1
+
+
+def recomposing_inverse(f):
+    """The inversion that recomposed ``f(g)`` once per degree, kept verbatim
+    as the reference for ``comp_inverse``."""
+    if not f.is_strict():
+        raise SeriesError("compositional inverse requires a strict series")
+    table, bound = f.table, f.bound
+    g = TruncatedSeries.variable(table, bound)
+    for k in range(2, bound + 1):
+        h = compose(f, g)
+        err = h.coeff((k,))
+        if not err.is_zero():
+            g = g + TruncatedSeries.monomial(table, bound, -err, (k,))
+    return g
+
+
+SMALL = GenTable([("c_1", 1), ("c_2", 2), ("d_2", 2), ("c_3", 3)])
+exact_coeffs = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+@st.composite
+def strict_series(draw):
+    """``x + sum c_k x^(k+1)`` with sparse weight-``k`` coefficients."""
+    bound = draw(st.integers(2, 9))
+    table = {}
+    for k in range(1, bound):
+        monos = SMALL.monomials_of_weight(k)
+        picks = draw(st.lists(st.sampled_from(monos), max_size=3, unique=True))
+        table[k] = GradedPoly(SMALL, {m: draw(exact_coeffs) for m in picks})
+    return series_from_coefficient_table(SMALL, bound, table)
+
+
+@given(strict_series())
+def test_inverse_matches_recomposition(f):
+    inv = comp_inverse(f)
+    assert inv == recomposing_inverse(f)
+    assert compose(f, inv) == TruncatedSeries.variable(SMALL, f.bound)
+
+
+def test_inverse_never_recomposes(monkeypatch):
+    calls = []
+
+    def counting_compose(outer, inner):
+        calls.append(outer.bound)
+        return compose(outer, inner)
+
+    monkeypatch.setattr(series, "compose", counting_compose)
+    f = generic_b_series()
+    assert comp_inverse(f) == recomposing_inverse(f)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
