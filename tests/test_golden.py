@@ -53,6 +53,11 @@ GOLDEN = {
         "text": "237fb09097673ab32e0882ce5a095bd97eba010addd7568d880cbaee33ba54c6",
         "tex": "00921f9faf82c92ae5dae75815e595e655f5e83c40d1fbe6e9845538a42bee33",
     },
+    "de-rham --weights 1,2,3 --max-degree 14": {
+        "json": "3da011713b8da6f9b80215749784e5274a582c9b1a93f7c04254bbf75daca315",
+        "text": "6693080b7a780ee15f38910a9f8056c474913d1b584397a9ac14a041cdddb8e4",
+        "tex": "18902dab4a19940929a63d2a98112345758aec5f2bd4a016fbdb719415988cde",
+    },
     "de-rham --weights 1,2 --max-degree 12": {
         "json": "96743b5e298269fe1c5eb6966d8ea55deb31289b13ccb58e2d0dd96683e23643",
         "text": "cc289d694d7a8ee34f72221fba5a326f446300414c8b65f4233dbbaa79470297",
@@ -93,10 +98,16 @@ GOLDEN = {
     "structure-maps --flavor mu-split --max-n 8 -N 8": {
         "json": "06d9c074322400f8325c00e16527a44006597e2e7c7212e789e05f76050940a6",
     },
+    "verify --flavor bp --prime 2 --max-degree 10": {
+        "json": "73729f4f272efc9dbcd0743c7b7fda716cfb5f78c3c8cd1e31db2fa214051659",
+    },
     "verify --flavor bp --prime 3 --max-degree 24": {
         "json": "e5af131c2b2511eb1d3fb2efc4667b14527061ad9278ffe95a6f7ebd86d37165",
         "text": "f79b68a80bea1a484fe4509402ca1c9cf49d365757ea7462bfc7e0f17d90629a",
         "tex": "f453a8927b1368f0d9dc71eb1ba1f41ff810666fde2cef14aaccf4ebce9487ed",
+    },
+    "verify --flavor bp --prime 5 --max-degree 64": {
+        "json": "40b7a7f7e9c0b44437cd87df3945833c00898246a983a2acf2902e8c66953ee8",
     },
     "verify --flavor mu-moving --max-degree 10 -N 5": {
         "json": "f2302ace3c1a60e66c6ad0e08689cfe8fcda7c60c36bb55a481a874ba54a3182",
