@@ -22,9 +22,8 @@ from .fgl import LazardBasis, TypicalBasis, x_name, v_name
 from .algebroid import MuStructure, TypicalStructure, CoordFlavor
 from .thh import (ExtElement, sigma_mu_moving, sigma_mu_split, sigma_bp,
                   lambda_in_e)
-from .cohomology import (SigmaDifferential, cohomology_groups, localize_table,
-                         bp_degree_range, bar_tor_check,
-                         de_rham_cohomology, de_rham_comparison)
+from .cohomology import (cohomology_groups, localize_table, bp_degree_range,
+                         bar_tor_check, de_rham_cohomology, de_rham_comparison)
 from .verify import verify_mu, verify_bp
 
 SCHEMA = "fgl-thh/1"
@@ -362,7 +361,7 @@ def cmd_cohomology(args):
                 f"the p-typical table is established only through degree {limit}")
         tbasis = TypicalBasis(p, _bp_max_n(p, d_max))
         sig = sigma_bp(tbasis)
-        table = localize_table(cohomology_groups(SigmaDifferential(sig), d_max), p)
+        table = localize_table(cohomology_groups(sig, d_max), p)
         title = f"sigma cohomology of the p-typical ring, p={p}"
     else:
         N = args.truncation
@@ -375,7 +374,7 @@ def cmd_cohomology(args):
             sig = sigma_mu_moving(basis)
         else:
             sig = sigma_mu_split(MuStructure(basis))
-        table = cohomology_groups(SigmaDifferential(sig), d_max)
+        table = cohomology_groups(sig, d_max)
         title = f"sigma cohomology, {args.flavor} coordinates"
     return Report([(title, "cohomology", [Degree(table, d) for d in range(d_max + 1)])])
 
@@ -425,7 +424,7 @@ def cmd_de_rham(args):
     structure = MuStructure(basis)
     sig = sigma_mu_moving(basis)
     cmp = de_rham_comparison(structure, sig,
-                             cohomology_groups(SigmaDifferential(sig), d_max), d_max)
+                             cohomology_groups(sig, d_max), d_max)
     if not cmp.chain_map_residuals_zero:
         raise ContractFailure("a de Rham inclusion fails to be a chain map")
     rows = []

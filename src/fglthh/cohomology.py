@@ -17,20 +17,12 @@ from dataclasses import dataclass
 
 from .exactalg import (GenTable, GradedPoly, FinAbGroup, IntMatrix,
                        IntegralityError, DegreeGuardError, ResourceGuardError,
-                       subquotient_group, rational_rank)
-from .thh import ExtElement, SigmaTable, ThhFlavor
+                       mono_mul, subquotient_group, rational_rank)
+from .thh import ExtElement, ThhFlavor
 from .algebroid import CoordFlavor
 
-
-class SigmaDifferential:
-    """Cochain differential given by a sigma table."""
-
-    def __init__(self, table: SigmaTable):
-        self.table = table
-        self.flavor = table.flavor
-
-    def apply(self, elt):
-        return self.table.sigma(elt)
+# A cochain differential is any object with a ``flavor`` and an ``apply``
+# method: a ``SigmaTable`` or a ``DeRhamDifferential``.
 
 
 class DeRhamDifferential:
@@ -38,24 +30,19 @@ class DeRhamDifferential:
     ring; exterior generator n is the differential of the n-th base
     generator and sits one degree above it."""
 
-    def __init__(self, base_table, truncation_weight=None, tag="de-rham"):
-        names = base_table.names
+    def __init__(self, base_table, truncation_weight=None):
         self.flavor = ThhFlavor(
-            tag, base_table, "d",
-            tuple((k + 1, base_table.weight_of(name)) for k, name in enumerate(names)),
+            "de-rham", base_table, "d",
+            tuple((k + 1, w) for k, (_, w) in enumerate(base_table.gens)),
             truncation_weight=truncation_weight)
-        self._gen_names = {k + 1: name for k, name in enumerate(names)}
 
     def apply(self, elt):
         out = ExtElement.zero(self.flavor)
         for subset, coeff in elt.terms.items():
             lam = ExtElement(self.flavor, {subset: GradedPoly.one(self.flavor.base)})
-            for n, gname in self._gen_names.items():
-                if n in subset:
-                    continue
-                part = coeff.partial(gname)
-                if not part.is_zero():
-                    out = out + ExtElement(self.flavor, {(n,): part}) * lam
+            for gi, part in coeff.partials().items():
+                if gi + 1 not in subset:
+                    out = out + ExtElement(self.flavor, {(gi + 1,): part}) * lam
         return out
 
 
@@ -99,9 +86,9 @@ class DegreeComplex:
     diffs: tuple      # per q: IntMatrix from position q to q+1
 
 
-def _element_vector(basis, elt):
-    index = {bm: k for k, bm in enumerate(basis)}
-    vec = [0] * len(basis)
+def _element_vector(index, elt):
+    """Coordinates of ``elt`` in a basis given as ``{(subset, mono): position}``."""
+    vec = [0] * len(index)
     for subset, poly in elt.terms.items():
         for mono, c in poly.terms.items():
             if not isinstance(c, int):
@@ -138,21 +125,12 @@ def staircase(diff, root):
         bases.pop()
 
     diffs = []
-    for q in range(len(bases)):
-        dom = bases[q]
+    for q, dom in enumerate(bases):
         cod = bases[q + 1] if q + 1 < len(bases) else ()
-        rows = [[0] * len(dom) for _ in range(len(cod))]
         index = {bm: k for k, bm in enumerate(cod)}
-        for j, (subset, mono) in enumerate(dom):
-            image = diff.apply(basis_element(diff, subset, mono))
-            for s, poly in image.terms.items():
-                for m, c in poly.terms.items():
-                    if not isinstance(c, int):
-                        raise IntegralityError("non-integral differential entry")
-                    key = (s, m)
-                    if key not in index:
-                        raise ValueError("differential leaves the staircase")
-                    rows[index[key]][j] += c
+        cols = [_element_vector(index, diff.apply(basis_element(diff, subset, mono)))
+                for subset, mono in dom]
+        rows = zip(*cols) if cols else [()] * len(cod)
         diffs.append(IntMatrix.from_rows(rows, cols=len(dom)))
     for q in range(len(diffs) - 1):
         if diffs[q + 1].rows and diffs[q].cols:
@@ -190,11 +168,13 @@ class CohomologyTable:
 
     def class_order(self, d, q, elt):
         pres, basis = self.presentations[(d, q)]
-        return pres.class_order(_element_vector(basis, elt))
+        index = {bm: k for k, bm in enumerate(basis)}
+        return pres.class_order(_element_vector(index, elt))
 
     def generates(self, d, q, elts):
         pres, basis = self.presentations[(d, q)]
-        return pres.generates([_element_vector(basis, e) for e in elts])
+        index = {bm: k for k, bm in enumerate(basis)}
+        return pres.generates([_element_vector(index, e) for e in elts])
 
 
 def cohomology_groups(diff, d_max):
@@ -277,7 +257,7 @@ def bp_cohomology_table(sigma_table):
         raise ResourceGuardError(
             f"prime {p} outside the supported desk-scale range {{2, 3, 5}}")
     d_max = bp_degree_range(p)
-    table = cohomology_groups(SigmaDifferential(sigma_table), d_max)
+    table = cohomology_groups(sigma_table, d_max)
     return localize_table(table, p)
 
 
@@ -296,25 +276,11 @@ class CollapseReport:
 def log_basis_injectivity(log_table, weight):
     """Rational injectivity of the derivation sending each logarithmic
     generator to its exterior partner, on the weight-``weight`` part of the
-    polynomial ring.  Generator-independent: runs entirely in the
-    logarithmic alphabet."""
-    monos = log_table.monomials_of_weight(weight)
-    rows_index = {}
-    rows = []
-    cols = []
-    for mono in monos:
-        col = {}
-        for k, (gi, e) in enumerate(mono):
-            rest = mono[:k] + ((gi, e - 1),) * (e > 1) + mono[k + 1:]
-            key = (gi, rest)
-            if key not in rows_index:
-                rows_index[key] = len(rows)
-                rows.append(key)
-            col[rows_index[key]] = col.get(rows_index[key], 0) + e
-        cols.append(col)
-    matrix = [[cols[j].get(i, 0) for j in range(len(cols))]
-              for i in range(len(rows))]
-    return rational_rank(matrix) == len(monos)
+    polynomial ring.  That derivation is the first map of the de Rham
+    staircase rooted at ``2 * weight`` over the logarithmic alphabet, so the
+    check is generator-independent."""
+    d0 = staircase(DeRhamDifferential(log_table), 2 * weight).diffs[0]
+    return rational_rank(d0.entries) == d0.cols
 
 
 def rational_collapse_check(table, log_table, d_max=None):
@@ -388,18 +354,15 @@ def bar_tor_check(coord_flavor: CoordFlavor, weight_max, q_max):
 
     def differential(q, w):
         dom = bases[(q, w)]
-        cod = bases[(q - 1, w)] if q >= 1 else []
+        cod = bases[(q - 1, w)]
         index = {t: k for k, t in enumerate(cod)}
         rows = [[0] * len(dom) for _ in range(len(cod))]
-        from .exactalg import mono_mul
         for j, tup in enumerate(dom):
             for i in range(1, q):
                 merged = tup[:i - 1] + (mono_mul(tup[i - 1], tup[i]),) + tup[i + 1:]
                 sign = -1 if i % 2 else 1
                 rows[index[merged]][j] += sign
         return IntMatrix.from_rows(rows, cols=len(dom))
-
-    gen_weights = weights
 
     def expected_rank(q, w):
         if q == 0:
@@ -412,21 +375,22 @@ def bar_tor_check(coord_flavor: CoordFlavor, weight_max, q_max):
                 if left == 0:
                     count += 1
                 return
-            for k in range(start, len(gen_weights)):
-                if gen_weights[k] > left:
+            for k in range(start, len(weights)):
+                if weights[k] > left:
                     break
-                rec(k + 1, left - gen_weights[k], depth - 1)
+                rec(k + 1, left - weights[k], depth - 1)
 
         rec(0, w, q)
         return count
 
     results, expected, ok = {}, {}, True
-    for q in range(q_max + 1):
-        for w in range(weight_max + 1):
-            d_out = differential(q, w) if q >= 1 else IntMatrix.zero(
-                0, len(bases[(0, w)]))
+    for w in range(weight_max + 1):
+        d_out = IntMatrix.zero(0, len(bases[(0, w)]))
+        for q in range(q_max + 1):
+            # each bar map is the incoming map at q and the outgoing one at q + 1
             d_in = differential(q + 1, w)
             pres = subquotient_group(d_in, d_out)
+            d_out = d_in
             results[(q, w)] = pres.group
             expected[(q, w)] = expected_rank(q, w)
             if (pres.group.invariant_factors
@@ -439,14 +403,12 @@ def bar_tor_check(coord_flavor: CoordFlavor, weight_max, q_max):
 # de Rham complexes and the two cochain-level inclusions
 # ---------------------------------------------------------------------------
 
-def de_rham_cohomology(gens, d_max, truncated=False):
+def de_rham_cohomology(gens, d_max):
     """Cohomology of the algebraic de Rham complex of a weighted polynomial
     ring (a Koszul-shaped complex with one exterior generator per ring
     generator)."""
     table = gens if isinstance(gens, GenTable) else GenTable(gens)
-    trunc = max((w for _, w in table.gens), default=0) if truncated else None
-    diff = DeRhamDifferential(table, truncation_weight=trunc)
-    return cohomology_groups(diff, d_max)
+    return cohomology_groups(DeRhamDifferential(table), d_max)
 
 
 @dataclass
@@ -500,7 +462,6 @@ def de_rham_comparison(structure, sigma_moving, thh_table, d_max):
         raise ValueError("the sigma table stops below the comparison range")
     derham_l = DeRhamDifferential(basis.x_table, truncation_weight=basis.N)
     derham_c = DeRhamDifferential(structure.c_table, truncation_weight=basis.N)
-    sig = SigmaDifferential(sigma_moving)
 
     forms_l = cohomology_groups(derham_l, d_max)
     forms_c = cohomology_groups(derham_c, d_max)
@@ -524,7 +485,7 @@ def de_rham_comparison(structure, sigma_moving, thh_table, d_max):
             for subset, mono in basis_q:
                 if root + q > d_max:
                     continue
-                z = basis_element(sig, subset, mono)
+                z = basis_element(sigma_moving, subset, mono)
                 left = _include_thh_to_forms(structure, derham_c,
                                              sigma_moving.sigma_prime(z))
                 right = derham_c.apply(_include_thh_to_forms(structure, derham_c, z))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -424,21 +424,21 @@ class GradedPoly:
 
     # -- structural operations ---------------------------------------------
 
-    def partial(self, name):
-        """Partial derivative with respect to one generator."""
-        gi = self.table.index(name)
+    def partials(self):
+        """Every nonzero first partial derivative, keyed by generator index
+        in ascending order; one pass over the terms."""
         out = {}
         for mono, c in self.terms.items():
             for k, (i, e) in enumerate(mono):
-                if i == gi:
-                    rest = mono[:k] + ((i, e - 1),) * (e > 1) + mono[k + 1:]
-                    s = out.get(rest, 0) + c * e
-                    if s:
-                        out[rest] = _norm_coeff(s)
-                    else:
-                        out.pop(rest, None)
-                    break
-        return GradedPoly._raw(self.table, out)
+                rest = mono[:k] + ((i, e - 1),) * (e > 1) + mono[k + 1:]
+                part = out.setdefault(i, {})
+                s = part.get(rest, 0) + c * e
+                if s:
+                    part[rest] = s
+                else:
+                    del part[rest]
+        return {i: GradedPoly._raw(self.table, {m: _norm_coeff(c) for m, c in part.items()})
+                for i, part in sorted(out.items()) if part}
 
     def component_in(self, names, degree):
         """Terms whose total exponent over the named generators equals ``degree``."""
@@ -1002,15 +1002,10 @@ def _chain_from_factors(factors):
 
 @dataclass(frozen=True)
 class FinAbGroup:
-    """Finitely generated abelian group ``Z^r + Z/d1 + ...`` with d1 | d2 | ...
-
-    ``generators`` optionally carries lifts (free generators first, then one
-    per invariant factor); it does not take part in equality.
-    """
+    """Finitely generated abelian group ``Z^r + Z/d1 + ...`` with d1 | d2 | ..."""
 
     free_rank: int
     invariant_factors: tuple = ()
-    generators: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         for i, d in enumerate(self.invariant_factors):
@@ -1024,9 +1019,8 @@ class FinAbGroup:
         return cls(0, ())
 
     @classmethod
-    def from_factors(cls, free_rank, factors, generators=()):
-        return cls(free_rank, _chain_from_factors([d for d in factors if d > 1]),
-                   tuple(generators))
+    def from_factors(cls, free_rank, factors):
+        return cls(free_rank, _chain_from_factors([d for d in factors if d > 1]))
 
     def is_trivial(self):
         return self.free_rank == 0 and not self.invariant_factors
@@ -1059,8 +1053,7 @@ class FinAbGroup:
     def direct_sum(self, other):
         return FinAbGroup.from_factors(
             self.free_rank + other.free_rank,
-            list(self.invariant_factors) + list(other.invariant_factors),
-            tuple(self.generators) + tuple(other.generators))
+            list(self.invariant_factors) + list(other.invariant_factors))
 
     def describe(self):
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.invariant_factors]
@@ -1114,8 +1107,7 @@ class SubquotientPresentation:
             gens.append((order, tuple(vec)))
         gens.sort(key=lambda g: (g[0] != 0, g[0]))  # free generators first
         self.generator_vectors = tuple(gens)
-        self.group = FinAbGroup(free, _chain_from_factors(factors),
-                                tuple(vec for _, vec in gens))
+        self.group = FinAbGroup(free, _chain_from_factors(factors))
 
     @cached_property
     def _U(self):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import (GenTable, GradedPoly, IntegralityError, _norm_coeff)
+from .exactalg import GenTable, GradedPoly, IntegralityError
 from .fgl import LazardBasis, TypicalBasis, x_name, ell_name, v_name
 from .algebroid import MuStructure, TypicalStructure, b_name, t_name
 
@@ -224,13 +224,9 @@ class SigmaTable:
     def sigma_base_poly(self, poly):
         """Derivation on a base polynomial (even, so sign-free)."""
         out = ExtElement.zero(self.flavor)
-        table = self.flavor.base
-        for mono, coeff in poly.terms.items():
-            for k, (gi, e) in enumerate(mono):
-                name = table.name(gi)
-                rest = mono[:k] + ((gi, e - 1),) * (e > 1) + mono[k + 1:]
-                cof = GradedPoly(table, {rest: _norm_coeff(coeff * e)})
-                out = out + self.on_base[name] * cof
+        name = self.flavor.base.name
+        for gi, part in poly.partials().items():
+            out = out + self.on_base[name(gi)] * part
         return out
 
     def _sigma_ext_monomial(self, subset):
@@ -255,6 +251,10 @@ class SigmaTable:
                 out = out + coeff * self._sigma_ext_monomial(subset)
         return out
 
+    def apply(self, elt):
+        """The table as a cochain differential: ``sigma``."""
+        return self.sigma(elt)
+
     def sigma_prime(self, elt):
         """Left-derivation variant: sign twist by the internal degree."""
         out = ExtElement.zero(self.flavor)
@@ -275,17 +275,9 @@ def _log_derivative(flavor, expr, rewrite, error):
     partner, each exterior coefficient rewritten by ``rewrite`` (which
     returns ``(poly, integral)``).  ``error(idx)`` is the message raised
     when the coefficient of exterior generator ``idx`` is not integral."""
-    log_table = expr.table
-    lam_coeffs = {}
-    for mono, coeff in expr.terms.items():
-        for k, (gi, e) in enumerate(mono):
-            idx = int(log_table.name(gi).split("_")[1])
-            rest = mono[:k] + ((gi, e - 1),) * (e > 1) + mono[k + 1:]
-            cur = lam_coeffs.setdefault(idx, GradedPoly.zero(log_table))
-            lam_coeffs[idx] = cur + GradedPoly(
-                log_table, {rest: _norm_coeff(coeff * e)})
     terms = {}
-    for idx, poly in lam_coeffs.items():
+    for gi, poly in expr.partials().items():
+        idx = int(expr.table.name(gi).split("_")[1])
         rewritten, integral = rewrite(poly)
         if not integral:
             raise IntegralityError(error(idx))

@@ -22,9 +22,9 @@ from .thh import (sigma_mu_moving, sigma_mu_split, sigma_bp,
                   lambda_in_e, convert_moving_to_split, hurewicz_mu,
                   hurewicz_bp)
 # staircase is unused here; perfbench's tests assert the tracer wraps this binding
-from .cohomology import (SigmaDifferential, staircase, basis_element,
-                         cohomology_groups, rational_collapse_check,
-                         bar_tor_check, de_rham_comparison)
+from .cohomology import (staircase, basis_element, cohomology_groups,
+                         rational_collapse_check, bar_tor_check,
+                         de_rham_comparison)
 
 
 @dataclass
@@ -59,7 +59,6 @@ def _check(results, name, ok, detail=""):
 
 
 def _sigma_squared(results, sig, table, d_max, label):
-    diff = SigmaDifferential(sig)
     bad = None
     count = 0
     for root in range(0, d_max + 1, 2):
@@ -68,7 +67,7 @@ def _sigma_squared(results, sig, table, d_max, label):
                 continue
             for subset, mono in bq:
                 count += 1
-                z = sig.sigma(sig.sigma(basis_element(diff, subset, mono)))
+                z = sig.sigma(sig.sigma(basis_element(sig, subset, mono)))
                 if not z.is_zero():
                     bad = (root + q, subset, mono)
                     break
@@ -194,7 +193,7 @@ def verify_mu(flavor_tag, N, d_max):
     _check(results, "split exterior sigma vanishes in the first two slots", ok)
 
     sig, other = (mov, spl) if flavor_tag == "mu-moving" else (spl, mov)
-    table = cohomology_groups(SigmaDifferential(sig), min(d_max, 2 * N))
+    table = cohomology_groups(sig, min(d_max, 2 * N))
     _sigma_squared(results, sig, table, d_max, flavor_tag)
     _snf_minor_check(results, table, min(d_max, 10), flavor_tag)
 
@@ -204,7 +203,7 @@ def verify_mu(flavor_tag, N, d_max):
     _check(results, "rational injectivity in the logarithmic basis",
            all(rep.injective_weights.values()), str(rep.injective_weights))
 
-    other_table = cohomology_groups(SigmaDifferential(other), table.d_max)
+    other_table = cohomology_groups(other, table.d_max)
     ok = all(table.groups[d] == other_table.groups[d]
              for d in range(table.d_max + 1))
     _check(results, "moving and split cohomology tables are isomorphic", ok)
@@ -267,7 +266,7 @@ def verify_bp(p, max_n, d_max):
         _check(results, "recursive and rational sigma routes agree", False, str(err))
         return results
 
-    table = cohomology_groups(SigmaDifferential(sig), d_max)
+    table = cohomology_groups(sig, d_max)
     _sigma_squared(results, sig, table, d_max, f"bp(p={p})")
     _snf_minor_check(results, table, d_max, f"bp(p={p})")
 

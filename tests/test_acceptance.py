@@ -10,7 +10,7 @@ from fglthh.exactalg import FinAbGroup, GradedPoly, invariant_factors
 from fglthh.fgl import hazewinkel_generators, m_name, x_name, v_name, ell_name
 from fglthh.algebroid import CoordFlavor, b_name, t_name
 from fglthh.thh import ExtElement, lambda_in_e, hurewicz_mu, hurewicz_bp
-from fglthh.cohomology import (SigmaDifferential, staircase, basis_element,
+from fglthh.cohomology import (staircase, basis_element,
                                cohomology_groups, bp_cohomology_table,
                                bp_degree_range, rational_collapse_check,
                                bar_tor_check, de_rham_cohomology,
@@ -155,7 +155,7 @@ def test_criterion_2_typical(typical_bases, typical_structures):
 # ---------------------------------------------------------------------------
 
 def _sigma_squared_holds(sig, d_max):
-    diff = SigmaDifferential(sig)
+    diff = sig
     for root in range(0, d_max + 1, 2):
         stair = staircase(diff, root)
         for q, bq in enumerate(stair.bases):
@@ -258,8 +258,8 @@ def test_criterion_3_sigma(lazard10, structure10, sigma_moving10, sigma_split10,
 def test_criterion_4_cohomology(lazard10, sigma_moving10, sigma_split10,
                                 sigma_bp_tables):
     checks = []
-    moving = cohomology_groups(SigmaDifferential(sigma_moving10), 10)
-    split = cohomology_groups(SigmaDifferential(sigma_split10), 10)
+    moving = cohomology_groups(sigma_moving10, 10)
+    split = cohomology_groups(sigma_split10, 10)
     b = lazard10
 
     expected = {0: FinAbGroup(1), 3: FinAbGroup.from_factors(0, [2]),
@@ -345,14 +345,14 @@ def test_criterion_5_rational_collapse(lazard10, sigma_moving10, sigma_split10,
                                        sigma_bp_tables):
     checks = []
     for tag, sig in (("moving", sigma_moving10), ("split", sigma_split10)):
-        table = cohomology_groups(SigmaDifferential(sig), 10)
+        table = cohomology_groups(sig, 10)
         rep = rational_collapse_check(table, lazard10.m_table)
         checks.append((f"{tag} ranks", rep.ranks_ok))
         checks.append((f"{tag} injectivity through weight 5 (degree 10)",
                        all(rep.injective_weights.values())))
     for p, sig in sigma_bp_tables.items():
         limit = bp_degree_range(p)
-        table = cohomology_groups(SigmaDifferential(sig), limit)
+        table = cohomology_groups(sig, limit)
         rep = rational_collapse_check(table,
                                       hazewinkel_generators(p, 3).ell_table)
         checks.append((f"p={p} ranks", rep.ranks_ok))
@@ -395,7 +395,7 @@ def test_criterion_6_property_suites(lazard10, structure10, sigma_moving10,
     # Smith normal form versus the gcd-of-minors oracle, every matrix of the
     # assembled ranges that fits in 8x8
     def snf_oracle(sig, d_max):
-        diff = SigmaDifferential(sig)
+        diff = sig
         count = 0
         for root in range(0, d_max + 1, 2):
             stair = staircase(diff, root)
@@ -440,7 +440,7 @@ def test_criterion_6_property_suites(lazard10, structure10, sigma_moving10,
     # both cochain inclusions are chain maps through degree 10
     cmp = de_rham_comparison(
         structure10, sigma_moving10,
-        cohomology_groups(SigmaDifferential(sigma_moving10), 10), 10)
+        cohomology_groups(sigma_moving10, 10), 10)
     checks.append(("inclusion chain-map residuals vanish", cmp.chain_map_residuals_zero))
 
     # homology images integral through weight 4

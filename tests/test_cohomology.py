@@ -4,7 +4,7 @@ from fglthh.exactalg import FinAbGroup, GradedPoly, DegreeGuardError, ResourceGu
 from fglthh.fgl import x_name, v_name
 from fglthh.algebroid import CoordFlavor
 from fglthh.thh import ExtElement
-from fglthh.cohomology import (SigmaDifferential, assemble_complex,
+from fglthh.cohomology import (assemble_complex,
                                cohomology_groups, bp_cohomology_table,
                                bp_degree_range,
                                rational_collapse_check, bar_tor_check,
@@ -13,12 +13,12 @@ from fglthh.cohomology import (SigmaDifferential, assemble_complex,
 
 @pytest.fixture(scope="module")
 def moving_table(sigma_moving10):
-    return cohomology_groups(SigmaDifferential(sigma_moving10), 10)
+    return cohomology_groups(sigma_moving10, 10)
 
 
 @pytest.fixture(scope="module")
 def split_table(sigma_split10):
-    return cohomology_groups(SigmaDifferential(sigma_split10), 10)
+    return cohomology_groups(sigma_split10, 10)
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +35,7 @@ def xg(basis, n, exp=1):
 # ---------------------------------------------------------------------------
 
 def test_displayed_two_by_two(sigma_moving10):
-    st = assemble_complex(SigmaDifferential(sigma_moving10), 5)
+    st = assemble_complex(sigma_moving10, 5)
     assert st.diffs[0].entries == ((-4, -4), (0, -3))
     # basis x_1^2, x_2 maps to basis x_1*lambda'_1, lambda'_2
     assert st.bases[0] == (((), ((0, 2),)), ((), ((1, 1),)))
@@ -43,7 +43,7 @@ def test_displayed_two_by_two(sigma_moving10):
 
 
 def test_displayed_degree_ten_block(sigma_moving10):
-    st = assemble_complex(SigmaDifferential(sigma_moving10), 10)
+    st = assemble_complex(sigma_moving10, 10)
     assert st.root == 8
     assert st.diffs[0].entries[0] == (-8, -4, -5, 0, 0)
     assert st.diffs[0].rows == 7 and st.diffs[0].cols == 5
@@ -52,14 +52,14 @@ def test_displayed_degree_ten_block(sigma_moving10):
 
 
 def test_degree_zero_complex(sigma_moving10):
-    st = assemble_complex(SigmaDifferential(sigma_moving10), 0)
+    st = assemble_complex(sigma_moving10, 0)
     assert st.bases[0] == (((), ()),)
     assert st.diffs[0].is_zero()
 
 
 def test_degree_guard(sigma_moving10):
     with pytest.raises(DegreeGuardError):
-        cohomology_groups(SigmaDifferential(sigma_moving10), 21)
+        cohomology_groups(sigma_moving10, 21)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +228,7 @@ def test_rational_collapse_mu(moving_table, lazard10):
 def test_rational_collapse_bp(sigma_bp_tables):
     for p, sig in sigma_bp_tables.items():
         d_max = 14 if p == 2 else bp_degree_range(p)
-        table = cohomology_groups(SigmaDifferential(sig), min(d_max, bp_degree_range(p)))
+        table = cohomology_groups(sig, min(d_max, bp_degree_range(p)))
         from fglthh.fgl import hazewinkel_generators
         rep = rational_collapse_check(table, hazewinkel_generators(p, 3).ell_table)
         assert rep.all_ok
@@ -323,7 +323,7 @@ def test_each_staircase_is_assembled_once(monkeypatch, structure10, sigma_moving
                 lambda: verify.verify_mu("mu-split", 5, 10),
                 lambda: cohomology.de_rham_comparison(
                     structure10, sigma_moving10,
-                    cohomology.cohomology_groups(SigmaDifferential(sigma_moving10), 10),
+                    cohomology.cohomology_groups(sigma_moving10, 10),
                     10)):
         built.clear()
         run()

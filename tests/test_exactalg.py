@@ -60,7 +60,7 @@ def test_weight_and_integrality():
 
 def test_partial_derivative():
     p = g("b_1", 3) * g("b_2") + 2 * g("b_2", 2) * g("b_1")
-    assert p.partial("b_1") == 3 * g("b_1", 2) * g("b_2") + 2 * g("b_2", 2)
+    assert p.partials()[p.table.index("b_1")] == 3 * g("b_1", 2) * g("b_2") + 2 * g("b_2", 2)
 
 
 def test_substitute_weight_guard():
