@@ -389,12 +389,11 @@ def bar_tor_check(coord_flavor: CoordFlavor, weight_max, q_max):
         for q in range(q_max + 1):
             # each bar map is the incoming map at q and the outgoing one at q + 1
             d_in = differential(q + 1, w)
-            pres = subquotient_group(d_in, d_out)
+            group = subquotient_group(d_in, d_out).group
             d_out = d_in
-            results[(q, w)] = pres.group
+            results[(q, w)] = group
             expected[(q, w)] = expected_rank(q, w)
-            if (pres.group.invariant_factors
-                    or pres.group.free_rank != expected[(q, w)]):
+            if group.invariant_factors or group.free_rank != expected[(q, w)]:
                 ok = False
     return BarTorReport(coord_flavor.tag, results, expected, ok)
 
