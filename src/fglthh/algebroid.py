@@ -36,8 +36,8 @@ def t_name(n):
 class CoordFlavor:
     """Choice of coordinate coalgebra: split (b), moving (c) or p-typical (t).
 
-    The flavor fixes the coefficient alphabet and the downstream exterior
-    generator names (e, lambda', lambda respectively).
+    The flavor fixes the coefficient alphabet; the sigma tables built on it
+    name their exterior generators e, lambda' and lambda respectively.
     """
 
     tag: str
@@ -63,19 +63,9 @@ class CoordFlavor:
             return self.prime ** n - 1
         return n
 
-    @property
-    def ext_prefix(self):
-        return {"absolute-b": "e", "moving-c": "lambda'", "typical-t": "lambda"}[self.tag]
-
     def coord_table(self, max_n):
         return GenTable([(self.coord_name(n), self.coord_weight(n))
                          for n in range(1, max_n + 1)])
-
-
-class UnsupportedFlavorError(ValueError):
-    """Conjugation and coproduct formulas exist only for the split
-    coordinate algebra; the moving and p-typical versions are declared out
-    of scope rather than guessed."""
 
 
 def generic_strict_series(table, names_by_degree, bound):
@@ -323,22 +313,6 @@ class MuStructure:
         images.update({f"b'_{k}": GradedPoly.gen(self.b_table, b_name(k))
                        for k in range(1, self.N + 1)})
         return data["raw"][n].substitute(images, self.b_table)
-
-
-def conjugation_chi(structure: MuStructure, flavor: CoordFlavor):
-    """Conjugation table for the requested coordinate flavor."""
-    if flavor.tag != "absolute-b":
-        raise UnsupportedFlavorError(
-            f"no conjugation formulas for the {flavor.tag} coordinates")
-    return dict(structure.chi)
-
-
-def coproduct_psi(structure: MuStructure, flavor: CoordFlavor, n):
-    """Coproduct tensor pairs for the requested coordinate flavor."""
-    if flavor.tag != "absolute-b":
-        raise UnsupportedFlavorError(
-            f"no coproduct formulas for the {flavor.tag} coordinates")
-    return structure.psi(n)
 
 
 # ---------------------------------------------------------------------------

@@ -618,14 +618,11 @@ class IntMatrix:
     entries: tuple
 
     def __post_init__(self):
+        # entries are checked once, where they enter through ``from_rows``
         if len(self.entries) != self.rows:
             raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("column count mismatch")
-            for x in row:
-                if not isinstance(x, int):
-                    raise TypeError("integer entries required")
+        if any(len(row) != self.cols for row in self.entries):
+            raise ValueError("column count mismatch")
 
     @classmethod
     def from_rows(cls, rows, cols=None):
@@ -690,33 +687,9 @@ def det_int(rows):
     return sign * (a[n - 1][n - 1] if n else 1)
 
 
-def _replay(ops, n, inverse, transpose):
-    """Apply logged elementary operations, in order, to the ``n x n``
-    identity as row operations.
-
-    ``("add", i, k, q)`` is ``row_i -= q * row_k`` with ``q != 0``;
-    ``("swap", i, k)`` and ``("neg", i)`` swap and negate rows.  With
-    ``inverse`` each operation is replaced by the transpose of its inverse,
-    which yields the inverse transpose of the plain replay.  ``transpose``
-    transposes the result.
-    """
-    M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for op in ops:
-        kind, i = op[0], op[1]
-        if kind == "add":
-            k, q = op[2], op[3]
-            if inverse:
-                i, k, q = k, i, -q
-            Mi = M[i]
-            for j, x in enumerate(M[k]):
-                if x:
-                    Mi[j] -= q * x
-        elif kind == "swap":
-            k = op[2]
-            M[i], M[k] = M[k], M[i]
-        else:
-            M[i] = [-x for x in M[i]]
-    return IntMatrix.from_rows(zip(*M) if transpose else M, cols=n)
+# name -> (read the log backward, transpose each add, negate each add)
+_APPLY_MODES = {"U": (False, False, False), "U_inv": (True, False, True),
+                "V": (True, True, False), "V_inv": (False, True, True)}
 
 
 class SmithDecomposition:
@@ -725,9 +698,10 @@ class SmithDecomposition:
     The reduction computes ``D`` and records its elementary row operations
     (which make ``U``) and column operations (which make ``V``); an
     ``add`` is recorded only with a nonzero multiple ``q``, since a zero
-    one changes nothing.  Each of ``U``, ``V``, ``U_inv`` and ``V_inv`` is
-    built from that record the first time it is read and then cached, so a
-    caller pays only for the transforms it reads.
+    one changes nothing.  :meth:`apply` multiplies a block of rows by any
+    of ``U``, ``V``, ``U_inv`` and ``V_inv`` straight from that record.
+    The four transforms themselves are built by ``apply`` on the identity
+    the first time they are read and then cached.
     """
 
     def __init__(self, D, row_ops, col_ops):
@@ -735,21 +709,60 @@ class SmithDecomposition:
         self._row_ops = row_ops
         self._col_ops = col_ops
 
+    def apply(self, name, rows):
+        """``T rows`` for ``T`` named ``"U"``, ``"U_inv"``, ``"V"`` or
+        ``"V_inv"``, as a new list of row lists; no ``T`` is formed.
+
+        A logged ``("add", i, k, q)`` is ``row_i -= q * row_k`` on the rows
+        of ``M`` (for ``U``) or ``col_i -= q * col_k`` on its columns (for
+        ``V``); ``("swap", i, k)`` and ``("neg", i)`` swap and negate.
+        ``U`` replays the row log forward and ``U_inv`` backward with each
+        add negated.  ``V = F_1 ... F_N`` for the column operations
+        ``F_t``, and ``F_t`` acts on rows as the transposed add
+        ``row_k -= q * row_i``, so ``V`` replays the column log backward
+        and ``V_inv`` forward with each add negated.
+        """
+        backward, transpose, negate = _APPLY_MODES[name]
+        ops = self._row_ops if name[0] == "U" else self._col_ops
+        R = [list(r) for r in rows]
+        for op in reversed(ops) if backward else ops:
+            kind, i = op[0], op[1]
+            if kind == "add":
+                k, q = op[2], op[3]
+                if transpose:
+                    i, k = k, i
+                if negate:
+                    q = -q
+                Ri = R[i]
+                for j, x in enumerate(R[k]):
+                    if x:
+                        Ri[j] -= q * x
+            elif kind == "swap":
+                k = op[2]
+                R[i], R[k] = R[k], R[i]
+            else:
+                R[i] = [-x for x in R[i]]
+        return R
+
+    def _transform(self, name, n):
+        rows = self.apply(name, IntMatrix.identity(n).entries)
+        return IntMatrix(n, n, tuple(map(tuple, rows)))
+
     @cached_property
     def U(self):
-        return _replay(self._row_ops, self.D.rows, inverse=False, transpose=False)
+        return self._transform("U", self.D.rows)
 
     @cached_property
     def U_inv(self):
-        return _replay(self._row_ops, self.D.rows, inverse=True, transpose=True)
+        return self._transform("U_inv", self.D.rows)
 
     @cached_property
     def V(self):
-        return _replay(self._col_ops, self.D.cols, inverse=False, transpose=True)
+        return self._transform("V", self.D.cols)
 
     @cached_property
     def V_inv(self):
-        return _replay(self._col_ops, self.D.cols, inverse=True, transpose=False)
+        return self._transform("V_inv", self.D.cols)
 
     @property
     def rank(self):
@@ -766,8 +779,9 @@ def smith_normal_form_full(matrix):
     ``D`` diagonal, nonnegative, in a divisibility chain.  Pivoting picks a
     minimal-absolute-value nonzero entry each round to control coefficient
     growth; exactness holds regardless.  Zero-multiple eliminations are
-    skipped.  The returned decomposition builds ``U``, ``V`` and their
-    inverses from the recorded operations only when they are read.
+    skipped.  The returned decomposition applies ``U``, ``V`` and their
+    inverses from the recorded operations; it builds none of them unless
+    one is read.
     """
     A = matrix.to_lists()
     n, m = matrix.rows, matrix.cols
@@ -863,7 +877,7 @@ def smith_normal_form_full(matrix):
         if t == min(n, m):
             break
 
-    D = IntMatrix.from_rows(A, cols=m)
+    D = IntMatrix(n, m, tuple(map(tuple, A)))
     return SmithDecomposition(D, row_ops, col_ops)
 
 
@@ -883,8 +897,8 @@ def solve_integer(matrix, rhs):
     M = matrix if isinstance(matrix, IntMatrix) else IntMatrix.from_rows(matrix)
     n, m = M.rows, M.cols
     full = smith_normal_form_full(M)
-    U, D, V = full.U, full.D, full.V
-    urhs = [sum(U.entries[i][k] * rhs[k] for k in range(n)) for i in range(n)]
+    D = full.D
+    urhs = [row[0] for row in full.apply("U", [[x] for x in rhs])]
     y = [0] * m
     r = min(n, m)
     for i in range(n):
@@ -895,7 +909,7 @@ def solve_integer(matrix, rhs):
             y[i] = urhs[i] // d
         elif urhs[i]:
             return None
-    return [sum(V.entries[i][k] * y[k] for k in range(m)) for i in range(m)]
+    return [row[0] for row in full.apply("V", [[x] for x in y])]
 
 
 def row_hnf(rows):
@@ -1070,61 +1084,47 @@ class FinAbGroup:
 class SubquotientPresentation:
     """Presentation of ``ker(d_out) / im(d_in)`` over a free module.
 
-    ``out_snf`` is the Smith form of ``d_out``: the columns of its ``V``
-    past the rank span the (saturated) kernel, and the rows of ``V^-1``
-    past the rank give kernel coordinates.  ``relations`` is the image of
-    ``d_in`` in those coordinates, one ``V^-1`` product; with no columns
-    the image is zero and takes no Smith form.  The image lattice in
-    ambient coordinates is spanned by the columns of ``d_in`` itself.
-    Generator lifts are returned in ambient coordinates, reduced to their
-    canonical representatives modulo that lattice.
+    ``out_snf`` is the Smith form of ``d_out``, of rank ``r``: the columns
+    of its ``V`` past ``r`` span the (saturated) kernel, and the rows of
+    ``V^-1`` past ``r`` give kernel coordinates.  ``relations`` is the
+    image of ``d_in`` in those coordinates.  Both Smith forms are read
+    through :meth:`SmithDecomposition.apply` on the vectors at hand, so no
+    transform is built.  The image lattice in ambient coordinates is
+    spanned by the columns of ``d_in`` itself.  Generator lifts are
+    returned in ambient coordinates, reduced to their canonical
+    representatives modulo that lattice.
     """
 
     def __init__(self, out_snf, d_in, relations):
         self._out_snf = out_snf
-        self.kernel_basis = out_snf.kernel_columns()  # columns, len n each
-        self.relations = relations  # d_in in kernel coords; 0 x 0 if d_out is injective
-        k = len(self.kernel_basis)
-        if relations.cols:
+        self.relations = relations  # k x cols(d_in), k the kernel rank
+        k = relations.rows
+        if k and relations.cols:
             self._rel_snf = smith_normal_form_full(relations)
-            D, Uinv = self._rel_snf.D, self._rel_snf.U_inv
+            D = self._rel_snf.D
+            self._orders = [D.entries[i][i] if i < D.cols else 0 for i in range(k)]
         else:
+            # no relations: the kernel is free on its basis
             self._rel_snf = None
-            D, Uinv = IntMatrix.zero(k, 0), IntMatrix.identity(k)
-        diag = [D.entries[i][i] for i in range(min(D.rows, D.cols))]
-        self._orders = [diag[i] if i < len(diag) else 0 for i in range(k)]
+            self._orders = [0] * k
         factors = [d for d in self._orders if d > 1]
         free = sum(1 for d in self._orders if d == 0)
         gens = []
-        hnf, pivots = row_hnf(zip(*d_in.entries))
-        for i in range(k):
-            order = self._orders[i]
-            if order == 1:
-                continue
-            vec = self._ambient(Uinv.column(i))
-            vec = reduce_mod_rows(hnf, pivots, vec)
-            vec = self._sign_normalize(vec)
-            gens.append((order, tuple(vec)))
+        lifted = [i for i, d in enumerate(self._orders) if d != 1]
+        if lifted:
+            # column c of the block is the kernel coordinates of lift c,
+            # padded with r zero rows to V coordinates
+            block = [[int(i == j) for j in lifted] for i in range(k)]
+            if self._rel_snf is not None:
+                block = self._rel_snf.apply("U_inv", block)
+            block = out_snf.apply("V", [[0] * len(lifted)] * out_snf.rank + block)
+            hnf, pivots = row_hnf(zip(*d_in.entries))
+            for c, i in enumerate(lifted):
+                vec = reduce_mod_rows(hnf, pivots, [row[c] for row in block])
+                gens.append((self._orders[i], tuple(self._sign_normalize(vec))))
         gens.sort(key=lambda g: (g[0] != 0, g[0]))  # free generators first
         self.generator_vectors = tuple(gens)
         self.group = FinAbGroup(free, _chain_from_factors(factors))
-
-    @cached_property
-    def _U(self):
-        # only class_order reads U, so it is replayed on first use
-        if self._rel_snf is None:
-            return IntMatrix.identity(len(self.kernel_basis))
-        return self._rel_snf.U
-
-    def _ambient(self, kernel_coords):
-        n = self._out_snf.D.cols
-        out = [0] * n
-        for k, c in enumerate(kernel_coords):
-            if c:
-                col = self.kernel_basis[k]
-                for i in range(n):
-                    out[i] += c * col[i]
-        return out
 
     @staticmethod
     def _sign_normalize(vec):
@@ -1134,9 +1134,7 @@ class SubquotientPresentation:
     def kernel_coords(self, vector):
         """Coordinates of an ambient cocycle in the kernel basis; None if
         the vector is not a cocycle."""
-        nonzero = [(j, x) for j, x in enumerate(vector) if x]
-        y = [sum(row[j] * x for j, x in nonzero)
-             for row in self._out_snf.V_inv.entries]
+        y = [row[0] for row in self._out_snf.apply("V_inv", [[x] for x in vector])]
         r = self._out_snf.rank
         return None if any(y[:r]) else y[r:]
 
@@ -1145,19 +1143,18 @@ class SubquotientPresentation:
 
         Raises ``ValueError`` when the vector is not a cocycle.
         """
-        z = self.kernel_coords(vector)
-        if z is None:
+        y = self.kernel_coords(vector)
+        if y is None:
             raise ValueError("vector is not a cocycle")
-        k = len(self.kernel_basis)
-        y = [sum(self._U.entries[i][j] * z[j] for j in range(k)) for i in range(k)]
+        if self._rel_snf is not None:
+            y = [row[0] for row in self._rel_snf.apply("U", [[x] for x in y])]
         order = 1
-        for i in range(k):
-            d = self._orders[i]
+        for d, c in zip(self._orders, y):
             if d == 0:
-                if y[i]:
+                if c:
                     return 0
-            elif d > 1 and y[i] % d:
-                order = math.lcm(order, d // math.gcd(d, y[i]))
+            elif d > 1 and c % d:
+                order = math.lcm(order, d // math.gcd(d, c))
         return order
 
     def generates(self, vectors):
@@ -1168,7 +1165,7 @@ class SubquotientPresentation:
             if z is None:
                 raise ValueError("vector is not a cocycle")
             extra.append(z)
-        k = len(self.kernel_basis)
+        k = self.relations.rows
         if k == 0:
             return True
         rows = [list(row) + [z[i] for z in extra]
@@ -1185,18 +1182,14 @@ def subquotient_group(d_in, d_out):
     (its columns); the composite must vanish.  That is checked on the Smith
     form of ``d_out``: ``d_in`` is rejected when the rows of ``V^-1 d_in``
     against the nonzero invariant factors do not all vanish.  When ``d_out``
-    is injective its kernel is zero and ``d_in`` itself must vanish.
+    is injective those are all the rows, so ``d_in`` itself must vanish.
     """
     if d_in.rows != d_out.cols:
         raise ValueError("differentials do not compose through a common module")
     out_snf = smith_normal_form_full(d_out)
     r = out_snf.rank
-    if r == d_out.cols:
-        if not d_in.is_zero():
-            raise ComplexViolationError("image does not lie in the kernel")
-        return SubquotientPresentation(out_snf, d_in, IntMatrix.zero(0, 0))
-    y = out_snf.V_inv.mul(d_in)
-    if any(any(row) for row in y.entries[:r]):
+    y = out_snf.apply("V_inv", d_in.entries)
+    if any(any(row) for row in y[:r]):
         raise ComplexViolationError("image does not lie in the kernel")
-    return SubquotientPresentation(out_snf, d_in,
-                                   IntMatrix(y.rows - r, y.cols, y.entries[r:]))
+    return SubquotientPresentation(out_snf, d_in, IntMatrix(
+        len(y) - r, d_in.cols, tuple(map(tuple, y[r:]))))

@@ -238,18 +238,6 @@ def test_coord_flavor_tables():
     table = fl.coord_table(2)
     assert table.weight_of("t_1") == 2
     assert table.weight_of("t_2") == 8
-    assert CoordFlavor.moving().ext_prefix == "lambda'"
-    assert CoordFlavor.absolute().ext_prefix == "e"
-
-
-def test_chi_psi_flavor_guard(structure6):
-    from fglthh.algebroid import conjugation_chi, coproduct_psi, UnsupportedFlavorError
-    assert conjugation_chi(structure6, CoordFlavor.absolute())[1] == structure6.chi[1]
-    assert coproduct_psi(structure6, CoordFlavor.absolute(), 2) == structure6.psi(2)
-    with pytest.raises(UnsupportedFlavorError):
-        conjugation_chi(structure6, CoordFlavor.moving())
-    with pytest.raises(UnsupportedFlavorError):
-        coproduct_psi(structure6, CoordFlavor.typical(2), 1)
 
 
 def test_truncation_shortfall(structure6):

@@ -272,6 +272,20 @@ def test_snf_properties(M, read_order):
         assert getattr(again, name) == getattr(full, name)
 
 
+@given(st.data())
+def test_apply_matches_transform_product(data):
+    M = data.draw(int_matrices())
+    snf = smith_normal_form_full(M)
+    for name in TRANSFORMS:
+        n = snf.D.rows if name[0] == "U" else snf.D.cols
+        B = data.draw(int_matrices(st.just(n), st.integers(0, 4)))
+        rows = B.to_lists()
+        got = snf.apply(name, rows)
+        assert rows == B.to_lists()  # the input is not modified
+        assert name not in vars(snf)  # apply builds no transform
+        assert got == getattr(snf, name).mul(B).to_lists()
+
+
 # Dense reference reduction: the same pivoting, but every zero-multiple
 # operation is applied and logged and every column operation sweeps all
 # rows.  The printed generators, and so the output bytes, depend on the
@@ -464,8 +478,9 @@ def built_transforms(decomposition):
 
 
 def test_subquotient_builds_only_read_transforms(monkeypatch):
-    # nonzero relations; every outgoing map, the 0-row one included, takes
-    # the Smith-form route
+    # the subquotient and its class checks apply the Smith operation logs
+    # to the vectors they need; every outgoing map, the 0-row one
+    # included, takes the Smith-form route
     made = []
 
     def recording(matrix):
@@ -477,18 +492,20 @@ def test_subquotient_builds_only_read_transforms(monkeypatch):
                                    (Z2_PAIR, [1])):
         made.clear()
         pres = subquotient_group(d_in, d_out)
-        out_snf, rel_snf = made
-        assert built_transforms(out_snf) == {"V", "V_inv"}
-        assert built_transforms(rel_snf) == {"U_inv"}
-        # a class order is the one reader of the relations' U
         assert pres.class_order(cocycle) > 1
-        assert len(made) == 2
-        assert built_transforms(out_snf) == {"V", "V_inv"}
-        assert built_transforms(rel_snf) == {"U", "U_inv"}
+        assert pres.generates([list(v) for _, v in pres.generator_vectors])
+        # the outgoing map, the relations, and the relations extended by
+        # the stated generators
+        assert len(made) == 3
+        assert [built_transforms(snf) for snf in made] == [set()] * 3
     made.clear()
     d_in = DEGREE_NINE_PAIR[0]
+    x = [1, -2, 0, 3, 1]
+    rhs = [sum(a * b for a, b in zip(row, x)) for row in d_in.entries]
+    sol = solve_integer(d_in, rhs)
+    assert [sum(a * b for a, b in zip(row, sol)) for row in d_in.entries] == rhs
     assert invariant_factors(d_in) == minor_gcd_chain(d_in.entries)
-    assert [built_transforms(snf) for snf in made] == [set()]
+    assert [built_transforms(snf) for snf in made] == [set(), set()]
 
 
 def test_subquotient_complex_violation():
@@ -500,8 +517,8 @@ def test_subquotient_complex_violation():
 
 @given(st.data())
 def test_subquotient_rejects_exactly_nonzero_composites(data):
-    # the Smith-form kernel test inside subquotient_group is the only
-    # d_out * d_in = 0 check; it must agree with the naive product
+    # the Smith-form kernel test inside subquotient_group must agree with
+    # the naive product (staircase checks d∘d = 0 by its own product)
     m, a, b = (data.draw(st.integers(0, 4)) for _ in range(3))
     entry = st.integers(-3, 3)
     d_out = IntMatrix.from_rows(
