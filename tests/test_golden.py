@@ -78,9 +78,18 @@ GOLDEN = {
         "text": "42a40e9bb0053c4d937709d7f6a759b62c1041111850a4b01693dc54394671bc",
         "tex": "de3fe9c0de4c22c99ac8c01d4ee9fda845bd76923bac0e00a05a8fceec66a59a",
     },
+    "sigma --flavor mu-split --max-n 8 -N 8": {
+        "json": "0eee120e575b289bfa7b8b8076a884707581b80e1cc8626d46101cbd5953aaa3",
+        "text": "1ac773b094090f8fab14bd81315954c1670dadfac8b09eb989c7f0792f01df1c",
+        "tex": "450c6f69eff3fa3a640f77d56e2f9f690cc14c3f180cafe0079ae1d18cfbe5ae",
+    },
     "structure-maps --flavor bp --prime 2 --max-n 4": {
         "json": "0218afae46b261e24fc72254fd0cd4476ab699e6f91827086b654b2afcb5bb95",
         "text": "9632d1c7dda31f0a69d8951e36ac588bc4b69e80cdcf1255773adb45df444681",
+    },
+    "structure-maps --flavor bp --prime 3 --max-n 3": {
+        "json": "16187bf74de5ee705a65c6855668e974de67031b59a81cbad5979712ea70249d",
+        "text": "9df171b92562ee6df84002dca716c4b15977bf8f1143aacf1c59e6822092fd2c",
     },
     "structure-maps --flavor mu-moving --max-n 4 -N 4": {
         "json": "be19db80a27a710af1621e06d9236816280b4da6b896a9bcc7d574d1f487ad65",
