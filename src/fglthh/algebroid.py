@@ -63,9 +63,9 @@ class CoordFlavor:
             return self.prime ** n - 1
         return n
 
-    def coord_table(self, max_n):
+    def coord_table(self, max_n, bound):
         return GenTable([(self.coord_name(n), self.coord_weight(n))
-                         for n in range(1, max_n + 1)])
+                         for n in range(1, max_n + 1)], bound)
 
 
 def generic_strict_series(table, names_by_degree, bound):
@@ -81,11 +81,11 @@ def moving_right_unit(n, table=None):
     private table of exactly the required size is built when none is given."""
     if n == 0:
         if table is None:
-            table = GenTable([(m_name(1), 1), (c_name(1), 1)])
+            table = GenTable([(m_name(1), 1), (c_name(1), 1)], 1)
         return GradedPoly.one(table)
     if table is None:
         table = GenTable([(m_name(k), k) for k in range(1, n + 1)]
-                         + [(c_name(k), k) for k in range(1, n + 1)])
+                         + [(c_name(k), k) for k in range(1, n + 1)], n)
     parts = []
     for i in range(0, n + 1):
         if (n + 1) % (i + 1):
@@ -111,8 +111,8 @@ class MuStructure:
         self.basis = basis
         N = basis.N
         self.N = N
-        self.b_table = GenTable([(b_name(n), n) for n in range(1, N + 1)])
-        self.c_table = GenTable([(c_name(n), n) for n in range(1, N + 1)])
+        self.b_table = GenTable([(b_name(n), n) for n in range(1, N + 1)], N)
+        self.c_table = GenTable([(c_name(n), n) for n in range(1, N + 1)], N)
         self.mb_table = basis.m_table.union(self.b_table)
         self.xb_table = basis.x_table.union(self.b_table)
         self.mc_table = basis.m_table.union(self.c_table)
@@ -237,8 +237,8 @@ class MuStructure:
         """Coproduct data: raw polynomials over the doubled alphabet, with the
         inner alphabet carrying the left tensor factor."""
         N = self.N
-        inner = GenTable([(f"b''_{n}", n) for n in range(1, N + 1)])
-        outer = GenTable([(f"b'_{n}", n) for n in range(1, N + 1)])
+        inner = GenTable([(f"b''_{n}", n) for n in range(1, N + 1)], N)
+        outer = GenTable([(f"b'_{n}", n) for n in range(1, N + 1)], N)
         both = inner.union(outer)
         f_inner = generic_strict_series(both,
                                         {n: f"b''_{n}" for n in range(1, N + 1)},
@@ -286,7 +286,7 @@ class MuStructure:
         N = self.N
         triple = GenTable([(f"u_{k}", k) for k in range(1, N + 1)]
                           + [(f"v_{k}", k) for k in range(1, N + 1)]
-                          + [(f"w_{k}", k) for k in range(1, N + 1)])
+                          + [(f"w_{k}", k) for k in range(1, N + 1)], N)
 
         def psi_on(k, left_prefix, right_prefix):
             images = {f"b''_{j}": GradedPoly.gen(triple, f"{left_prefix}_{j}")
@@ -325,7 +325,8 @@ class TypicalStructure:
     def __init__(self, tbasis: TypicalBasis):
         self.tbasis = tbasis
         p, max_n = tbasis.p, tbasis.max_n
-        self.t_table = GenTable([(t_name(n), p ** n - 1) for n in range(1, max_n + 1)])
+        self.t_table = GenTable([(t_name(n), p ** n - 1) for n in range(1, max_n + 1)],
+                                tbasis.truncation_weight)
         self.ellt_table = tbasis.ell_table.union(self.t_table)
         self.vt_table = tbasis.v_table.union(self.t_table)
 
@@ -357,7 +358,8 @@ def typicality_filter(tstruct: TypicalStructure, n):
     p = tstruct.tbasis.p
     target = tstruct.ellt_table
     poly = moving_right_unit(n)
-    used = {poly.table.name(i) for mono in poly.terms for i, _ in mono}
+    used = {poly.table.name(i) for mono in poly.terms
+            for i, _ in poly.table.exponents(mono)}
     images = {}
     for name in used:
         family, j = name.split("_")

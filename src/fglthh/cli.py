@@ -52,9 +52,10 @@ def coeff_json(c):
 
 def poly_json(poly):
     terms = []
+    table = poly.table
     for mono, c in poly.sorted_terms():
         terms.append({"coeff": coeff_json(c),
-                      "mono": {poly.table.name(i): e for i, e in mono}})
+                      "mono": {table.name(i): e for i, e in table.exponents(mono)}})
     return {"terms": terms}
 
 
@@ -101,8 +102,8 @@ def poly_tex(poly):
     for mono, c in poly.sorted_terms():
         body = " ".join(
             f"{tex_gen(poly.table.name(i))}^{{{e}}}" if e > 1 else tex_gen(poly.table.name(i))
-            for i, e in mono)
-        if mono == ():
+            for i, e in poly.table.exponents(mono))
+        if not mono:
             text = tex_coeff(c)
         elif c == 1:
             text = body

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .exactalg import (GenTable, GradedPoly, FinAbGroup, IntMatrix,
                        IntegralityError, DegreeGuardError, ResourceGuardError,
-                       mono_mul, subquotient_group, rational_rank)
+                       subquotient_group, rational_rank)
 from .thh import ExtElement, ThhFlavor
 from .algebroid import CoordFlavor
 
@@ -327,8 +327,8 @@ def bar_tor_check(coord_flavor: CoordFlavor, weight_max, q_max):
     while coord_flavor.coord_weight(n) <= weight_max:
         weights.append(coord_flavor.coord_weight(n))
         n += 1
-    table = coord_flavor.coord_table(max(n - 1, 1)) if weights else GenTable(
-        [(coord_flavor.coord_name(1), coord_flavor.coord_weight(1))])
+    table = coord_flavor.coord_table(max(n - 1, 1), weight_max) if weights else GenTable(
+        [(coord_flavor.coord_name(1), coord_flavor.coord_weight(1))], weight_max)
 
     def positive_monos(w):
         return [m for m in table.monomials_of_weight(w) if m]
@@ -364,7 +364,7 @@ def bar_tor_check(coord_flavor: CoordFlavor, weight_max, q_max):
         rows = [[0] * len(dom) for _ in range(len(cod))]
         for j, tup in enumerate(dom):
             for i in range(1, q):
-                merged = tup[:i - 1] + (mono_mul(tup[i - 1], tup[i]),) + tup[i + 1:]
+                merged = tup[:i - 1] + (tup[i - 1] + tup[i],) + tup[i + 1:]
                 sign = -1 if i % 2 else 1
                 rows[index[merged]][j] += sign
         return IntMatrix.from_rows(rows, cols=len(dom))
@@ -410,8 +410,9 @@ def bar_tor_check(coord_flavor: CoordFlavor, weight_max, q_max):
 def de_rham_cohomology(gens, d_max):
     """Cohomology of the algebraic de Rham complex of a weighted polynomial
     ring (a Koszul-shaped complex with one exterior generator per ring
-    generator)."""
-    table = gens if isinstance(gens, GenTable) else GenTable(gens)
+    generator).  A generator list gets a table bounded by the largest
+    base weight through ``d_max``."""
+    table = gens if isinstance(gens, GenTable) else GenTable(gens, d_max // 2)
     return cohomology_groups(DeRhamDifferential(table), d_max)
 
 

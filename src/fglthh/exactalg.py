@@ -68,17 +68,24 @@ def _norm_coeff(c):
 # ---------------------------------------------------------------------------
 
 class GenTable:
-    """Weighted generator alphabet, sorted by (weight, name).
+    """Weighted generator alphabet, sorted by (weight, name), with a weight
+    bound.
 
-    A monomial is a tuple of ``(generator index, exponent)`` pairs with
-    positive exponents, sorted by index.  The table's sort order fixes the
-    canonical monomial order (graded, then exponent-lexicographic), which in
-    turn fixes the basis order of every matrix and all rendered output.
+    A monomial is one int with a bit field per generator.  Field ``i`` is
+    ``(bound // w_i).bit_length()`` bits wide, generator 0 sits in the
+    highest of these lower fields, and the weight sits above them, in the
+    top field from bit ``shift`` on.  A monomial of weight at most ``bound``
+    fits its fields, so no field carries: the product of two monomials is
+    their sum, the weight is ``mono >> shift``, and the canonical order
+    (ascending weight, then descending exponent vectors), which fixes the
+    basis order of every matrix and all rendered output, is the int
+    ``mono ^ mask``.
     """
 
-    __slots__ = ("gens", "_index", "_mono_cache", "_weights")
+    __slots__ = ("gens", "bound", "shift", "mask", "units", "_index",
+                 "_offsets", "_field_at", "_mono_cache")
 
-    def __init__(self, gens):
+    def __init__(self, gens, bound):
         gens = tuple(sorted(((str(n), int(w)) for (n, w) in gens),
                             key=lambda g: (g[1], g[0])))
         names = [n for n, _ in gens]
@@ -86,22 +93,33 @@ class GenTable:
             raise GeneratorTableError("duplicate generator names")
         if any(w <= 0 for _, w in gens):
             raise GeneratorTableError("generator weights must be positive")
+        if bound < 0:
+            raise GeneratorTableError("the weight bound must be nonnegative")
         self.gens = gens
+        self.bound = bound
         self._index = {n: i for i, (n, _) in enumerate(gens)}
+        widths = [(bound // w).bit_length() for _, w in gens]
+        offsets = [sum(widths[i + 1:]) for i in range(len(gens))]
+        self.shift = sum(widths)
+        self.mask = (1 << self.shift) - 1
+        self.units = tuple((w << self.shift) | (1 << off)
+                           for (_, w), off in zip(gens, offsets))
+        self._offsets = tuple(offsets)
+        self._field_at = [i for i in reversed(range(len(gens))) for _ in range(widths[i])]
         self._mono_cache = {}
-        self._weights = {}
 
     def __len__(self):
         return len(self.gens)
 
     def __eq__(self, other):
-        return isinstance(other, GenTable) and self.gens == other.gens
+        return (isinstance(other, GenTable) and self.gens == other.gens
+                and self.bound == other.bound)
 
     def __hash__(self):
-        return hash(self.gens)
+        return hash((self.gens, self.bound))
 
     def __repr__(self):
-        return f"GenTable({list(self.gens)!r})"
+        return f"GenTable({list(self.gens)!r}, {self.bound})"
 
     def index(self, name):
         try:
@@ -128,78 +146,70 @@ class GenTable:
             if merged.get(n, w) != w:
                 raise GeneratorTableError(f"conflicting weights for {n!r}")
             merged[n] = w
-        return GenTable(merged.items())
+        return GenTable(merged.items(), max(self.bound, other.bound))
+
+    def check_weight(self, w):
+        if w > self.bound:
+            raise DegreeGuardError(f"weight {w} exceeds the table bound {self.bound}")
+
+    def pack(self, pairs):
+        """The monomial with the given ``(generator index, exponent)`` pairs."""
+        mono = sum(e * self.units[i] for i, e in pairs)
+        self.check_weight(mono >> self.shift)
+        return mono
+
+    def exponents(self, mono):
+        """The ``(generator index, exponent)`` pairs of a monomial with a
+        positive exponent, by ascending index: each step reads the highest
+        nonzero field."""
+        rest = mono & self.mask
+        out = []
+        while rest:
+            i = self._field_at[rest.bit_length() - 1]
+            off = self._offsets[i]
+            e = rest >> off
+            out.append((i, e))
+            rest -= e << off
+        return tuple(out)
 
     def mono_weight(self, mono):
-        try:
-            return self._weights[mono]
-        except KeyError:
-            w = self._weights[mono] = sum(e * self.gens[i][1] for i, e in mono)
-            return w
+        return mono >> self.shift
 
     def mono_key(self, mono):
         """Canonical order key: ascending weight, then descending exponents."""
-        dense = [0] * len(self.gens)
-        for i, e in mono:
-            dense[i] = e
-        return (self.mono_weight(mono), tuple(-x for x in dense))
+        return mono ^ self.mask
 
     def mono_text(self, mono):
         if not mono:
             return "1"
         return "*".join(
             f"{self.gens[i][0]}^{e}" if e > 1 else self.gens[i][0]
-            for i, e in mono)
+            for i, e in self.exponents(mono))
 
     def monomials_of_weight(self, w):
         """All monomials of the given weight, in canonical order."""
         if w < 0:
             return ()
+        self.check_weight(w)
         if w not in self._mono_cache:
             out = []
-            gens = self.gens
+            gens, units = self.gens, self.units
 
             def rec(i, rem, acc):
                 if rem == 0:
-                    out.append(tuple(acc))
+                    out.append(acc)
                     return
                 if i >= len(gens) or gens[i][1] > rem:
                     return
                 rec(i + 1, rem, acc)
                 wt = gens[i][1]
                 for e in range(1, rem // wt + 1):
-                    acc.append((i, e))
-                    rec(i + 1, rem - e * wt, acc)
-                    acc.pop()
+                    rec(i + 1, rem - e * wt, acc + e * units[i])
 
-            rec(0, w, [])
+            rec(0, w, 0)
             out.sort(key=self.mono_key)
             self._mono_cache[w] = tuple(out)
         return self._mono_cache[w]
-
-
-def mono_mul(a, b):
-    """Product of two monomials: a merge of their index-sorted pairs."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        pa, pb = a[i], b[j]
-        if pa[0] < pb[0]:
-            out.append(pa)
-            i += 1
-        elif pb[0] < pa[0]:
-            out.append(pb)
-            j += 1
-        else:
-            out.append((pa[0], pa[1] + pb[1]))
-            i += 1
-            j += 1
-    return tuple(out) + a[i:] + b[j:]
 
 
 def coeff_text(c):
@@ -247,11 +257,11 @@ class GradedPoly:
     @classmethod
     def const(cls, table, c):
         c = _norm_coeff(c if isinstance(c, (int, Fraction)) else Fraction(c))
-        return cls._raw(table, {(): c} if c else {})
+        return cls._raw(table, {0: c} if c else {})
 
     @classmethod
     def one(cls, table):
-        return cls._raw(table, {(): 1})
+        return cls._raw(table, {0: 1})
 
     @classmethod
     def gen(cls, table, name, exp=1, coeff=1):
@@ -259,8 +269,8 @@ class GradedPoly:
         coeff = _norm_coeff(coeff)
         if exp < 0:
             raise ValueError("negative exponent")
-        mono = ((i, exp),) if exp else ()
-        return cls._raw(table, {mono: coeff} if coeff else {})
+        table.check_weight(exp * table.gens[i][1])
+        return cls._raw(table, {exp * table.units[i]: coeff} if coeff else {})
 
     # -- basic queries ------------------------------------------------------
 
@@ -268,21 +278,23 @@ class GradedPoly:
         return not self.terms
 
     def weight(self):
-        """Common weight of all terms; None for the zero polynomial."""
-        w = None
-        for mono in self.terms:
-            mw = self.table.mono_weight(mono)
-            if w is None:
-                w = mw
-            elif w != mw:
-                raise GradedWeightError(f"inhomogeneous polynomial: weights {w} and {mw}")
-        return w
+        """Common weight of all terms; None for the zero polynomial.  The
+        weight is the top field, so the smallest and the largest monomial
+        carry the smallest and the largest weight."""
+        if not self.terms:
+            return None
+        shift = self.table.shift
+        lo, hi = min(self.terms) >> shift, max(self.terms) >> shift
+        if lo != hi:
+            raise GradedWeightError(f"inhomogeneous polynomial: weights {lo} and {hi}")
+        return lo
 
-    def coefficient(self, mono):
-        return self.terms.get(tuple(sorted(mono)), 0)
+    def coefficient(self, pairs):
+        """Coefficient of the monomial with these ``(index, exponent)`` pairs."""
+        return self.terms.get(self.table.pack(pairs), 0)
 
     def coefficient_of_gen(self, name):
-        return self.terms.get(((self.table.index(name), 1),), 0)
+        return self.terms.get(self.table.units[self.table.index(name)], 0)
 
     def is_integral(self):
         return all(isinstance(c, int) for c in self.terms.values())
@@ -299,7 +311,8 @@ class GradedPoly:
         return True
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: self.table.mono_key(kv[0]))
+        mask = self.table.mask
+        return sorted(self.terms.items(), key=lambda kv: kv[0] ^ mask)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -352,21 +365,29 @@ class GradedPoly:
                 return self.scale(other)
             return NotImplemented
         self._check_table(other)
+        table, left, right = self.table, self.terms, other.terms
+        if not left or not right:
+            return GradedPoly._raw(table, {})
+        # one check per product: below the bound no field can carry
+        table.check_weight((max(left) >> table.shift) + (max(right) >> table.shift))
+        if len(right) == 1:
+            left, right = right, left
         out = {}
+        if len(left) == 1:
+            # a monomial factor moves every term to a distinct monomial
+            (m1, c1), = left.items()
+            for m2, c2 in right.items():
+                c = c1 * c2
+                out[m1 + m2] = c if type(c) is int else _norm_coeff(c)
+            return GradedPoly._raw(table, out)
         get = out.get
-        right = other.terms.items()
-        for m1, c1 in self.terms.items():
+        right = right.items()
+        for m1, c1 in left.items():
             for m2, c2 in right:
-                m = mono_mul(m1, m2)
-                s = get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        for m, c in out.items():
-            if type(c) is not int:
-                out[m] = _norm_coeff(c)
-        return GradedPoly._raw(self.table, out)
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+        return GradedPoly._raw(table, {m: c if type(c) is int else _norm_coeff(c)
+                                       for m, c in out.items() if c})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -406,7 +427,7 @@ class GradedPoly:
         parts = []
         for mono, c in self.sorted_terms():
             mtext = self.table.mono_text(mono)
-            if mono == ():
+            if not mono:
                 body = coeff_text(abs(c) if isinstance(c, int) else abs(c))
             elif c == 1:
                 body = mtext
@@ -427,25 +448,27 @@ class GradedPoly:
     def partials(self):
         """Every nonzero first partial derivative, keyed by generator index
         in ascending order; one pass over the terms."""
+        table = self.table
         out = {}
         for mono, c in self.terms.items():
-            for k, (i, e) in enumerate(mono):
-                rest = mono[:k] + ((i, e - 1),) * (e > 1) + mono[k + 1:]
+            for i, e in table.exponents(mono):
+                rest = mono - table.units[i]
                 part = out.setdefault(i, {})
                 s = part.get(rest, 0) + c * e
                 if s:
                     part[rest] = s
                 else:
                     del part[rest]
-        return {i: GradedPoly._raw(self.table, {m: _norm_coeff(c) for m, c in part.items()})
+        return {i: GradedPoly._raw(table, {m: _norm_coeff(c) for m, c in part.items()})
                 for i, part in sorted(out.items()) if part}
 
     def component_in(self, names, degree):
         """Terms whose total exponent over the named generators equals ``degree``."""
-        idxs = {self.table.index(n) for n in names}
+        table = self.table
+        idxs = {table.index(n) for n in names}
         out = {m: c for m, c in self.terms.items()
-               if sum(e for i, e in m if i in idxs) == degree}
-        return GradedPoly._raw(self.table, out)
+               if sum(e for i, e in table.exponents(m) if i in idxs) == degree}
+        return GradedPoly._raw(table, out)
 
     def collect_by(self, names):
         """Group terms by their sub-monomial over the named generators.
@@ -453,26 +476,32 @@ class GradedPoly:
         Returns a dict mapping the sub-monomial (on this table) to the
         cofactor polynomial in the remaining generators.
         """
-        idxs = {self.table.index(n) for n in names}
+        table = self.table
+        idxs = {table.index(n) for n in names}
         groups = {}
         for mono, c in self.terms.items():
-            key = tuple((i, e) for i, e in mono if i in idxs)
-            rest = tuple((i, e) for i, e in mono if i not in idxs)
-            groups.setdefault(key, {})[rest] = c
-        return {k: GradedPoly._raw(self.table, v) for k, v in groups.items()}
+            key = sum(e * table.units[i] for i, e in table.exponents(mono) if i in idxs)
+            groups.setdefault(key, {})[mono - key] = c
+        return {k: GradedPoly._raw(table, v) for k, v in groups.items()}
 
     def extend_to(self, target):
         """Re-express on another table; every generator actually used must
         exist there under the same name."""
-        remap = {}
+        source = self.table
+        if source == target:
+            return GradedPoly._raw(target, dict(self.terms))
+        units = {}
         out = {}
         for mono, c in self.terms.items():
-            key = []
-            for i, e in mono:
-                if i not in remap:
-                    remap[i] = target.index(self.table.name(i))
-                key.append((remap[i], e))
-            out[tuple(sorted(key))] = c
+            key = 0
+            for i, e in source.exponents(mono):
+                if i not in units:
+                    units[i] = target.units[target.index(source.name(i))]
+                key += e * units[i]
+            out[key] = c
+        # a carry out of a field only raises the weight read from the top
+        if out:
+            target.check_weight(max(out) >> target.shift)
         return GradedPoly._raw(target, out)
 
     def substitute(self, images, target):
@@ -481,7 +510,9 @@ class GradedPoly:
         ``images`` maps generator names to polynomials over ``target``;
         generators without an image must exist in ``target`` with the same
         weight.  Each image must be zero or homogeneous of the generator's
-        weight, so substitution preserves homogeneity.
+        weight, so substitution preserves homogeneity.  Monomials that share
+        their leading ``(index, exponent)`` pairs share the product of those
+        factors, which is formed once.
         """
         for name, img in images.items():
             if img.table != target:
@@ -491,35 +522,50 @@ class GradedPoly:
                 raise GradedWeightError(f"image of {name!r} has weight {w}, "
                                         f"expected {self.table.weight_of(name)}")
         pow_cache = {}
-        out = GradedPoly.zero(target)
+        prefixes = {}
+        out = {}
+        get = out.get
+        source, one = self.table, GradedPoly.one(target)
         for mono, c in self.terms.items():
-            acc = GradedPoly.const(target, c)
-            for i, e in mono:
-                name = self.table.name(i)
-                if name in images:
-                    key = (name, e)
-                    if key not in pow_cache:
-                        pow_cache[key] = images[name] ** e
-                    factor = pow_cache[key]
-                else:
-                    factor = GradedPoly.gen(target, name, e)
-                acc = acc * factor
-                if acc.is_zero():
+            acc, prefix = one, 0
+            pairs = source.exponents(mono)
+            for k, (i, e) in enumerate(pairs, 1):
+                prefix += e * source.units[i]
+                known = prefixes.get(prefix)
+                if known is None:
+                    name = source.name(i)
+                    if name in images:
+                        key = (name, e)
+                        if key not in pow_cache:
+                            pow_cache[key] = images[name] ** e
+                        factor = pow_cache[key]
+                    else:
+                        factor = GradedPoly.gen(target, name, e)
+                    known = acc * factor
+                    if k < len(pairs):
+                        prefixes[prefix] = known
+                acc = known
+                if not acc.terms:
                     break
-            if not acc.is_zero():
-                out = _accumulate(out, acc)
-        return out
+            for m, a in acc.terms.items():
+                s = get(m, 0) + c * a
+                if s:
+                    out[m] = s if type(s) is int else _norm_coeff(s)
+                else:
+                    del out[m]
+        return GradedPoly._raw(target, out)
 
 
 def _accumulate(total, piece):
     # unchecked add for internal accumulation of same-weight pieces
     out = total.terms
+    get = out.get
     for mono, c in piece.terms.items():
-        s = out.get(mono, 0) + c
+        s = get(mono, 0) + c
         if s:
-            out[mono] = _norm_coeff(s)
+            out[mono] = s if type(s) is int else _norm_coeff(s)
         else:
-            out.pop(mono, None)
+            del out[mono]
     return GradedPoly._raw(total.table, out)
 
 

@@ -84,8 +84,8 @@ class LazardBasis:
 
     def __init__(self, N):
         self.N = N
-        self.m_table = GenTable([(m_name(n), n) for n in range(1, N + 1)])
-        self.x_table = GenTable([(x_name(n), n) for n in range(1, N + 1)])
+        self.m_table = GenTable([(m_name(n), n) for n in range(1, N + 1)], N)
+        self.x_table = GenTable([(x_name(n), n) for n in range(1, N + 1)], N)
         self.fgl = fgl_from_log(
             [GradedPoly.gen(self.m_table, m_name(n)) for n in range(1, N + 1)],
             N + 1)
@@ -119,10 +119,10 @@ class LazardBasis:
     def _auto_generator(self, n):
         mono_list = self.m_table.monomials_of_weight(n)
         mono_index = {m: k for k, m in enumerate(mono_list)}
-        top = ((self.m_table.index(m_name(n)), 1),)
+        top = self.m_table.units[self.m_table.index(m_name(n))]
 
         linear = [(i, n + 1 - i) for i in range(1, (n + 1) // 2 + 1)]
-        tops = [int(self.a_in_m[(i, j)].coefficient(top)) for (i, j) in linear]
+        tops = [int(self.a_in_m[(i, j)].coefficient_of_gen(m_name(n))) for (i, j) in linear]
         d, combo = _ext_gcd_combo(tops)
         expect = lazard_indecomposable_unit(n)
         if d != expect:
@@ -141,10 +141,11 @@ class LazardBasis:
 
         decomposables = []
         for mono in self.x_table.monomials_of_weight(n):
-            if len(mono) == 1 and mono[0][1] == 1:
+            pairs = self.x_table.exponents(mono)
+            if len(pairs) == 1 and pairs[0][1] == 1:
                 continue
             poly = GradedPoly.one(self.m_table)
-            for gi, e in mono:
+            for gi, e in pairs:
                 k = int(self.x_table.name(gi).split("_")[1])
                 poly = poly * self.x_in_m[k] ** e
             row = [0] * len(mono_list)
@@ -268,8 +269,12 @@ class TypicalBasis:
             raise ValueError("max_n must be at least 1")
         self.p = p
         self.max_n = max_n
-        self.ell_table = GenTable([(ell_name(n), p ** n - 1) for n in range(1, max_n + 1)])
-        self.v_table = GenTable([(v_name(n), p ** n - 1) for n in range(1, max_n + 1)])
+        # the ring on v_1..v_max_n is complete through the weight just below v_{max_n+1}
+        self.truncation_weight = p ** (max_n + 1) - 2
+        self.ell_table = GenTable([(ell_name(n), p ** n - 1) for n in range(1, max_n + 1)],
+                                  self.truncation_weight)
+        self.v_table = GenTable([(v_name(n), p ** n - 1) for n in range(1, max_n + 1)],
+                                self.truncation_weight)
         self.ell_in_v = {}
         for n in range(1, max_n + 1):
             acc = GradedPoly.gen(self.v_table, v_name(n))

@@ -10,6 +10,8 @@ construction.
 
 from __future__ import annotations
 
+from math import comb
+
 from .exactalg import ExactAlgError, GradedPoly, GeneratorTableError, _accumulate
 
 
@@ -258,13 +260,39 @@ class FGLaw:
         return out
 
 
+def _power_table(f):
+    """``P[j][k] = [x^k] f^j`` for ``0 <= j <= k <= bound`` of a strict
+    series, row by row: ``P[j][k] = sum_t [x^t] f * P[j-1][k-t]``."""
+    table, bound = f.table, f.bound
+    zero = GradedPoly.zero(table)
+    c = [f.coeff(k) for k in range(bound + 1)]
+    rows = [[GradedPoly.one(table)] + [zero] * bound]
+    for j in range(1, bound + 1):
+        prev, row = rows[-1], [zero] * (bound + 1)
+        for k in range(j, bound + 1):
+            acc = GradedPoly.zero(table)
+            for t in range(1, k - j + 2):
+                if c[t].terms and prev[k - t].terms:
+                    acc = _accumulate(acc, c[t] * prev[k - t])
+            row[k] = acc
+        rows.append(row)
+    return rows
+
+
 def fgl_from_log(m_list, bound):
     """Universal formal group law from its logarithm coefficients.
 
     ``m_list[n-1]`` is the weight-``n`` logarithm coefficient (the
     coefficient of ``x^(n+1)``); ``F(x,y) = exp(log(x) + log(y))`` where
-    ``exp`` is the compositional inverse of ``log``.  With all coefficients
-    zero this yields the additive law ``x + y``.
+    ``exp = sum e_k z^k`` is the compositional inverse of ``log``.  Expanding
+    ``(log x + log y)^k`` by the binomial formula, with
+    ``P[i][a] = [x^a] log(x)^i``, gives ``[x^a y^b] F = sum_i P[i][a] R[i][b]``
+    where ``R[i][b] = sum_j C(i+j, i) e_(i+j) P[j][b]``: O(bound^3) products of
+    one-variable coefficients and no two-variable composition.  Every
+    coefficient, those with ``a = 0`` or ``b = 0`` and both of each
+    symmetric pair included, is computed, so the identity and symmetry
+    checks below test the construction.  With all coefficients zero this
+    yields the additive law ``x + y``.
     """
     if not m_list:
         raise SeriesError("logarithm coefficients required (may be zero polynomials)")
@@ -274,14 +302,27 @@ def fgl_from_log(m_list, bound):
     log = series_from_coefficient_table(
         table, bound, {n + 1: p for n, p in enumerate(m_list)})
     exp = comp_inverse(log)
-    x2 = TruncatedSeries.variable(table, bound, nvars=2, which=0)
-    y2 = TruncatedSeries.variable(table, bound, nvars=2, which=1)
-    log_xy = TruncatedSeries(table, 2, bound,
-                             {(k, 0): p for (k,), p in log.coeffs.items()})
-    log_xy = log_xy + TruncatedSeries(table, 2, bound,
-                                      {(0, k): p for (k,), p in log.coeffs.items()})
-    F2 = compose(exp, log_xy)
-    law = FGLaw(table, bound, F2)
+    e = [exp.coeff(k) for k in range(bound + 1)]
+    P = _power_table(log)
+    R = []
+    for i in range(bound + 1):
+        row = []
+        for b in range(bound + 1 - i):
+            acc = GradedPoly.zero(table)
+            for j in range(b + 1):
+                if e[i + j].terms and P[j][b].terms:
+                    acc = _accumulate(acc, (e[i + j] * P[j][b]).scale(comb(i + j, i)))
+            row.append(acc)
+        R.append(row)
+    coeffs = {}
+    for a in range(bound + 1):
+        for b in range(bound + 1 - a):
+            acc = GradedPoly.zero(table)
+            for i in range(a + 1):
+                if P[i][a].terms and R[i][b].terms:
+                    acc = _accumulate(acc, P[i][a] * R[i][b])
+            coeffs[(a, b)] = acc
+    law = FGLaw(table, bound, TruncatedSeries(table, 2, bound, coeffs))
     # F(x, 0) = x and symmetry are construction invariants; fail loudly if broken
     for (i, j), p in law.series.coeffs.items():
         if j == 0 and not (i == 1 and p == GradedPoly.one(table)):

@@ -55,12 +55,10 @@ def mu_split_flavor(basis: LazardBasis):
 
 
 def bp_flavor(tbasis: TypicalBasis):
-    # the ring on v_1..v_max_n is complete through the weight just below v_{max_n+1}
     p = tbasis.p
     return ThhFlavor("bp", tbasis.v_table, "lambda",
                      tuple((n, p ** n - 1) for n in range(1, tbasis.max_n + 1)),
-                     prime=p,
-                     truncation_weight=p ** (tbasis.max_n + 1) - 2)
+                     prime=p, truncation_weight=tbasis.truncation_weight)
 
 
 def merge_sign(left, right):
@@ -165,9 +163,9 @@ class ExtElement:
         return (isinstance(other, ExtElement) and self.flavor == other.flavor
                 and self.terms == other.terms)
 
-    def coefficient(self, subset, mono):
+    def coefficient(self, subset, pairs):
         poly = self.terms.get(tuple(subset))
-        return 0 if poly is None else poly.terms.get(mono, 0)
+        return 0 if poly is None else poly.coefficient(pairs)
 
     def is_integral(self):
         return all(p.is_integral() for p in self.terms.values())
@@ -185,7 +183,7 @@ class ExtElement:
             if len(items) == 1:
                 mono, c = items[0]
                 body = self.flavor.base.mono_text(mono)
-                factors = [x for x in ([] if mono == () else [body]) + ([ext] if ext else [])]
+                factors = [x for x in ([body] if mono else []) + ([ext] if ext else [])]
                 core = "*".join(factors) if factors else "1"
                 if c == 1:
                     text = core
@@ -306,7 +304,8 @@ def _linear_split_part(structure: MuStructure, flavor, poly):
     linear = poly.component_in(b_names, 1)
     terms = {}
     for bmono, cof in linear.collect_by(b_names).items():
-        idx = int(structure.xb_table.name(bmono[0][0]).split("_")[1])
+        (gi, _), = structure.xb_table.exponents(bmono)
+        idx = int(structure.xb_table.name(gi).split("_")[1])
         terms[(idx,)] = cof.substitute({}, structure.basis.x_table)
     return ExtElement(flavor, terms)
 

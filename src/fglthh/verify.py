@@ -125,11 +125,12 @@ def verify_mu(flavor_tag, N, d_max):
             ok = False
     _check(results, "counit composed with right unit is the identity", ok)
 
-    # ring map on all monomial pairs of total weight <= 5
+    # ring map on all monomial pairs of total weight <= 5 inside the truncation
     images = {m_name(k): structure.eta_m(k) for k in range(1, N + 1)}
     ok = True
-    for w1 in range(1, 5):
-        for w2 in range(1, 6 - w1):
+    top = min(N, 5)
+    for w1 in range(1, top):
+        for w2 in range(1, top + 1 - w1):
             for mono1 in basis.m_table.monomials_of_weight(w1):
                 p1 = GradedPoly(basis.m_table, {mono1: 1})
                 for mono2 in basis.m_table.monomials_of_weight(w2):

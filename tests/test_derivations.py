@@ -19,20 +19,23 @@ from fglthh.cohomology import (DeRhamDifferential, bp_degree_range,
 
 
 TABLE = GenTable([("b_1", 1), ("b_2", 2), ("b_3", 3),
-                  ("x_1", 1), ("x_2", 2), ("x_3", 3)])
+                  ("x_1", 1), ("x_2", 2), ("x_3", 3)], 5)
 
 coeffs = st.integers(min_value=-9, max_value=9)
 mixed_coeffs = st.one_of(coeffs, st.builds(Fraction, coeffs, st.integers(1, 4)))
 
 
 def partial_oracle(poly, name):
-    """The former ``GradedPoly.partial``: one generator per pass."""
-    gi = poly.table.index(name)
+    """The former ``GradedPoly.partial``: one generator per pass, on the
+    ``(index, exponent)`` pairs of each monomial."""
+    table = poly.table
+    gi = table.index(name)
     out = {}
-    for mono, c in poly.terms.items():
+    for packed, c in poly.terms.items():
+        mono = table.exponents(packed)
         for k, (i, e) in enumerate(mono):
             if i == gi:
-                rest = mono[:k] + ((i, e - 1),) * (e > 1) + mono[k + 1:]
+                rest = table.pack(mono[:k] + ((i, e - 1),) * (e > 1) + mono[k + 1:])
                 s = out.get(rest, 0) + c * e
                 if s:
                     out[rest] = _norm_coeff(s)
@@ -65,7 +68,8 @@ def log_basis_rank_oracle(log_table, weight):
     rows_index = {}
     rows = []
     cols = []
-    for mono in monos:
+    for packed in monos:
+        mono = log_table.exponents(packed)
         col = {}
         for k, (gi, e) in enumerate(mono):
             rest = mono[:k] + ((gi, e - 1),) * (e > 1) + mono[k + 1:]
@@ -107,14 +111,15 @@ def test_partials_match_the_per_generator_partial(poly):
 
 
 def test_partials_normalize_integral_fractions():
-    poly = GradedPoly(TABLE, {((0, 2),): Fraction(1, 2), ((0, 1), (3, 1)): 3})
+    pk = TABLE.pack
+    poly = GradedPoly(TABLE, {pk(((0, 2),)): Fraction(1, 2), pk(((0, 1), (3, 1))): 3})
     parts = poly.partials()
-    assert _typed(parts[0]) == {((0, 1),): (1, int), ((3, 1),): (3, int)}
-    assert _typed(parts[3]) == {((0, 1),): (3, int)}
+    assert _typed(parts[0]) == {pk(((0, 1),)): (1, int), pk(((3, 1),)): (3, int)}
+    assert _typed(parts[3]) == {pk(((0, 1),)): (3, int)}
     assert GradedPoly.const(TABLE, 5).partials() == {}
 
 
-DE_RHAM = DeRhamDifferential(GenTable([("y_1", 1), ("y_2", 2), ("y_3", 3)]))
+DE_RHAM = DeRhamDifferential(GenTable([("y_1", 1), ("y_2", 2), ("y_3", 3)], 8))
 
 
 @st.composite

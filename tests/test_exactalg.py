@@ -6,15 +6,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from fglthh import exactalg
 from fglthh.exactalg import (
-    GenTable, GradedPoly, GradedWeightError, GeneratorTableError, mono_mul,
+    GenTable, GradedPoly, GradedWeightError, GeneratorTableError,
     UnderdeterminedSystemError, ComplexViolationError, IntMatrix, FinAbGroup,
     SmithDecomposition, smith_normal_form_full, invariant_factors, det_int,
     solve_rational_linear, solve_integer, subquotient_group, row_hnf,
     reduce_mod_rows, rational_rank)
 
 
+# the bound holds the product of two of the monomials drawn below
 TABLE = GenTable([("b_1", 1), ("b_2", 2), ("b_3", 3),
-                  ("x_1", 1), ("x_2", 2), ("x_3", 3)])
+                  ("x_1", 1), ("x_2", 2), ("x_3", 3)], 80)
 
 
 def g(name, exp=1):
@@ -45,7 +46,7 @@ def test_homogeneous_add_mismatch():
 
 
 def test_table_mismatch():
-    other = GenTable([("b_1", 1)])
+    other = GenTable([("b_1", 1)], 80)
     with pytest.raises(GeneratorTableError):
         g("b_1") + GradedPoly.gen(other, "b_1")
 
@@ -118,7 +119,7 @@ def naive_poly_mul(a, b):
         for m2, c2 in b.terms.items():
             dense = [0] * n
             for mono in (m1, m2):
-                for i, e in mono:
+                for i, e in TABLE.exponents(mono):
                     dense[i] += e
             m = tuple((i, e) for i, e in enumerate(dense) if e)
             out[m] = out.get(m, 0) + Fraction(c1) * Fraction(c2)
@@ -139,13 +140,16 @@ def mixed_poly(draw):
 
 @given(monomials, monomials, mixed_poly(), mixed_poly())
 def test_product_kernel_matches_references(m1, m2, a, b):
-    assert mono_mul(m1, m2) == sorted_dict_mono_mul(m1, m2)
-    for m in (m1, m2, mono_mul(m1, m2)):
+    # the packed product is one addition; unpacked, it is the merge
+    packed = TABLE.pack(m1) + TABLE.pack(m2)
+    assert TABLE.exponents(packed) == sorted_dict_mono_mul(m1, m2)
+    for m in (m1, m2, sorted_dict_mono_mul(m1, m2)):
         plain = sum(e * TABLE.gens[i][1] for i, e in m)
-        assert TABLE.mono_weight(m) == plain  # computed and memoised
-        assert TABLE.mono_weight(m) == plain  # read from the memo
+        assert TABLE.mono_weight(TABLE.pack(m)) == plain  # one shift
+        assert TABLE.exponents(TABLE.pack(m)) == m
     prod = a * b
-    assert {m: Fraction(c) for m, c in prod.terms.items()} == naive_poly_mul(a, b)
+    assert ({TABLE.exponents(m): Fraction(c) for m, c in prod.terms.items()}
+            == naive_poly_mul(a, b))
     for c in prod.terms.values():
         assert type(c) is int or c.denominator != 1
 

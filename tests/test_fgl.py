@@ -83,7 +83,7 @@ def dense_rewrite(basis, poly):
     matrix = [[0] * len(x_monos) for _ in m_monos]
     for j, mono in enumerate(x_monos):
         expanded = GradedPoly.one(basis.m_table)
-        for gi, e in mono:
+        for gi, e in basis.x_table.exponents(mono):
             k = int(basis.x_table.name(gi).split("_")[1])
             expanded = expanded * basis.x_in_m[k] ** e
         for m, c in expanded.terms.items():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,8 @@ from fglthh.series import (TruncatedSeries, SeriesError, compose, comp_inverse,
 
 
 N = 7
-B = GenTable([(f"b_{n}", n) for n in range(1, N + 1)])
-M = GenTable([(f"m_{n}", n) for n in range(1, N + 1)])
+B = GenTable([(f"b_{n}", n) for n in range(1, N + 1)], N)
+M = GenTable([(f"m_{n}", n) for n in range(1, N + 1)], N)
 
 
 def bgen(n):
@@ -118,7 +119,7 @@ def recomposing_inverse(f):
     return g
 
 
-SMALL = GenTable([("c_1", 1), ("c_2", 2), ("d_2", 2), ("c_3", 3)])
+SMALL = GenTable([("c_1", 1), ("c_2", 2), ("d_2", 2), ("c_3", 3)], 8)
 exact_coeffs = st.one_of(
     st.integers(-6, 6),
     st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
@@ -222,7 +223,7 @@ def test_law_commutativity(law):
 def test_formal_sum_additive_case():
     zeros = [GradedPoly.zero(M) for _ in range(5)]
     add = fgl_from_log(zeros, 6)
-    mc = GenTable([(f"m_{n}", n) for n in range(1, 8)] + [("c_1", 1)])
+    mc = GenTable([(f"m_{n}", n) for n in range(1, 8)] + [("c_1", 1)], N)
     add = add.extend_table(mc)
     x = TruncatedSeries.variable(mc, 6)
     t = TruncatedSeries.monomial(mc, 6, GradedPoly.gen(mc, "c_1"), 2)
@@ -231,7 +232,7 @@ def test_formal_sum_additive_case():
 
 def test_formal_sum_hand_expansion(law):
     # F(x, c1 x^2) = x + c1 x^2 + a_{11} c1 x^3 + ... by direct substitution
-    mc = GenTable([(f"m_{n}", n) for n in range(1, 8)] + [("c_1", 1)])
+    mc = GenTable([(f"m_{n}", n) for n in range(1, 8)] + [("c_1", 1)], N)
     lawc = law.extend_table(mc)
     x = TruncatedSeries.variable(mc, lawc.bound)
     c1 = GradedPoly.gen(mc, "c_1")
@@ -245,6 +246,72 @@ def test_formal_sum_hand_expansion(law):
 def test_formal_sum_empty():
     with pytest.raises(SeriesError):
         fgl_formal_sum(None, [])
+
+
+# ---------------------------------------------------------------------------
+# the binomial construction against two-variable composition
+# ---------------------------------------------------------------------------
+
+def composed_law(m_list, bound):
+    """The law as ``compose(exp, log(x) + log(y))``, the route
+    ``fgl_from_log`` took before the binomial formula, kept verbatim as its
+    reference."""
+    table = m_list[0].table
+    log = series_from_coefficient_table(
+        table, bound, {n + 1: p for n, p in enumerate(m_list)})
+    exp = comp_inverse(log)
+    log_xy = TruncatedSeries(table, 2, bound,
+                             {(k, 0): p for (k,), p in log.coeffs.items()})
+    log_xy = log_xy + TruncatedSeries(table, 2, bound,
+                                      {(0, k): p for (k,), p in log.coeffs.items()})
+    return compose(exp, log_xy)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_law_matches_composition(n):
+    table = GenTable([(f"m_{k}", k) for k in range(1, n + 1)], n)
+    m_list = [GradedPoly.gen(table, f"m_{k}") for k in range(1, n + 1)]
+    assert fgl_from_log(m_list, n + 1).series == composed_law(m_list, n + 1)
+
+
+def test_additive_law_matches_composition():
+    zeros = [GradedPoly.zero(M) for _ in range(N)]
+    law = fgl_from_log(zeros, N + 1)
+    assert law.series == composed_law(zeros, N + 1)
+    assert law.series == (TruncatedSeries.variable(M, N + 1, nvars=2, which=0)
+                          + TruncatedSeries.variable(M, N + 1, nvars=2, which=1))
+
+
+def test_fraction_log_matches_composition():
+    # log(x) = x + m_1 x^2 / 2 + m_2 x^3 / 3 + ..., the logarithm of a
+    # p-typical-like shape with non-integral coefficients
+    m_list = [mgen(k).scale(Fraction(1, k + 1)) for k in range(1, N + 1)]
+    law = fgl_from_log(m_list, N + 1)
+    assert law.series == composed_law(m_list, N + 1)
+    assert not all(p.is_integral() for p in law.coefficients().values())
+
+
+def test_law_makes_no_composition(monkeypatch):
+    calls = []
+
+    def counting_compose(outer, inner):
+        calls.append(inner.nvars)
+        return compose(outer, inner)
+
+    monkeypatch.setattr(series, "compose", counting_compose)
+    fgl_from_log([mgen(n) for n in range(1, N + 1)], N + 1)
+    assert calls == []
+
+
+def test_symmetry_check_catches_a_broken_law(monkeypatch):
+    # a binomial weight that is wrong only where both variables appear:
+    # the identity F(x, 0) = x still holds, the symmetry does not
+    def skewed(n, k):
+        return math.comb(n, k) + (k if 0 < k < n else 0)
+
+    monkeypatch.setattr(series, "comb", skewed)
+    with pytest.raises(SeriesError, match="not symmetric"):
+        fgl_from_log([mgen(n) for n in range(1, N + 1)], 6)
 
 
 def test_fgl_from_log_insufficient_data():
