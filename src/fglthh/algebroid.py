@@ -168,9 +168,12 @@ class MuStructure:
             raise IntegralityError(f"right unit of x_{n} is not integral")
         return out
 
+    @cached_property
+    def _m_images_xb(self):
+        return self.basis.m_images(self.xb_table)
+
     def _rewrite_mb_to_xb(self, poly):
-        images = self.basis.m_images(self.xb_table)
-        return poly.substitute(images, self.xb_table)
+        return poly.substitute(self._m_images_xb, self.xb_table)
 
     # -- right unit, moving coordinates ---------------------------------------
 

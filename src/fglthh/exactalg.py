@@ -510,9 +510,16 @@ class GradedPoly:
         ``images`` maps generator names to polynomials over ``target``;
         generators without an image must exist in ``target`` with the same
         weight.  Each image must be zero or homogeneous of the generator's
-        weight, so substitution preserves homogeneity.  Monomials that share
-        their leading ``(index, exponent)`` pairs share the product of those
-        factors, which is formed once.
+        weight, so substitution preserves homogeneity.
+
+        Terms are grouped by their mapped part, the sub-monomial over the
+        generators with an image.  Each group costs one product of image
+        powers, and groups whose mapped parts share leading
+        ``(index, exponent)`` pairs share the product of those factors; the
+        rest of each term is read across to ``target`` as a cofactor.  Every
+        image is scaled by the lcm d of its denominators, so these products
+        are integral, and so is each coefficient ``c / prod d^e`` over the
+        common denominator of them all.
         """
         for name, img in images.items():
             if img.table != target:
@@ -521,39 +528,54 @@ class GradedPoly:
             if w is not None and w != self.table.weight_of(name):
                 raise GradedWeightError(f"image of {name!r} has weight {w}, "
                                         f"expected {self.table.weight_of(name)}")
-        pow_cache = {}
-        prefixes = {}
-        out = {}
-        get = out.get
-        source, one = self.table, GradedPoly.one(target)
+        source = self.table
+        scaled, denom = [], []
+        for name in source.names:
+            img = images.get(name)
+            d = 1 if img is None else math.lcm(
+                *(c.denominator for c in img.terms.values() if type(c) is not int))
+            scaled.append(None if img is None else img.scale(d))
+            denom.append(d)
+        groups = {}
         for mono, c in self.terms.items():
+            mapped, den = 0, 1
+            for i, e in source.exponents(mono):
+                if scaled[i] is not None:
+                    mapped += e * source.units[i]
+                    den *= denom[i] ** e
+            groups.setdefault(mapped, {})[mono - mapped] = (
+                c if den == 1 else _norm_coeff(Fraction(c, den)))
+        common = math.lcm(*(s.denominator for rest in groups.values()
+                            for s in rest.values() if type(s) is not int))
+        pow_cache, prefixes, out = {}, {}, {}
+        get = out.get
+        one = GradedPoly.one(target)
+        for mapped, rest in groups.items():
             acc, prefix = one, 0
-            pairs = source.exponents(mono)
+            pairs = source.exponents(mapped)
             for k, (i, e) in enumerate(pairs, 1):
                 prefix += e * source.units[i]
                 known = prefixes.get(prefix)
                 if known is None:
-                    name = source.name(i)
-                    if name in images:
-                        key = (name, e)
-                        if key not in pow_cache:
-                            pow_cache[key] = images[name] ** e
-                        factor = pow_cache[key]
-                    else:
-                        factor = GradedPoly.gen(target, name, e)
+                    factor = pow_cache.get((i, e))
+                    if factor is None:
+                        factor = pow_cache[(i, e)] = scaled[i] ** e
                     known = acc * factor
                     if k < len(pairs):
                         prefixes[prefix] = known
                 acc = known
                 if not acc.terms:
                     break
-            for m, a in acc.terms.items():
-                s = get(m, 0) + c * a
-                if s:
-                    out[m] = s if type(s) is int else _norm_coeff(s)
-                else:
-                    del out[m]
-        return GradedPoly._raw(target, out)
+            if not acc.terms:
+                continue
+            cofactor = GradedPoly._raw(
+                source, {m: int(s * common) for m, s in rest.items()}).extend_to(target)
+            for m, a in (acc * cofactor).terms.items():
+                out[m] = get(m, 0) + a
+        if common == 1:
+            return GradedPoly._raw(target, {m: v for m, v in out.items() if v})
+        return GradedPoly._raw(target, {m: _norm_coeff(Fraction(v, common))
+                                        for m, v in out.items() if v})
 
 
 def _accumulate(total, piece):
