@@ -488,7 +488,7 @@ class GradedPoly:
         """Re-express on another table; every generator actually used must
         exist there under the same name."""
         source = self.table
-        if source == target:
+        if source is target or source == target:
             return GradedPoly._raw(target, dict(self.terms))
         units = {}
         out = {}
@@ -552,17 +552,14 @@ class GradedPoly:
         one = GradedPoly.one(target)
         for mapped, rest in groups.items():
             acc, prefix = one, 0
-            pairs = source.exponents(mapped)
-            for k, (i, e) in enumerate(pairs, 1):
+            for i, e in source.exponents(mapped):
                 prefix += e * source.units[i]
                 known = prefixes.get(prefix)
                 if known is None:
                     factor = pow_cache.get((i, e))
                     if factor is None:
                         factor = pow_cache[(i, e)] = scaled[i] ** e
-                    known = acc * factor
-                    if k < len(pairs):
-                        prefixes[prefix] = known
+                    known = prefixes[prefix] = acc * factor
                 acc = known
                 if not acc.terms:
                     break

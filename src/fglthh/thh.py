@@ -306,7 +306,7 @@ def _linear_split_part(structure: MuStructure, flavor, poly):
     for bmono, cof in linear.collect_by(b_names).items():
         (gi, _), = structure.xb_table.exponents(bmono)
         idx = int(structure.xb_table.name(gi).split("_")[1])
-        terms[(idx,)] = cof.substitute({}, structure.basis.x_table)
+        terms[(idx,)] = cof.extend_to(structure.basis.x_table)
     return ExtElement(flavor, terms)
 
 
