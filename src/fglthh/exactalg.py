@@ -569,9 +569,7 @@ class GradedPoly:
                 source, {m: int(s * common) for m, s in rest.items()}).extend_to(target)
             for m, a in (acc * cofactor).terms.items():
                 out[m] = get(m, 0) + a
-        if common == 1:
-            return GradedPoly._raw(target, {m: v for m, v in out.items() if v})
-        return GradedPoly._raw(target, {m: _norm_coeff(Fraction(v, common))
+        return GradedPoly._raw(target, {m: v if common == 1 else _norm_coeff(Fraction(v, common))
                                         for m, v in out.items() if v})
 
 

@@ -170,6 +170,16 @@ def compose(outer, inner):
     return out
 
 
+def _power_entry(c, prev, j, k):
+    """``[x^k] f^j = sum_t c_t [x^(k-t)] f^(j-1)`` for a strict series
+    ``f = sum c_t x^t``, from the row ``prev`` of ``f^(j-1)``."""
+    acc = GradedPoly.zero(prev[0].table)
+    for t in range(1, k - j + 2):
+        if c[t].terms and prev[k - t].terms:
+            acc = _accumulate(acc, c[t] * prev[k - t])
+    return acc
+
+
 def comp_inverse(f):
     """Compositional inverse of a strict series, degree by degree.
 
@@ -190,13 +200,9 @@ def comp_inverse(f):
         powers.append([zero] * k + [one] + [zero] * (bound - k))
         bk = GradedPoly.zero(table)
         for j in range(2, k + 1):
-            row, prev = powers[j], powers[j - 1]
+            row = powers[j]
             if j < k:
-                pjk = _accumulate(GradedPoly.zero(table), prev[k - 1])
-                for i in range(2, k - j + 2):
-                    if b[i].terms and prev[k - i].terms:
-                        pjk = _accumulate(pjk, b[i] * prev[k - i])
-                row[k] = pjk
+                row[k] = _power_entry(b, powers[j - 1], j, k)
             aj = f.coeffs.get((j,))
             if aj is not None and row[k].terms:
                 bk = _accumulate(bk, aj * row[k])
@@ -261,21 +267,13 @@ class FGLaw:
 
 
 def _power_table(f):
-    """``P[j][k] = [x^k] f^j`` for ``0 <= j <= k <= bound`` of a strict
-    series, row by row: ``P[j][k] = sum_t [x^t] f * P[j-1][k-t]``."""
+    """``P[j][k] = [x^k] f^j`` for ``0 <= j <= k <= bound`` of a strict series."""
     table, bound = f.table, f.bound
     zero = GradedPoly.zero(table)
     c = [f.coeff(k) for k in range(bound + 1)]
     rows = [[GradedPoly.one(table)] + [zero] * bound]
     for j in range(1, bound + 1):
-        prev, row = rows[-1], [zero] * (bound + 1)
-        for k in range(j, bound + 1):
-            acc = GradedPoly.zero(table)
-            for t in range(1, k - j + 2):
-                if c[t].terms and prev[k - t].terms:
-                    acc = _accumulate(acc, c[t] * prev[k - t])
-            row[k] = acc
-        rows.append(row)
+        rows.append([zero] * j + [_power_entry(c, rows[-1], j, k) for k in range(j, bound + 1)])
     return rows
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .exactalg import (GradedPoly, det_int, invariant_factors,
+from .exactalg import (GenTable, GradedPoly, det_int, invariant_factors,
                        IntegralityError, DegreeGuardError)
 from .fgl import LazardBasis, TypicalBasis, m_name, x_name, ell_name, v_name
 from .algebroid import (MuStructure, TypicalStructure, CoordFlavor,
@@ -125,19 +125,20 @@ def verify_mu(flavor_tag, N, d_max):
             ok = False
     _check(results, "counit composed with right unit is the identity", ok)
 
-    # ring map on all monomial pairs of total weight <= 5 inside the truncation
-    images = {m_name(k): structure.eta_m(k) for k in range(1, N + 1)}
+    # ring map on all monomial pairs of total weight <= 5, on tables whose
+    # bound holds weight 5 when the truncation is smaller
+    m_table = GenTable(basis.m_table.gens, max(N, 5))
+    mb_table = GenTable(structure.mb_table.gens, max(N, 5))
+    images = {m_name(k): structure.eta_m(k).extend_to(mb_table) for k in range(1, N + 1)}
     ok = True
-    top = min(N, 5)
-    for w1 in range(1, top):
-        for w2 in range(1, top + 1 - w1):
-            for mono1 in basis.m_table.monomials_of_weight(w1):
-                p1 = GradedPoly(basis.m_table, {mono1: 1})
-                for mono2 in basis.m_table.monomials_of_weight(w2):
-                    p2 = GradedPoly(basis.m_table, {mono2: 1})
-                    lhs = (p1 * p2).substitute(images, structure.mb_table)
-                    rhs = (p1.substitute(images, structure.mb_table)
-                           * p2.substitute(images, structure.mb_table))
+    for w1 in range(1, 5):
+        for w2 in range(1, 6 - w1):
+            for mono1 in m_table.monomials_of_weight(w1):
+                p1 = GradedPoly(m_table, {mono1: 1})
+                for mono2 in m_table.monomials_of_weight(w2):
+                    p2 = GradedPoly(m_table, {mono2: 1})
+                    lhs = (p1 * p2).substitute(images, mb_table)
+                    rhs = p1.substitute(images, mb_table) * p2.substitute(images, mb_table)
                     if lhs != rhs:
                         ok = False
     _check(results, "right unit is a ring map (all pairs, weight <= 5)", ok)
