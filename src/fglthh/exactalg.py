@@ -283,8 +283,7 @@ class GradedPoly:
         carry the smallest and the largest weight."""
         if not self.terms:
             return None
-        shift = self.table.shift
-        lo, hi = min(self.terms) >> shift, max(self.terms) >> shift
+        lo, hi = self.table.mono_weight(min(self.terms)), self.table.mono_weight(max(self.terms))
         if lo != hi:
             raise GradedWeightError(f"inhomogeneous polynomial: weights {lo} and {hi}")
         return lo
@@ -534,7 +533,7 @@ class GradedPoly:
             img = images.get(name)
             d = 1 if img is None else math.lcm(
                 *(c.denominator for c in img.terms.values() if type(c) is not int))
-            scaled.append(None if img is None else img.scale(d))
+            scaled.append(img if d == 1 else img.scale(d))
             denom.append(d)
         groups = {}
         for mono, c in self.terms.items():

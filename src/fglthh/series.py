@@ -170,14 +170,19 @@ def compose(outer, inner):
     return out
 
 
+def _dot(table, pairs):
+    """``sum f * g`` over the ``(f, g)`` pairs, skipping zero factors."""
+    acc = GradedPoly.zero(table)
+    for f, g in pairs:
+        if f.terms and g.terms:
+            acc = _accumulate(acc, f * g)
+    return acc
+
+
 def _power_entry(c, prev, j, k):
     """``[x^k] f^j = sum_t c_t [x^(k-t)] f^(j-1)`` for a strict series
     ``f = sum c_t x^t``, from the row ``prev`` of ``f^(j-1)``."""
-    acc = GradedPoly.zero(prev[0].table)
-    for t in range(1, k - j + 2):
-        if c[t].terms and prev[k - t].terms:
-            acc = _accumulate(acc, c[t] * prev[k - t])
-    return acc
+    return _dot(c[1].table, ((c[t], prev[k - t]) for t in range(1, k - j + 2)))
 
 
 def comp_inverse(f):
@@ -304,22 +309,11 @@ def fgl_from_log(m_list, bound):
     P = _power_table(log)
     R = []
     for i in range(bound + 1):
-        row = []
-        for b in range(bound + 1 - i):
-            acc = GradedPoly.zero(table)
-            for j in range(b + 1):
-                if e[i + j].terms and P[j][b].terms:
-                    acc = _accumulate(acc, (e[i + j] * P[j][b]).scale(comb(i + j, i)))
-            row.append(acc)
-        R.append(row)
-    coeffs = {}
-    for a in range(bound + 1):
-        for b in range(bound + 1 - a):
-            acc = GradedPoly.zero(table)
-            for i in range(a + 1):
-                if P[i][a].terms and R[i][b].terms:
-                    acc = _accumulate(acc, P[i][a] * R[i][b])
-            coeffs[(a, b)] = acc
+        ce = [e[i + j].scale(comb(i + j, i)) for j in range(bound + 1 - i)]
+        R.append([_dot(table, ((ce[j], P[j][b]) for j in range(b + 1)))
+                  for b in range(bound + 1 - i)])
+    coeffs = {(a, b): _dot(table, ((P[i][a], R[i][b]) for i in range(a + 1)))
+              for a in range(bound + 1) for b in range(bound + 1 - a)}
     law = FGLaw(table, bound, TruncatedSeries(table, 2, bound, coeffs))
     # F(x, 0) = x and symmetry are construction invariants; fail loudly if broken
     for (i, j), p in law.series.coeffs.items():
