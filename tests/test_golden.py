@@ -106,6 +106,8 @@ GOLDEN = {
     },
     "structure-maps --flavor mu-split --max-n 8 -N 8": {
         "json": "06d9c074322400f8325c00e16527a44006597e2e7c7212e789e05f76050940a6",
+        "text": "8aafd75250d1c2fe256ec3ff8e373fee09282576848691f773383805a7c486d8",
+        "tex": "89e29c4667e389a5e78476b20ca835cc9482b88fb8b1a553067f6b466b128194",
     },
     "verify --flavor bp --prime 2 --max-degree 10": {
         "json": "73729f4f272efc9dbcd0743c7b7fda716cfb5f78c3c8cd1e31db2fa214051659",
