@@ -15,8 +15,8 @@ from functools import cached_property
 
 from .exactalg import (GenTable, GradedPoly, IntegralityError,
                        DegreeGuardError, poly_sum)
-from .series import (TruncatedSeries, compose, comp_inverse,
-                     fgl_formal_sum, series_from_coefficient_table)
+from .series import (TruncatedSeries, compose, comp_inverse, fgl_formal_sum,
+                     power_table, series_from_coefficient_table)
 from .fgl import LazardBasis, TypicalBasis, m_name, x_name, ell_name
 
 
@@ -102,9 +102,10 @@ class MuStructure:
 
     Only the conjugates are built up front.  Each series-derived table (the
     exponential, the right unit on the logarithm, the moving coordinates,
-    the homology images of the integral generators and the coproduct) is a
-    cached property built on first read; the per-index accessors rewrite
-    from those tables on every call.
+    the homology images of the integral generators and the powers of the
+    split series, which give the coproduct) is a cached property built on
+    first read; the per-index accessors rewrite from those tables on every
+    call.
     """
 
     def __init__(self, basis: LazardBasis):
@@ -117,9 +118,9 @@ class MuStructure:
         self.xb_table = basis.x_table.union(self.b_table)
         self.mc_table = basis.m_table.union(self.c_table)
 
-        f_b = generic_strict_series(self.b_table,
-                                    {n: b_name(n) for n in range(1, N + 1)}, N + 1)
-        fbar = comp_inverse(f_b)
+        self.f_b = generic_strict_series(self.b_table,
+                                         {n: b_name(n) for n in range(1, N + 1)}, N + 1)
+        fbar = comp_inverse(self.f_b)
         self.chi = {n: fbar.coeff(n + 1) for n in range(1, N + 1)}
 
     @cached_property
@@ -236,86 +237,60 @@ class MuStructure:
     # -- coproduct --------------------------------------------------------------
 
     @cached_property
-    def psi_tables(self):
-        """Coproduct data: raw polynomials over the doubled alphabet, with the
-        inner alphabet carrying the left tensor factor."""
-        N = self.N
-        inner = GenTable([(f"b''_{n}", n) for n in range(1, N + 1)], N)
-        outer = GenTable([(f"b'_{n}", n) for n in range(1, N + 1)], N)
-        both = inner.union(outer)
-        f_inner = generic_strict_series(both,
-                                        {n: f"b''_{n}" for n in range(1, N + 1)},
-                                        N + 1)
-        f_outer = generic_strict_series(both,
-                                        {n: f"b'_{n}" for n in range(1, N + 1)},
-                                        N + 1)
-        comp = compose(f_outer, f_inner)
-        return {"inner": inner, "outer": outer, "table": both,
-                "raw": {n: comp.coeff(n + 1) for n in range(1, N + 1)}}
+    def _powers(self):
+        """``P[j][k] = [x^k] f^j`` for the split series ``f = x + sum b_k x^(k+1)``."""
+        return power_table(self.f_b)
 
     def psi(self, n):
         """Coproduct of the weight-n split coordinate as sorted tensor pairs
-        ``(left monomial, right polynomial)`` over the split alphabet."""
+        ``(left monomial, right polynomial)`` over the split alphabet:
+        ``psi(b_n) = sum_i [x^(n+1)] f^(i+1) (x) b_i`` with ``b_0 = 1``.  A
+        left monomial has weight ``n - i``, so each occurs once."""
         self._check_range(n)
-        data = self.psi_tables
-        raw = data["raw"][n]
-        groups = raw.collect_by(data["inner"].names)
-        pairs = []
-        for inner_mono, outer_poly in groups.items():
-            left = GradedPoly(data["table"], {inner_mono: 1}).substitute(
-                {f"b''_{k}": GradedPoly.gen(self.b_table, b_name(k))
-                 for k in range(1, self.N + 1)}, self.b_table)
-            right = outer_poly.substitute(
-                {f"b'_{k}": GradedPoly.gen(self.b_table, b_name(k))
-                 for k in range(1, self.N + 1)}, self.b_table)
-            pairs.append((left, right))
-        pairs.sort(key=lambda lr: self.b_table.mono_key(next(iter(lr[0].terms))))
-        return pairs
+        table = self.b_table
+        terms = sorted(((m, c, i) for i in range(n + 1)
+                        for m, c in self._powers[i + 1][n + 1].terms.items()),
+                       key=lambda t: table.mono_key(t[0]))
+        b = [GradedPoly.one(table)] + [GradedPoly.gen(table, b_name(k)) for k in range(1, n + 1)]
+        return [(GradedPoly(table, {m: 1}), c * b[i]) for m, c, i in terms]
+
+    def _psi_into(self, n, table, left, right):
+        """``psi(b_n)`` multiplied out over ``table``: ``sum_i P[i+1][n+1] *
+        right[i]`` with ``right[0] = 1``, each ``b_k`` of ``P`` sent to
+        ``left[k]`` (``left=None`` keeps the split alphabet)."""
+        images = None if left is None else {b_name(k): left[k] for k in range(1, n + 1)}
+        parts = []
+        for i in range(n + 1):
+            part = self._powers[i + 1][n + 1]
+            if images is not None:
+                part = part.substitute(images, table)
+            parts.append(part if i == 0 else part * right[i])
+        return poly_sum(parts, table)
 
     # -- axioms -----------------------------------------------------------------
 
     def counit_residual(self, n):
         """``(id (x) eps) psi(b_n) - b_n``; zero when the counit axiom holds."""
-        data = self.psi_tables
-        images = {f"b'_{k}": GradedPoly.zero(self.b_table) for k in range(1, self.N + 1)}
-        images.update({f"b''_{k}": GradedPoly.gen(self.b_table, b_name(k))
-                       for k in range(1, self.N + 1)})
-        folded = data["raw"][n].substitute(images, self.b_table)
-        return folded - GradedPoly.gen(self.b_table, b_name(n))
+        zeros = {k: GradedPoly.zero(self.b_table) for k in range(1, n + 1)}
+        return (self._psi_into(n, self.b_table, None, zeros)
+                - GradedPoly.gen(self.b_table, b_name(n)))
 
     def coassociativity_residual(self, n):
-        """Difference of the two double coproducts on the weight-n generator."""
-        data = self.psi_tables
+        """Difference of the two double coproducts on the weight-n generator,
+        over three copies u, v, w of the split alphabet."""
         N = self.N
-        triple = GenTable([(f"u_{k}", k) for k in range(1, N + 1)]
-                          + [(f"v_{k}", k) for k in range(1, N + 1)]
-                          + [(f"w_{k}", k) for k in range(1, N + 1)], N)
-
-        def psi_on(k, left_prefix, right_prefix):
-            images = {f"b''_{j}": GradedPoly.gen(triple, f"{left_prefix}_{j}")
-                      for j in range(1, N + 1)}
-            images.update({f"b'_{j}": GradedPoly.gen(triple, f"{right_prefix}_{j}")
-                           for j in range(1, N + 1)})
-            return data["raw"][k].substitute(images, triple)
-
-        left_first = data["raw"][n].substitute(
-            {**{f"b''_{j}": psi_on(j, "u", "v") for j in range(1, N + 1)},
-             **{f"b'_{j}": GradedPoly.gen(triple, f"w_{j}") for j in range(1, N + 1)}},
-            triple)
-        right_first = data["raw"][n].substitute(
-            {**{f"b''_{j}": GradedPoly.gen(triple, f"u_{j}") for j in range(1, N + 1)},
-             **{f"b'_{j}": psi_on(j, "v", "w") for j in range(1, N + 1)}},
-            triple)
-        return left_first - right_first
+        uvw = GenTable([(f"{a}_{k}", k) for a in "uvw" for k in range(1, N + 1)], N)
+        u, v, w = ({k: GradedPoly.gen(uvw, f"{a}_{k}") for k in range(1, n + 1)}
+                   for a in "uvw")
+        psi_uv = {k: self._psi_into(k, uvw, u, v) for k in range(1, n + 1)}
+        psi_vw = {k: self._psi_into(k, uvw, v, w) for k in range(1, n + 1)}
+        return self._psi_into(n, uvw, psi_uv, w) - self._psi_into(n, uvw, u, psi_vw)
 
     def antipode_residual(self, n):
         """Multiply-then-fold of ``(chi (x) id) psi(b_n)``; equals the counit
         value, so it must vanish for positive weight."""
-        data = self.psi_tables
-        images = {f"b''_{k}": self.chi[k] for k in range(1, self.N + 1)}
-        images.update({f"b'_{k}": GradedPoly.gen(self.b_table, b_name(k))
-                       for k in range(1, self.N + 1)})
-        return data["raw"][n].substitute(images, self.b_table)
+        b = {k: GradedPoly.gen(self.b_table, b_name(k)) for k in range(1, n + 1)}
+        return self._psi_into(n, self.b_table, self.chi, b)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactalg import (GenTable, GradedPoly, FinAbGroup, IntMatrix,
-                       IntegralityError, DegreeGuardError, ResourceGuardError,
-                       subquotient_group, rational_rank)
+                       ComplexViolationError, IntegralityError, DegreeGuardError,
+                       ResourceGuardError, subquotient_group, rational_rank)
 from .thh import ExtElement, ThhFlavor
 from .algebroid import CoordFlavor
 
@@ -139,7 +139,7 @@ def staircase(diff, root):
         if diffs[q + 1].rows and diffs[q].cols:
             comp = diffs[q + 1].mul(diffs[q])
             if not comp.is_zero():
-                raise IntegralityError("consecutive differentials do not compose to zero")
+                raise ComplexViolationError("consecutive differentials do not compose to zero")
     top = root + len(bases) - 1
     return DegreeComplex(flavor.tag, top, root, tuple(bases), tuple(diffs))
 
@@ -452,6 +452,37 @@ def _include_thh_to_forms(structure, derham_c, elt):
     return out
 
 
+def _commutes(stair, d_max, source, d_source, d_target, include):
+    """Whether ``include`` carries ``d_source`` to ``d_target`` on every
+    basis element of ``stair`` through internal degree ``d_max``."""
+    ok = True
+    for q, basis_q in enumerate(stair.bases):
+        if stair.root + q > d_max:
+            continue
+        for subset, mono in basis_q:
+            elt = basis_element(source, subset, mono)
+            if include(d_source(elt)) != d_target(include(elt)):
+                ok = False
+    return ok
+
+
+def _induced_orders(label, d, generators, include, target):
+    """``(label, order, order of the image class)`` for each generator in
+    degree ``d``; with no presentation of ``target`` there, the image order
+    is 1 for a zero image and None otherwise."""
+    entries = []
+    for order, gen in generators:
+        subset_counts = {len(s) for s in gen.terms}
+        q = subset_counts.pop() if subset_counts else 0
+        image = include(gen)
+        if (d, q) in target.presentations:
+            target_order = target.class_order(d, q, image)
+        else:
+            target_order = 1 if image.is_zero() else None
+        entries.append((label, order, target_order))
+    return tuple(entries)
+
+
 def de_rham_comparison(structure, sigma_moving, thh_table, d_max):
     """de Rham cohomology of the base and coordinate rings bracketing the
     sigma cohomology, with both inclusions verified as chain maps and the
@@ -471,53 +502,22 @@ def de_rham_comparison(structure, sigma_moving, thh_table, d_max):
     forms_l = cohomology_groups(derham_l, d_max)
     forms_c = cohomology_groups(derham_c, d_max)
 
+    def to_thh(elt):
+        return _include_forms_to_thh(sigma_moving, derham_l.flavor, elt)
+
+    def to_forms(elt):
+        return _include_thh_to_forms(structure, derham_c, elt)
+
     residual_ok = True
     for root in range(0, d_max + 1, 2):
-        stair = forms_l.stairs[root]
-        for q, basis_q in enumerate(stair.bases):
-            for subset, mono in basis_q:
-                if root + q > d_max:
-                    continue
-                form = basis_element(derham_l, subset, mono)
-                left = _include_forms_to_thh(sigma_moving, derham_l.flavor,
-                                             derham_l.apply(form))
-                right = sigma_moving.sigma_prime(
-                    _include_forms_to_thh(sigma_moving, derham_l.flavor, form))
-                if left != right:
-                    residual_ok = False
-        stair_t = thh_table.stairs[root]
-        for q, basis_q in enumerate(stair_t.bases):
-            for subset, mono in basis_q:
-                if root + q > d_max:
-                    continue
-                z = basis_element(sigma_moving, subset, mono)
-                left = _include_thh_to_forms(structure, derham_c,
-                                             sigma_moving.sigma_prime(z))
-                right = derham_c.apply(_include_thh_to_forms(structure, derham_c, z))
-                if left != right:
-                    residual_ok = False
+        residual_ok &= _commutes(forms_l.stairs[root], d_max, derham_l,
+                                 derham_l.apply, sigma_moving.sigma_prime, to_thh)
+        residual_ok &= _commutes(thh_table.stairs[root], d_max, sigma_moving,
+                                 sigma_moving.sigma_prime, derham_c.apply, to_forms)
 
-    induced = {}
-    for d in range(d_max + 1):
-        entries = []
-        for order, gen in forms_l.generators[d]:
-            subset_counts = {len(s) for s in gen.terms}
-            q = subset_counts.pop() if subset_counts else 0
-            image = _include_forms_to_thh(sigma_moving, derham_l.flavor, gen)
-            if (d, q) in thh_table.presentations:
-                target_order = thh_table.class_order(d, q, image)
-            else:
-                target_order = 1 if image.is_zero() else None
-            entries.append(("forms->thh", order, target_order))
-        for order, gen in thh_table.generators[d]:
-            subset_counts = {len(s) for s in gen.terms}
-            q = subset_counts.pop() if subset_counts else 0
-            image = _include_thh_to_forms(structure, derham_c, gen)
-            if (d, q) in forms_c.presentations:
-                target_order = forms_c.class_order(d, q, image)
-            else:
-                target_order = 1 if image.is_zero() else None
-            entries.append(("thh->forms", order, target_order))
-        induced[d] = tuple(entries)
+    induced = {d: (_induced_orders("forms->thh", d, forms_l.generators[d], to_thh, thh_table)
+                   + _induced_orders("thh->forms", d, thh_table.generators[d], to_forms,
+                                     forms_c))
+               for d in range(d_max + 1)}
 
     return DeRhamComparison(forms_l, thh_table, forms_c, residual_ok, induced)

@@ -427,10 +427,8 @@ class GradedPoly:
         for mono, c in self.sorted_terms():
             mtext = self.table.mono_text(mono)
             if not mono:
-                body = coeff_text(abs(c) if isinstance(c, int) else abs(c))
-            elif c == 1:
-                body = mtext
-            elif c == -1:
+                body = coeff_text(abs(c))
+            elif abs(c) == 1:
                 body = mtext
             else:
                 body = f"{coeff_text(abs(c))}*{mtext}"

@@ -271,7 +271,7 @@ class FGLaw:
         return out
 
 
-def _power_table(f):
+def power_table(f):
     """``P[j][k] = [x^k] f^j`` for ``0 <= j <= k <= bound`` of a strict series."""
     table, bound = f.table, f.bound
     zero = GradedPoly.zero(table)
@@ -306,7 +306,7 @@ def fgl_from_log(m_list, bound):
         table, bound, {n + 1: p for n, p in enumerate(m_list)})
     exp = comp_inverse(log)
     e = [exp.coeff(k) for k in range(bound + 1)]
-    P = _power_table(log)
+    P = power_table(log)
     R = []
     for i in range(bound + 1):
         ce = [e[i + j].scale(comb(i + j, i)) for j in range(bound + 1 - i)]

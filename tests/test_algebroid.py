@@ -1,8 +1,11 @@
+from functools import cached_property
+
 import pytest
 from hypothesis import given, strategies as st
 
 import fglthh.algebroid
-from fglthh.exactalg import GradedPoly
+import fglthh.series
+from fglthh.exactalg import GenTable, GradedPoly
 from fglthh.fgl import LazardBasis, m_name, x_name, ell_name
 from fglthh.series import compose, comp_inverse, series_from_coefficient_table
 from fglthh.algebroid import (CoordFlavor, MuStructure, generic_strict_series,
@@ -209,6 +212,147 @@ def test_psi_axioms(structure6):
         assert ms.counit_residual(n).is_zero()
         assert ms.coassociativity_residual(n).is_zero()
         assert ms.antipode_residual(n).is_zero()
+
+
+class ReferenceMuStructure(MuStructure):
+    """The coproduct composed from two copies of the split series over a
+    doubled alphabet, ``b''`` for the left tensor factor and ``b'`` for the
+    right, and renamed back to ``b``: the reference for the power-table
+    coproduct and its axiom residuals."""
+
+    @cached_property
+    def psi_tables(self):
+        """Coproduct data: raw polynomials over the doubled alphabet, with the
+        inner alphabet carrying the left tensor factor."""
+        N = self.N
+        inner = GenTable([(f"b''_{n}", n) for n in range(1, N + 1)], N)
+        outer = GenTable([(f"b'_{n}", n) for n in range(1, N + 1)], N)
+        both = inner.union(outer)
+        f_inner = generic_strict_series(both,
+                                        {n: f"b''_{n}" for n in range(1, N + 1)},
+                                        N + 1)
+        f_outer = generic_strict_series(both,
+                                        {n: f"b'_{n}" for n in range(1, N + 1)},
+                                        N + 1)
+        comp = compose(f_outer, f_inner)
+        return {"inner": inner, "outer": outer, "table": both,
+                "raw": {n: comp.coeff(n + 1) for n in range(1, N + 1)}}
+
+    def psi(self, n):
+        """Coproduct of the weight-n split coordinate as sorted tensor pairs
+        ``(left monomial, right polynomial)`` over the split alphabet."""
+        self._check_range(n)
+        data = self.psi_tables
+        raw = data["raw"][n]
+        groups = raw.collect_by(data["inner"].names)
+        pairs = []
+        for inner_mono, outer_poly in groups.items():
+            left = GradedPoly(data["table"], {inner_mono: 1}).substitute(
+                {f"b''_{k}": GradedPoly.gen(self.b_table, b_name(k))
+                 for k in range(1, self.N + 1)}, self.b_table)
+            right = outer_poly.substitute(
+                {f"b'_{k}": GradedPoly.gen(self.b_table, b_name(k))
+                 for k in range(1, self.N + 1)}, self.b_table)
+            pairs.append((left, right))
+        pairs.sort(key=lambda lr: self.b_table.mono_key(next(iter(lr[0].terms))))
+        return pairs
+
+    # -- axioms -----------------------------------------------------------------
+
+    def counit_residual(self, n):
+        """``(id (x) eps) psi(b_n) - b_n``; zero when the counit axiom holds."""
+        data = self.psi_tables
+        images = {f"b'_{k}": GradedPoly.zero(self.b_table) for k in range(1, self.N + 1)}
+        images.update({f"b''_{k}": GradedPoly.gen(self.b_table, b_name(k))
+                       for k in range(1, self.N + 1)})
+        folded = data["raw"][n].substitute(images, self.b_table)
+        return folded - GradedPoly.gen(self.b_table, b_name(n))
+
+    def coassociativity_residual(self, n):
+        """Difference of the two double coproducts on the weight-n generator."""
+        data = self.psi_tables
+        N = self.N
+        triple = GenTable([(f"u_{k}", k) for k in range(1, N + 1)]
+                          + [(f"v_{k}", k) for k in range(1, N + 1)]
+                          + [(f"w_{k}", k) for k in range(1, N + 1)], N)
+
+        def psi_on(k, left_prefix, right_prefix):
+            images = {f"b''_{j}": GradedPoly.gen(triple, f"{left_prefix}_{j}")
+                      for j in range(1, N + 1)}
+            images.update({f"b'_{j}": GradedPoly.gen(triple, f"{right_prefix}_{j}")
+                           for j in range(1, N + 1)})
+            return data["raw"][k].substitute(images, triple)
+
+        left_first = data["raw"][n].substitute(
+            {**{f"b''_{j}": psi_on(j, "u", "v") for j in range(1, N + 1)},
+             **{f"b'_{j}": GradedPoly.gen(triple, f"w_{j}") for j in range(1, N + 1)}},
+            triple)
+        right_first = data["raw"][n].substitute(
+            {**{f"b''_{j}": GradedPoly.gen(triple, f"u_{j}") for j in range(1, N + 1)},
+             **{f"b'_{j}": psi_on(j, "v", "w") for j in range(1, N + 1)}},
+            triple)
+        return left_first - right_first
+
+    def antipode_residual(self, n):
+        """Multiply-then-fold of ``(chi (x) id) psi(b_n)``; equals the counit
+        value, so it must vanish for positive weight."""
+        data = self.psi_tables
+        images = {f"b''_{k}": self.chi[k] for k in range(1, self.N + 1)}
+        images.update({f"b'_{k}": GradedPoly.gen(self.b_table, b_name(k))
+                       for k in range(1, self.N + 1)})
+        return data["raw"][n].substitute(images, self.b_table)
+
+
+@pytest.fixture(scope="module")
+def reference8(lazard8):
+    return ReferenceMuStructure(lazard8)
+
+
+def test_psi_matches_the_doubled_alphabet_reference(lazard8, reference8):
+    ms = MuStructure(lazard8)
+    for n in range(1, 9):
+        assert ms.psi(n) == reference8.psi(n)
+
+
+def test_psi_makes_no_substitution_or_composition(monkeypatch, lazard8):
+    ms = MuStructure(lazard8)
+    calls = []
+    substitute, compose_ = GradedPoly.substitute, fglthh.series.compose
+
+    def counting_substitute(poly, images, target):
+        calls.append("substitute")
+        return substitute(poly, images, target)
+
+    def counting_compose(outer, inner):
+        calls.append("compose")
+        return compose_(outer, inner)
+
+    monkeypatch.setattr(GradedPoly, "substitute", counting_substitute)
+    monkeypatch.setattr(fglthh.series, "compose", counting_compose)
+    monkeypatch.setattr(fglthh.algebroid, "compose", counting_compose)
+    for n in range(1, 9):
+        ms.psi(n)
+    assert calls == []
+
+
+def test_antipode_residual_sees_a_wrong_conjugate(lazard6):
+    ms, ref = MuStructure(lazard6), ReferenceMuStructure(lazard6)
+    for s in (ms, ref):
+        s.chi[2] = s.chi[2] + GradedPoly.gen(s.b_table, b_name(2))
+    assert ms.antipode_residual(1).is_zero()
+    for n in range(2, 7):
+        assert not ms.antipode_residual(n).is_zero()
+        assert ms.antipode_residual(n) == ref.antipode_residual(n)
+
+
+def test_coassociativity_residual_sees_a_wrong_power(lazard6):
+    ms = MuStructure(lazard6)
+    powers = ms._powers
+    powers[2][4] = powers[2][4] + GradedPoly.gen(ms.b_table, b_name(2))
+    for n in (1, 2):
+        assert ms.coassociativity_residual(n).is_zero()
+    for n in range(3, 7):
+        assert not ms.coassociativity_residual(n).is_zero()
 
 
 # ---------------------------------------------------------------------------

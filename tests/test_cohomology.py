@@ -1,10 +1,11 @@
 import pytest
 
-from fglthh.exactalg import FinAbGroup, GradedPoly, DegreeGuardError, ResourceGuardError
+from fglthh.exactalg import (ComplexViolationError, FinAbGroup, GenTable, GradedPoly,
+                             DegreeGuardError, ResourceGuardError)
 from fglthh.fgl import x_name, v_name
 from fglthh.algebroid import CoordFlavor
 from fglthh.thh import ExtElement
-from fglthh.cohomology import (assemble_complex,
+from fglthh.cohomology import (DeRhamDifferential, assemble_complex, staircase,
                                cohomology_groups, bp_cohomology_table,
                                bp_degree_range,
                                rational_collapse_check, bar_tor_check,
@@ -274,6 +275,28 @@ def test_bar_tor_guard():
         bar_tor_check(CoordFlavor.moving(), 9, 3)
     with pytest.raises(ResourceGuardError):
         bar_tor_check(CoordFlavor.moving(), 8, 4)
+
+
+class SquareNonzero:
+    """The exterior derivative on forms in x_1, x_2 of weight 1, except that
+    every 1-form with a linear coefficient goes to dx_1 dx_2, so
+    d(d(x_1^2)) = d(2 x_1 dx_1) = 2 dx_1 dx_2 is not zero."""
+
+    def __init__(self):
+        self.derham = DeRhamDifferential(GenTable([("x_1", 1), ("x_2", 1)], 2))
+        self.flavor = self.derham.flavor
+
+    def apply(self, elt):
+        if any(len(s) == 1 and c.weight() == 1 for s, c in elt.terms.items()):
+            return ExtElement(self.flavor, {(1, 2): GradedPoly.one(self.flavor.base)})
+        return self.derham.apply(elt)
+
+
+def test_a_nonzero_square_is_a_complex_violation():
+    with pytest.raises(ComplexViolationError, match="do not compose to zero"):
+        staircase(SquareNonzero(), 4)
+    with pytest.raises(ComplexViolationError, match="do not compose to zero"):
+        cohomology_groups(SquareNonzero(), 4)
 
 
 # ---------------------------------------------------------------------------
