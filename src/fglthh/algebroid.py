@@ -251,7 +251,8 @@ class MuStructure:
         terms = sorted(((m, c, i) for i in range(n + 1)
                         for m, c in self._powers[i + 1][n + 1].terms.items()),
                        key=lambda t: table.mono_key(t[0]))
-        b = [GradedPoly.one(table)] + [GradedPoly.gen(table, b_name(k)) for k in range(1, n + 1)]
+        b = [GradedPoly.one(table)] + [GradedPoly.gen(table, b_name(k))
+                                       for k in range(1, n + 1)]
         return [(GradedPoly(table, {m: 1}), c * b[i]) for m, c, i in terms]
 
     def _psi_into(self, n, table, left, right):

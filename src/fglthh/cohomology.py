@@ -14,6 +14,7 @@ independent check on the exterior-algebra form of the coalgebra Tor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .exactalg import (GenTable, GradedPoly, FinAbGroup, IntMatrix,
                        ComplexViolationError, IntegralityError, DegreeGuardError,
@@ -502,12 +503,8 @@ def de_rham_comparison(structure, sigma_moving, thh_table, d_max):
     forms_l = cohomology_groups(derham_l, d_max)
     forms_c = cohomology_groups(derham_c, d_max)
 
-    def to_thh(elt):
-        return _include_forms_to_thh(sigma_moving, derham_l.flavor, elt)
-
-    def to_forms(elt):
-        return _include_thh_to_forms(structure, derham_c, elt)
-
+    to_thh = partial(_include_forms_to_thh, sigma_moving, derham_l.flavor)
+    to_forms = partial(_include_thh_to_forms, structure, derham_c)
     residual_ok = True
     for root in range(0, d_max + 1, 2):
         residual_ok &= _commutes(forms_l.stairs[root], d_max, derham_l,
