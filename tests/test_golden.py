@@ -73,6 +73,9 @@ GOLDEN = {
         "text": "66ab16bd7f74ac3296ba52618495a637504dae0ac8de4009954d03ea8061e9fc",
         "tex": "cb76a1bcea3230b03c75e39ad28b7ffbb973e8781714db5f859e6b3302ff40a6",
     },
+    "sigma --flavor mu-split --max-n 12 -N 12": {
+        "json": "6db6edaa58fdd95eee85a709c404c414946ce58a09f2f19e4325ed45d3f26316",
+    },
     "sigma --flavor mu-split --max-n 4 -N 4": {
         "json": "138ab25d633a592798eb943cdee74b5cc345c513bd58b038f1a0f8ab758a9cdd",
         "text": "42a40e9bb0053c4d937709d7f6a759b62c1041111850a4b01693dc54394671bc",
@@ -90,6 +93,9 @@ GOLDEN = {
     "structure-maps --flavor bp --prime 3 --max-n 3": {
         "json": "16187bf74de5ee705a65c6855668e974de67031b59a81cbad5979712ea70249d",
         "text": "9df171b92562ee6df84002dca716c4b15977bf8f1143aacf1c59e6822092fd2c",
+    },
+    "structure-maps --flavor mu-moving --max-n 12 -N 12": {
+        "json": "ebc23083da77a7963b07e0a71ff5a0bdc0424d06c30411bc4cc72e1d2b4dd48d",
     },
     "structure-maps --flavor mu-moving --max-n 4 -N 4": {
         "json": "be19db80a27a710af1621e06d9236816280b4da6b896a9bcc7d574d1f487ad65",
