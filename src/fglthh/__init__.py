@@ -5,7 +5,7 @@ from .exactalg import (GenTable, GradedPoly, IntMatrix, FinAbGroup,
                        smith_normal_form_full, invariant_factors,
                        solve_rational_linear, subquotient_group)
 from .series import TruncatedSeries, FGLaw, compose, comp_inverse, fgl_from_log, fgl_formal_sum
-from .fgl import LazardBasis, TypicalBasis, lazard_generators, hazewinkel_generators
+from .fgl import LazardBasis, TypicalBasis
 from .algebroid import MuStructure, TypicalStructure, CoordFlavor
 from .thh import (ExtElement, SigmaTable, sigma_mu_moving, sigma_mu_split,
                   sigma_bp, lambda_in_e, hurewicz_mu, hurewicz_bp)
@@ -22,7 +22,7 @@ __all__ = [
     "solve_rational_linear", "subquotient_group",
     "TruncatedSeries", "FGLaw", "compose", "comp_inverse", "fgl_from_log",
     "fgl_formal_sum",
-    "LazardBasis", "TypicalBasis", "lazard_generators", "hazewinkel_generators",
+    "LazardBasis", "TypicalBasis",
     "MuStructure", "TypicalStructure", "CoordFlavor",
     "ExtElement", "SigmaTable", "sigma_mu_moving", "sigma_mu_split",
     "sigma_bp", "lambda_in_e", "hurewicz_mu", "hurewicz_bp",

@@ -2,10 +2,13 @@
 
 Right units, conjugation and coproduct in absolute coordinates, the
 absolute-to-moving coordinate change (solved degree by degree from the
-formal sum), and the p-typical right unit.  Conjugation and coproduct are
-implemented only for the split (absolute) coordinate algebra, where the
-classical closed data exists; the moving and p-typical coalgebras carry
-them abstractly but no formulas are produced for them here.
+right unit, whose moving form is a closed divisor sum), and the p-typical
+right unit.  The formal sum that defines the moving coordinates is not
+built here; ``verify`` evaluates it as the independent check.
+Conjugation and coproduct are implemented only for the split (absolute)
+coordinate algebra, where the classical closed data exists; the moving
+and p-typical coalgebras carry them abstractly but no formulas are
+produced for them here.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from functools import cached_property
 
 from .exactalg import (GenTable, GradedPoly, IntegralityError,
                        DegreeGuardError, poly_sum)
-from .series import (TruncatedSeries, compose, comp_inverse, fgl_formal_sum,
-                     power_table, series_from_coefficient_table)
+from .series import (compose, comp_inverse, power_table,
+                     series_from_coefficient_table)
 from .fgl import LazardBasis, TypicalBasis, m_name, x_name, ell_name
 
 
@@ -100,12 +103,11 @@ def moving_right_unit(n, table=None):
 class MuStructure:
     """Structure-map tables over one Lazard basis.
 
-    Only the conjugates are built up front.  Each series-derived table (the
-    exponential, the right unit on the logarithm, the moving coordinates,
-    the homology images of the integral generators and the powers of the
-    split series, which give the coproduct) is a cached property built on
-    first read; the per-index accessors rewrite from those tables on every
-    call.
+    Only the conjugates are built up front.  Each derived table (the right
+    unit on the logarithm, the moving coordinates, the homology images of
+    the integral generators and the powers of the split series, which give
+    the coproduct) is a cached property built on first read; the per-index
+    accessors rewrite from those tables on every call.
     """
 
     def __init__(self, basis: LazardBasis):
@@ -122,17 +124,6 @@ class MuStructure:
                                          {n: b_name(n) for n in range(1, N + 1)}, N + 1)
         fbar = comp_inverse(self.f_b)
         self.chi = {n: fbar.coeff(n + 1) for n in range(1, N + 1)}
-
-    @cached_property
-    def mbar(self):
-        """Coefficients of the exponential, the compositional inverse of the
-        logarithm."""
-        table = self.basis.m_table
-        log_m = series_from_coefficient_table(
-            table, self.N + 1,
-            {n: GradedPoly.gen(table, m_name(n)) for n in range(1, self.N + 1)})
-        exp_m = comp_inverse(log_m)
-        return {n: exp_m.coeff(n + 1) for n in range(1, self.N + 1)}
 
     def _check_range(self, n):
         if not 1 <= n <= self.N:
@@ -187,33 +178,22 @@ class MuStructure:
 
     @cached_property
     def _c_in_mb_table(self):
-        """Moving coordinates solved degree by degree from the formal sum,
-        over the logarithm and split alphabets: each coefficient of the sum
-        is ``c_n`` plus a tail in the m's and the lower c's."""
-        N = self.N
-        mc, mb = self.mc_table, self.mb_table
-        bound = N + 1
-        law = self.basis.fgl.extend_table(mc)
-        terms = [TruncatedSeries.variable(mc, bound)]
-        for k in range(1, N + 1):
-            terms.append(TruncatedSeries.monomial(
-                mc, bound, GradedPoly.gen(mc, c_name(k)), k + 1))
-        phi = fgl_formal_sum(law, terms)
-
+        """Moving coordinates solved degree by degree from the right unit,
+        over the logarithm and split alphabets: the divisor sum
+        ``eta_m_moving(n)`` equals ``eta_m(n)`` once the c's are expressed,
+        and its ``i = 0`` term is ``c_n`` itself, so ``c_n`` is ``eta_m(n)``
+        minus the rest of the sum with the lower c's substituted."""
         c_solved = {}
-        for n in range(1, N + 1):
-            coeff = phi.coeff(n + 1)
-            if coeff.coefficient_of_gen(c_name(n)) != 1:
-                raise IntegralityError(
-                    f"moving coordinate {n} does not enter the formal sum linearly")
-            tail = coeff - GradedPoly.gen(mc, c_name(n))
-            lowered = tail.substitute({c_name(j): c_solved[j] for j in range(1, n)}, mb)
-            c_solved[n] = self.chi[n].extend_to(mb) - lowered
+        for n in range(1, self.N + 1):
+            tail = self.eta_m_moving(n) - GradedPoly.gen(self.mc_table, c_name(n))
+            lowered = tail.substitute({c_name(j): c_solved[j] for j in range(1, n)},
+                                      self.mb_table)
+            c_solved[n] = self.eta_m(n) - lowered
         return c_solved
 
     def c_in_mb(self, n):
         """The weight-n moving coordinate in the logarithm and split
-        alphabets, as the formal-sum solve gives it."""
+        alphabets, as the right-unit solve gives it."""
         self._check_range(n)
         return self._c_in_mb_table[n]
 

@@ -127,9 +127,6 @@ class GenTable:
         except KeyError:
             raise GeneratorTableError(f"unknown generator {name!r}") from None
 
-    def has(self, name):
-        return name in self._index
-
     def name(self, i):
         return self.gens[i][0]
 
@@ -459,28 +456,6 @@ class GradedPoly:
         return {i: GradedPoly._raw(table, {m: _norm_coeff(c) for m, c in part.items()})
                 for i, part in sorted(out.items()) if part}
 
-    def component_in(self, names, degree):
-        """Terms whose total exponent over the named generators equals ``degree``."""
-        table = self.table
-        idxs = {table.index(n) for n in names}
-        out = {m: c for m, c in self.terms.items()
-               if sum(e for i, e in table.exponents(m) if i in idxs) == degree}
-        return GradedPoly._raw(table, out)
-
-    def collect_by(self, names):
-        """Group terms by their sub-monomial over the named generators.
-
-        Returns a dict mapping the sub-monomial (on this table) to the
-        cofactor polynomial in the remaining generators.
-        """
-        table = self.table
-        idxs = {table.index(n) for n in names}
-        groups = {}
-        for mono, c in self.terms.items():
-            key = sum(e * table.units[i] for i, e in table.exponents(mono) if i in idxs)
-            groups.setdefault(key, {})[mono - key] = c
-        return {k: GradedPoly._raw(table, v) for k, v in groups.items()}
-
     def extend_to(self, target):
         """Re-express on another table; every generator actually used must
         exist there under the same name."""
@@ -719,9 +694,6 @@ class IntMatrix:
             out.append(tuple(row))
         return IntMatrix(self.rows, other.cols, tuple(out))
 
-    def column(self, j):
-        return [self.entries[i][j] for i in range(self.rows)]
-
     def to_lists(self):
         return [list(r) for r in self.entries]
 
@@ -828,10 +800,6 @@ class SmithDecomposition:
     def rank(self):
         return sum(1 for i in range(min(self.D.rows, self.D.cols))
                    if self.D.entries[i][i])
-
-    def kernel_columns(self):
-        """Basis of the integer kernel of M, as columns of V."""
-        return [self.V.column(j) for j in range(self.rank, self.D.cols)]
 
 
 def smith_normal_form_full(matrix):
@@ -1098,12 +1066,6 @@ class FinAbGroup:
 
     def is_trivial(self):
         return self.free_rank == 0 and not self.invariant_factors
-
-    def torsion_order(self):
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
 
     def primary(self):
         """Prime-power decomposition of the torsion, sorted ascending."""

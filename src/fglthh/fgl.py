@@ -242,11 +242,6 @@ class LazardBasis:
         return solve_integer(rows, rhs) is not None
 
 
-def lazard_generators(N):
-    """Build a :class:`LazardBasis` through weight ``N``."""
-    return LazardBasis(N)
-
-
 # ---------------------------------------------------------------------------
 # p-typical bases
 # ---------------------------------------------------------------------------
@@ -325,8 +320,3 @@ class TypicalBasis:
         if not out.denominators_are_powers_of(self.p):
             raise IntegralityError("denominators are not powers of the prime")
         return out, out.is_integral()
-
-
-def hazewinkel_generators(p, max_n):
-    """Build a :class:`TypicalBasis` at the prime ``p`` through index ``max_n``."""
-    return TypicalBasis(p, max_n)

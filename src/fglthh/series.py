@@ -131,10 +131,6 @@ class TruncatedSeries:
                 and self.nvars == other.nvars and self.bound == other.bound
                 and self.coeffs == other.coeffs)
 
-    def extend_table(self, target):
-        return TruncatedSeries(target, self.nvars, self.bound,
-                               {e: p.extend_to(target) for e, p in self.coeffs.items()})
-
     def __repr__(self):
         items = sorted(self.coeffs.items())
         return f"TruncatedSeries({items!r})"
@@ -243,9 +239,6 @@ class FGLaw:
         return {e: p for e, p in self.series.coeffs.items()
                 if e[0] >= 1 and e[1] >= 1}
 
-    def extend_table(self, target):
-        return FGLaw(target, self.bound, self.series.extend_table(target))
-
     def evaluate(self, s, t):
         """``F(s, t)`` for series with zero constant term (any arity)."""
         if s.nvars != t.nvars or s.bound != t.bound:
@@ -341,11 +334,3 @@ def fgl_formal_sum(law, terms):
     for t in reversed(terms[:-1]):
         acc = law.evaluate(t, acc)
     return acc
-
-
-def log_of_series(m_list, bound, inner):
-    """``log(inner)`` where ``log(x) = x + sum m_n x^(n+1)``."""
-    table = inner.table
-    log = series_from_coefficient_table(
-        table, bound, {n + 1: p for n, p in enumerate(m_list)})
-    return compose(log, inner)

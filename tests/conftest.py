@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from fglthh.fgl import lazard_generators, hazewinkel_generators
+from fglthh.fgl import LazardBasis, TypicalBasis
 from fglthh.algebroid import MuStructure, TypicalStructure
 from fglthh.thh import sigma_mu_moving, sigma_mu_split, sigma_bp
 
@@ -13,7 +13,7 @@ settings.load_profile("suite")
 
 @pytest.fixture(scope="session")
 def lazard6():
-    return lazard_generators(6)
+    return LazardBasis(6)
 
 
 @pytest.fixture(scope="session")
@@ -23,12 +23,12 @@ def structure6(lazard6):
 
 @pytest.fixture(scope="session")
 def lazard8():
-    return lazard_generators(8)
+    return LazardBasis(8)
 
 
 @pytest.fixture(scope="session")
 def lazard10():
-    return lazard_generators(10)
+    return LazardBasis(10)
 
 
 @pytest.fixture(scope="session")
@@ -53,7 +53,7 @@ def prime(request):
 
 @pytest.fixture(scope="session")
 def typical_bases():
-    return {p: hazewinkel_generators(p, 4) for p in (2, 3, 5)}
+    return {p: TypicalBasis(p, 4) for p in (2, 3, 5)}
 
 
 @pytest.fixture(scope="session")
@@ -64,4 +64,4 @@ def typical_structures(typical_bases):
 @pytest.fixture(scope="session")
 def sigma_bp_tables():
     # index 3 covers every degree range and theorem check in the suite
-    return {p: sigma_bp(hazewinkel_generators(p, 3)) for p in (2, 3, 5)}
+    return {p: sigma_bp(TypicalBasis(p, 3)) for p in (2, 3, 5)}

@@ -1,3 +1,4 @@
+import sys
 from functools import cached_property
 
 import pytest
@@ -5,11 +6,15 @@ from hypothesis import given, strategies as st
 
 import fglthh.algebroid
 import fglthh.series
-from fglthh.exactalg import GenTable, GradedPoly
+from fglthh.cli import main
+from fglthh.exactalg import GenTable, GradedPoly, IntegralityError
 from fglthh.fgl import LazardBasis, m_name, x_name, ell_name
-from fglthh.series import compose, comp_inverse, series_from_coefficient_table
+from fglthh.series import (TruncatedSeries, compose, comp_inverse, fgl_formal_sum,
+                           fgl_from_log, series_from_coefficient_table)
 from fglthh.algebroid import (CoordFlavor, MuStructure, generic_strict_series,
                               moving_right_unit, typicality_filter, b_name, c_name)
+from fglthh.thh import lambda_in_e
+from fglthh.verify import verify_mu
 
 
 def gens(table, *names):
@@ -164,13 +169,15 @@ def test_chi_involution(structure6):
 
 
 def test_exp_coefficients(structure6):
-    ms = structure6
-    m1, m2, m3, m4 = gens(ms.basis.m_table, "m_1", "m_2", "m_3", "m_4")
-    assert ms.mbar[1] == -m1
-    assert ms.mbar[2] == 2 * m1 ** 2 - m2
-    assert ms.mbar[3] == -5 * m1 ** 3 + 5 * m1 * m2 - m3
-    assert ms.mbar[4] == (14 * m1 ** 4 - 21 * m1 ** 2 * m2 + 3 * m2 ** 2
-                          + 6 * m1 * m3 - m4)
+    table = structure6.basis.m_table
+    m1, m2, m3, m4 = gens(table, "m_1", "m_2", "m_3", "m_4")
+    exp = comp_inverse(series_from_coefficient_table(
+        table, 5, {n: GradedPoly.gen(table, m_name(n)) for n in range(1, 5)}))
+    assert exp.coeff(2) == -m1
+    assert exp.coeff(3) == 2 * m1 ** 2 - m2
+    assert exp.coeff(4) == -5 * m1 ** 3 + 5 * m1 * m2 - m3
+    assert exp.coeff(5) == (14 * m1 ** 4 - 21 * m1 ** 2 * m2 + 3 * m2 ** 2
+                            + 6 * m1 * m3 - m4)
 
 
 def _tensor_dict(pairs, table):
@@ -214,11 +221,55 @@ def test_psi_axioms(structure6):
         assert ms.antipode_residual(n).is_zero()
 
 
+def _collect_by(poly, names):
+    """Group terms by their sub-monomial over the named generators.
+
+    Returns a dict mapping the sub-monomial (on this table) to the
+    cofactor polynomial in the remaining generators.
+    """
+    table = poly.table
+    idxs = {table.index(n) for n in names}
+    groups = {}
+    for mono, c in poly.terms.items():
+        key = sum(e * table.units[i] for i, e in table.exponents(mono) if i in idxs)
+        groups.setdefault(key, {})[mono - key] = c
+    return {k: GradedPoly(table, v) for k, v in groups.items()}
+
+
 class ReferenceMuStructure(MuStructure):
-    """The coproduct composed from two copies of the split series over a
-    doubled alphabet, ``b''`` for the left tensor factor and ``b'`` for the
-    right, and renamed back to ``b``: the reference for the power-table
-    coproduct and its axiom residuals."""
+    """The earlier routes, kept as references.  The coproduct is composed
+    from two copies of the split series over a doubled alphabet, ``b''`` for
+    the left tensor factor and ``b'`` for the right, and renamed back to
+    ``b``: the reference for the power-table coproduct and its axiom
+    residuals.  The moving coordinates are solved from the formal sum
+    ``x +_F c_1 x^2 +_F ... +_F c_N x^(N+1) = fbar(x)``: the reference for
+    the right-unit solve."""
+
+    @cached_property
+    def _c_in_mb_table(self):
+        """Moving coordinates solved degree by degree from the formal sum,
+        over the logarithm and split alphabets: each coefficient of the sum
+        is ``c_n`` plus a tail in the m's and the lower c's."""
+        N = self.N
+        mc, mb = self.mc_table, self.mb_table
+        bound = N + 1
+        law = fgl_from_log([GradedPoly.gen(mc, m_name(n)) for n in range(1, N + 1)], bound)
+        terms = [TruncatedSeries.variable(mc, bound)]
+        for k in range(1, N + 1):
+            terms.append(TruncatedSeries.monomial(
+                mc, bound, GradedPoly.gen(mc, c_name(k)), k + 1))
+        phi = fgl_formal_sum(law, terms)
+
+        c_solved = {}
+        for n in range(1, N + 1):
+            coeff = phi.coeff(n + 1)
+            if coeff.coefficient_of_gen(c_name(n)) != 1:
+                raise IntegralityError(
+                    f"moving coordinate {n} does not enter the formal sum linearly")
+            tail = coeff - GradedPoly.gen(mc, c_name(n))
+            lowered = tail.substitute({c_name(j): c_solved[j] for j in range(1, n)}, mb)
+            c_solved[n] = self.chi[n].extend_to(mb) - lowered
+        return c_solved
 
     @cached_property
     def psi_tables(self):
@@ -244,7 +295,7 @@ class ReferenceMuStructure(MuStructure):
         self._check_range(n)
         data = self.psi_tables
         raw = data["raw"][n]
-        groups = raw.collect_by(data["inner"].names)
+        groups = _collect_by(raw, data["inner"].names)
         pairs = []
         for inner_mono, outer_poly in groups.items():
             left = GradedPoly(data["table"], {inner_mono: 1}).substitute(
@@ -333,6 +384,51 @@ def test_psi_makes_no_substitution_or_composition(monkeypatch, lazard8):
     for n in range(1, 9):
         ms.psi(n)
     assert calls == []
+
+
+def test_c_in_mb_matches_the_formal_sum_reference(lazard8, reference8):
+    ms = MuStructure(lazard8)
+    for n in range(1, 9):
+        assert ms.c_in_mb(n) == reference8.c_in_mb(n)
+
+
+def test_structure_maps_make_no_formal_sum(monkeypatch, capsys, lazard6):
+    calls = []
+
+    def counting(law, terms):
+        calls.append(len(terms))
+        return fgl_formal_sum(law, terms)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fglthh") and hasattr(module, "fgl_formal_sum"):
+            monkeypatch.setattr(module, "fgl_formal_sum", counting)
+    ms = MuStructure(lazard6)
+    for n in range(1, 7):
+        ms.c_in_xb(n)
+    lambda_in_e(ms)
+    assert main(["sigma", "--flavor", "mu-split", "--max-n", "6", "-N", "6"]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+def test_verify_sees_a_wrong_right_unit(monkeypatch):
+    name = "moving and absolute right units agree (n <= 6)"
+
+    def verdict():
+        return {r.name: r.ok for r in verify_mu("mu-split", 6, 6)}[name]
+
+    assert verdict()
+    eta_m = MuStructure.eta_m
+
+    def mutated(self, n):
+        out = eta_m(self, n)
+        if n == 3:
+            out = out + GradedPoly.gen(self.mb_table, b_name(1)) * GradedPoly.gen(
+                self.mb_table, m_name(2))
+        return out
+
+    monkeypatch.setattr(MuStructure, "eta_m", mutated)
+    assert not verdict()
 
 
 def test_antipode_residual_sees_a_wrong_conjugate(lazard6):

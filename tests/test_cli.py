@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,14 @@ def test_bp_without_prime_is_usage_error(capsys):
     code, _, err = run(capsys, "sigma", "--flavor", "bp", "--max-n", "2")
     assert code == 2
     assert "prime" in err
+
+
+def test_sigma_bp_past_the_monomial_limit_fails_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sigma", "--flavor", "bp", "--prime", "2", "--max-n", "8")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert "limit of 4000 monomials of weight 255" in err
 
 
 def test_large_prime_guard(capsys):

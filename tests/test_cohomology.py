@@ -214,10 +214,10 @@ def test_bp_odd_concentration(bp_tables):
 
 
 def test_bp_prime_guard(sigma_bp_tables):
-    from fglthh.fgl import hazewinkel_generators
+    from fglthh.fgl import TypicalBasis
     from fglthh.thh import sigma_bp
     with pytest.raises(ResourceGuardError):
-        bp_cohomology_table(sigma_bp(hazewinkel_generators(7, 2)))
+        bp_cohomology_table(sigma_bp(TypicalBasis(7, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +235,8 @@ def test_rational_collapse_bp(sigma_bp_tables):
     for p, sig in sigma_bp_tables.items():
         d_max = 14 if p == 2 else bp_degree_range(p)
         table = cohomology_groups(sig, min(d_max, bp_degree_range(p)))
-        from fglthh.fgl import hazewinkel_generators
-        rep = rational_collapse_check(table, hazewinkel_generators(p, 3).ell_table)
+        from fglthh.fgl import TypicalBasis
+        rep = rational_collapse_check(table, TypicalBasis(p, 3).ell_table)
         assert rep.all_ok
 
 

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fglthh.exactalg import GradedPoly, DegreeGuardError, solve_rational_linear
-from fglthh.fgl import (lazard_generators, hazewinkel_generators,
-                        lazard_indecomposable_unit,
+from fglthh.fgl import (TypicalBasis, lazard_indecomposable_unit,
                         m_name, x_name, ell_name, v_name)
 
 
@@ -144,7 +143,7 @@ def test_hazewinkel_low_degrees(typical_bases):
 
 
 def test_hazewinkel_p2_weight_two():
-    tb = hazewinkel_generators(2, 2)
+    tb = TypicalBasis(2, 2)
     assert tb.ell_in_v[2].scale(4) == 2 * vg(tb, 2) + vg(tb, 1, 3)
 
 
@@ -161,7 +160,7 @@ def test_pn_ell_integral(typical_bases):
 
 
 def test_rewrite_ell_to_v_examples():
-    tb = hazewinkel_generators(5, 2)
+    tb = TypicalBasis(5, 2)
     poly = GradedPoly.gen(tb.ell_table, ell_name(2)).scale(25)
     out, integral = tb.rewrite_ell_to_v(poly)
     assert out == 5 * vg(tb, 2) + vg(tb, 1, 6) and integral

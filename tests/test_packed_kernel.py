@@ -2,8 +2,7 @@
 
 Until monomials became one packed int each, a monomial was a tuple of
 ``(generator index, exponent)`` pairs sorted by index.  The tuple kernel's
-monomial product, polynomial product, ``partials``, ``collect_by``,
-``extend_to``, ``substitute``, ``mono_key`` and monomial enumeration are
+monomial product, polynomial product, ``partials``, ``extend_to``, ``substitute``, ``mono_key`` and monomial enumeration are
 kept here verbatim (on ``TupleTable`` and ``TuplePoly``) as the reference:
 after unpacking through ``GenTable.exponents``, the packed kernel must give
 the same polynomials and the same order, on tables shaped like the Lazard
@@ -198,20 +197,6 @@ class TuplePoly:
         return {i: TuplePoly._raw(self.table, {m: _norm_coeff(c) for m, c in part.items()})
                 for i, part in sorted(out.items()) if part}
 
-    def collect_by(self, names):
-        """Group terms by their sub-monomial over the named generators.
-
-        Returns a dict mapping the sub-monomial (on this table) to the
-        cofactor polynomial in the remaining generators.
-        """
-        idxs = {self.table.index(n) for n in names}
-        groups = {}
-        for mono, c in self.terms.items():
-            key = tuple((i, e) for i, e in mono if i in idxs)
-            rest = tuple((i, e) for i, e in mono if i not in idxs)
-            groups.setdefault(key, {})[rest] = c
-        return {k: TuplePoly._raw(self.table, v) for k, v in groups.items()}
-
     def extend_to(self, target):
         """Re-express on another table; every generator actually used must
         exist there under the same name."""
@@ -371,7 +356,7 @@ def test_power_matches_tuple_kernel(data):
 
 
 @given(st.data())
-def test_partials_and_collect_match_tuple_kernel(data):
+def test_partials_match_tuple_kernel(data):
     table, (w,) = data.draw(table_and_weights(1))
     a = data.draw(homogeneous(table, w))
     ref = as_tuple_poly(a)
@@ -379,11 +364,6 @@ def test_partials_and_collect_match_tuple_kernel(data):
     want = ref.partials()
     assert list(got) == list(want)
     assert {i: unpacked(p) for i, p in got.items()} == {i: p.terms for i, p in want.items()}
-    names = data.draw(st.lists(st.sampled_from(table.names), unique=True))
-    got = a.collect_by(names)
-    want = ref.collect_by(names)
-    assert {table.exponents(k): unpacked(p) for k, p in got.items()} == {
-        k: p.terms for k, p in want.items()}
 
 
 @given(st.data())

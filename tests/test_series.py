@@ -8,7 +8,7 @@ from fglthh import series
 from fglthh.exactalg import GenTable, GradedPoly
 from fglthh.series import (TruncatedSeries, SeriesError, compose, comp_inverse,
                            series_from_coefficient_table, fgl_from_log,
-                           fgl_formal_sum, log_of_series)
+                           fgl_formal_sum)
 
 
 N = 7
@@ -194,8 +194,8 @@ def test_log_of_law_is_additive(law):
     # log F(x, y) = log(x) + log(y) through the bound
     bound = law.bound
     m_list = [mgen(n) for n in range(1, N + 1)]
-    left = log_of_series(m_list, bound, law.series)
     log = series_from_coefficient_table(M, bound, {n: m_list[n - 1] for n in range(1, N + 1)})
+    left = compose(log, law.series)
     right = TruncatedSeries(M, 2, bound, {(k, 0): p for (k,), p in log.coeffs.items()})
     right = right + TruncatedSeries(M, 2, bound, {(0, k): p for (k,), p in log.coeffs.items()})
     assert left == right
@@ -221,10 +221,8 @@ def test_law_commutativity(law):
 # ---------------------------------------------------------------------------
 
 def test_formal_sum_additive_case():
-    zeros = [GradedPoly.zero(M) for _ in range(5)]
-    add = fgl_from_log(zeros, 6)
     mc = GenTable([(f"m_{n}", n) for n in range(1, 8)] + [("c_1", 1)], N)
-    add = add.extend_table(mc)
+    add = fgl_from_log([GradedPoly.zero(mc) for _ in range(5)], 6)
     x = TruncatedSeries.variable(mc, 6)
     t = TruncatedSeries.monomial(mc, 6, GradedPoly.gen(mc, "c_1"), 2)
     assert fgl_formal_sum(add, [x, t]) == x + t
@@ -233,7 +231,8 @@ def test_formal_sum_additive_case():
 def test_formal_sum_hand_expansion(law):
     # F(x, c1 x^2) = x + c1 x^2 + a_{11} c1 x^3 + ... by direct substitution
     mc = GenTable([(f"m_{n}", n) for n in range(1, 8)] + [("c_1", 1)], N)
-    lawc = law.extend_table(mc)
+    lawc = fgl_from_log([GradedPoly.gen(mc, f"m_{n}") for n in range(1, N + 1)], law.bound)
+    assert lawc.coefficients() == {e: p.extend_to(mc) for e, p in law.coefficients().items()}
     x = TruncatedSeries.variable(mc, lawc.bound)
     c1 = GradedPoly.gen(mc, "c_1")
     t = TruncatedSeries.monomial(mc, lawc.bound, c1, 2)

@@ -1,10 +1,10 @@
 from hypothesis import given, strategies as st
 
-from fglthh.exactalg import GradedPoly
+from fglthh.exactalg import GenTable, GradedPoly
 from fglthh.fgl import x_name, v_name
-from fglthh.thh import (ExtElement, sigma_bp, lambda_in_e,
-                        convert_moving_to_split, hurewicz_mu, hurewicz_bp,
-                        merge_sign)
+from fglthh.thh import (BP_MONOMIAL_LIMIT, ExtElement, count_monomials, sigma_bp,
+                        lambda_in_e, convert_moving_to_split, hurewicz_mu,
+                        hurewicz_bp, merge_sign, mu_split_flavor, _linear_split_part)
 
 
 def xg(basis, n, exp=1):
@@ -115,6 +115,18 @@ def test_lambda_in_e_identities(lazard10, structure10, sigma_split10):
                        + lam(sig, 2, x2 - x1 ** 2) + lam(sig, 3, x1) - lam(sig, 4))
 
 
+def test_linear_split_part_keeps_single_b_terms(structure6):
+    ms = structure6
+    x1, x2, x3, b1, b2, b3 = (GradedPoly.gen(ms.xb_table, n)
+                              for n in ("x_1", "x_2", "x_3", "b_1", "b_2", "b_3"))
+    poly = (x2 * b1 - 2 * x1 ** 2 * b1 + 3 * x1 * b2 + b3
+            + b1 * b2 + b1 ** 3 + x1 * b1 ** 2 + x3)
+    flavor = mu_split_flavor(ms.basis)
+    y1, y2 = xg(ms.basis, 1), xg(ms.basis, 2)
+    assert _linear_split_part(ms, flavor, poly) == ExtElement(flavor, {
+        (1,): y2 - 2 * y1 ** 2, (2,): 3 * y1, (3,): GradedPoly.one(ms.basis.x_table)})
+
+
 def test_flavor_coherence(structure10, sigma_moving10, sigma_split10):
     conv = lambda_in_e(structure10)
     for n in range(1, 5):
@@ -159,6 +171,20 @@ def test_sigma_bp_recursion_oracle(typical_bases):
         acc = acc - lam_n(1, v(2, p)) - sig.on_base["v_2"] * (tb.pn_ell(1) * v(2, p - 1))
         acc = acc - lam_n(2, v(1, p * p)) - sig.on_base["v_1"] * (tb.pn_ell(2) * v(1, p * p - 1))
         assert acc == sig.on_base["v_3"]
+
+
+def test_count_monomials_at_the_guard():
+    def count(p, n, limit=BP_MONOMIAL_LIMIT):
+        return count_monomials([p ** k - 1 for k in range(1, n + 1)], p ** n - 1, limit)
+
+    assert count(2, 7) == 2724
+    assert count(5, 5) == 3857
+    assert count(3, 6) > BP_MONOMIAL_LIMIT
+    assert count(3, 6, 10 ** 5) == 6724
+    # against the listed monomials of the v alphabet
+    for p, n in ((2, 6), (2, 7), (3, 5), (5, 4)):
+        table = GenTable([(v_name(k), p ** k - 1) for k in range(1, n + 1)], p ** n - 1)
+        assert count(p, n) == len(table.monomials_of_weight(p ** n - 1))
 
 
 def test_sigma_bp_squares(sigma_bp_tables):
