@@ -5,10 +5,12 @@ the consistency checks, or a sigma table.  The text and TeX entries use small
 configurations."""
 
 import hashlib
+import json
 
 import pytest
 
-from fglthh.cli import main
+from fglthh.cli import main, poly_json
+from fglthh.fgl import LazardBasis
 
 GOLDEN = {
     "bar-tor": {
@@ -136,6 +138,12 @@ GOLDEN = {
 }
 
 
+# the integral generators x_1..x_16 in the m basis, each rendered by
+# poly_json and the list dumped with sort_keys; x_n for n > 4 is the
+# representative of the indecomposable modulo the decomposable lattice
+LAZARD_16_X_IN_M = "6c9075cce214a569587ea746d5cdd895859b34fa49ad2878a986d3744ebf82b2"
+
+
 def _commands(fmt):
     return sorted(command for command, digests in GOLDEN.items() if fmt in digests)
 
@@ -160,3 +168,10 @@ def test_golden_text_bytes(capsys, command):
 @pytest.mark.parametrize("command", _commands("tex"))
 def test_golden_tex_bytes(capsys, command):
     _check(capsys, command, "tex")
+
+
+def test_golden_lazard_16_generators():
+    basis = LazardBasis(16)
+    doc = json.dumps([poly_json(basis.x_in_m[n]) for n in range(1, 17)],
+                     sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == LAZARD_16_X_IN_M
