@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -940,52 +941,81 @@ def solve_integer(matrix, rhs):
     return [row[0] for row in full.apply("V", [[x] for x in y])]
 
 
+def ext_gcd(a, b):
+    """``(g, s, t)`` with ``g = gcd(a, b) = s*a + t*b`` and ``g >= 0``."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
 def row_hnf(rows):
-    """Row echelon basis with positive pivots, not reduced above the pivots.
+    """Row echelon basis with positive pivots, built one row at a time.
 
     Returns ``(rows, pivot_cols)`` for the lattice spanned by ``rows``:
     each row is zero left of its pivot, and the pivot columns increase.
-    Reducing the entries above the pivots would give the Hermite normal
+    Each input row is cleared against the basis from its leading column
+    on.  A pivot that divides the leading entry is subtracted; otherwise
+    the two rows are combined by extended gcd, the gcd row takes the pivot
+    and the combination with a zero there carries on (Kannan & Bachem,
+    SIAM J. Comput. 1979).  A row that takes a pivot is first reduced
+    modulo the pivots right of it, which keeps the entries small.  The
+    rows above a new pivot are not reduced, so this is not the Hermite
     form, but ``reduce_mod_rows`` does not need it: the pivot columns and
     pivot values of any such basis are those of the Hermite form, so the
     representatives it returns are the same.
     """
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return [], []
-    m = len(work[0])
-    hnf = []
+    basis = {}     # pivot column -> row
+    support = {}   # pivot column -> the row's nonzero (column, entry) pairs
     pivots = []
-    col = 0
-    while work and col < m:
-        nonzero = [r for r in work if r[col]]
-        rest = [r for r in work if not r[col]]
-        if not nonzero:
-            col += 1
-            continue
-        while len(nonzero) > 1:
-            nonzero.sort(key=lambda r: abs(r[col]))
-            base = nonzero[0]
-            # every working row is zero left of col
-            base_nz = [(j, base[j]) for j in range(col, m) if base[j]]
-            new_rest = []
-            for r in nonzero[1:]:
-                q = r[col] // base[col]
-                for j, x in base_nz:
+
+    def install(row, c):
+        for pc in pivots[bisect_right(pivots, c):]:
+            x = row[pc]
+            if x:
+                q = x // basis[pc][pc]
+                if q:
+                    for j, y in support[pc]:
+                        row[j] -= q * y
+        basis[c] = row
+        support[c] = [(j, x) for j, x in enumerate(row) if x]
+
+    for r in rows:
+        r = list(r)
+        m = len(r)
+        c = 0
+        while True:
+            while c < m and not r[c]:
+                c += 1
+            if c == m:
+                break
+            a = r[c]
+            b = basis.get(c)
+            if b is None:
+                if a < 0:
+                    r = [-x for x in r]
+                insort(pivots, c)
+                install(r, c)
+                break
+            p = b[c]
+            q, rem = divmod(a, p)
+            if not rem:
+                for j, x in support[c]:
                     r[j] -= q * x
-                if r[col]:
-                    new_rest.append(r)
-                elif any(r):
-                    rest.append(r)
-            nonzero = [base] + new_rest
-        pivot_row = nonzero[0]
-        if pivot_row[col] < 0:
-            pivot_row = [-x for x in pivot_row]
-        hnf.append(pivot_row)
-        pivots.append(col)
-        work = rest
-        col += 1
-    return hnf, pivots
+            else:
+                g, s, t = ext_gcd(p, a)
+                u, v = p // g, a // g
+                install([s * x + t * y for x, y in zip(b, r)], c)
+                r = [u * y - v * x for x, y in zip(b, r)]
+            c += 1
+    return [basis[c] for c in pivots], pivots
 
 
 def reduce_mod_rows(hnf, pivots, vector):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactalg import (GenTable, GradedPoly, DegreeGuardError,
-                       IntegralityError, row_hnf, reduce_mod_rows,
+                       IntegralityError, ext_gcd, row_hnf, reduce_mod_rows,
                        solve_integer)
 from .series import fgl_from_log
 
@@ -35,21 +35,9 @@ def _ext_gcd_combo(values):
             combo = [0] * len(values)
             combo[k] = 1 if v > 0 else -1
             continue
-        a, b = g, v
-        # extended gcd of (a, b)
-        old_r, r = a, b
-        old_s, s = 1, 0
-        old_t, t = 0, 1
-        while r:
-            q = old_r // r
-            old_r, r = r, old_r - q * r
-            old_s, s = s, old_s - q * s
-            old_t, t = t, old_t - q * t
-        if old_r < 0:
-            old_r, old_s, old_t = -old_r, -old_s, -old_t
-        combo = [c * old_s for c in combo]
-        combo[k] += old_t
-        g = old_r
+        g, s, t = ext_gcd(g, v)
+        combo = [c * s for c in combo]
+        combo[k] += t
     return g, combo
 
 

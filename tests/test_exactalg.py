@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fglthh import exactalg
+from fglthh import exactalg, fgl
 from fglthh.exactalg import (
     GenTable, GradedPoly, GradedWeightError, GeneratorTableError,
     UnderdeterminedSystemError, ComplexViolationError, IntMatrix, FinAbGroup,
@@ -612,8 +612,9 @@ def test_solve_integer_and_hnf():
 
 @given(st.data())
 def test_lattice_representative_ignores_echelon_basis(data):
-    # row_hnf returns an echelon basis that is not reduced above its pivots;
-    # the representative must still depend on the lattice alone
+    # row_hnf reduces each new pivot row only modulo the pivots right of it,
+    # never the rows above it, so its basis is not the Hermite form; the
+    # representative must still depend on the lattice alone
     m = data.draw(st.integers(1, 5))
     rows = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=m, max_size=m),
                               min_size=2, max_size=5))
@@ -631,6 +632,119 @@ def test_lattice_representative_ignores_echelon_basis(data):
     columns = IntMatrix.from_rows([[r[j] for r in rows] for j in range(m)],
                                   cols=len(rows))
     assert solve_integer(columns, [a - b for a, b in zip(v, rep)]) is not None
+
+
+# the column sweep that row_hnf replaced, kept as the reference: pairwise
+# Euclid per column, no reduction of the entries right of the column
+def reference_row_hnf(rows):
+    """Row echelon basis with positive pivots, not reduced above the pivots.
+
+    Returns ``(rows, pivot_cols)`` for the lattice spanned by ``rows``:
+    each row is zero left of its pivot, and the pivot columns increase.
+    Reducing the entries above the pivots would give the Hermite normal
+    form, but ``reduce_mod_rows`` does not need it: the pivot columns and
+    pivot values of any such basis are those of the Hermite form, so the
+    representatives it returns are the same.
+    """
+    work = [list(r) for r in rows if any(r)]
+    if not work:
+        return [], []
+    m = len(work[0])
+    hnf = []
+    pivots = []
+    col = 0
+    while work and col < m:
+        nonzero = [r for r in work if r[col]]
+        rest = [r for r in work if not r[col]]
+        if not nonzero:
+            col += 1
+            continue
+        while len(nonzero) > 1:
+            nonzero.sort(key=lambda r: abs(r[col]))
+            base = nonzero[0]
+            # every working row is zero left of col
+            base_nz = [(j, base[j]) for j in range(col, m) if base[j]]
+            new_rest = []
+            for r in nonzero[1:]:
+                q = r[col] // base[col]
+                for j, x in base_nz:
+                    r[j] -= q * x
+                if r[col]:
+                    new_rest.append(r)
+                elif any(r):
+                    rest.append(r)
+            nonzero = [base] + new_rest
+        pivot_row = nonzero[0]
+        if pivot_row[col] < 0:
+            pivot_row = [-x for x in pivot_row]
+        hnf.append(pivot_row)
+        pivots.append(col)
+        work = rest
+        col += 1
+    return hnf, pivots
+
+
+
+@st.composite
+def lattices(draw):
+    m = draw(st.integers(1, 8))
+    entry = st.integers(-50, 50) | st.sampled_from([2**40, -2**40, 2**40 + 3])
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), max_size=10))
+    # zero rows, duplicates and combinations of rows already drawn
+    for kind in draw(st.lists(st.sampled_from("zdc"), max_size=3)):
+        if kind == "z" or not rows:
+            rows.append([0] * m)
+        elif kind == "d":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            p, q = draw(st.integers(-7, 7)), draw(st.integers(-7, 7))
+            rows.append([p * x + q * y for x, y in zip(a, b)])
+    order = draw(st.permutations(range(len(rows))))
+    return m, [rows[i] for i in order]
+
+
+@settings(max_examples=200)
+@given(lattices(), st.data())
+def test_row_hnf_matches_the_column_sweep(lattice, data):
+    m, rows = lattice
+    hnf, pivots = row_hnf(rows)
+    ref, ref_pivots = reference_row_hnf(rows)
+    assert pivots == ref_pivots
+    assert [row[pc] for row, pc in zip(hnf, pivots)] == \
+        [row[pc] for row, pc in zip(ref, ref_pivots)]
+    for row, pc in zip(hnf, pivots):
+        assert len(row) == m and not any(row[:pc]) and row[pc] > 0
+    # the same pivots and an index-preserving span: every input row lies in
+    # the lattice of the basis, so the two lattices are equal
+    for row in rows:
+        assert not any(reduce_mod_rows(hnf, pivots, row))
+    vectors = data.draw(st.lists(st.lists(st.integers(-2**41, 2**41),
+                                          min_size=m, max_size=m), max_size=4))
+    for v in vectors:
+        assert reduce_mod_rows(hnf, pivots, v) == reduce_mod_rows(ref, ref_pivots, v)
+
+
+def test_row_hnf_of_no_rows():
+    assert row_hnf([]) == ([], [])
+    assert row_hnf(iter([(0, 0), (0, 0)])) == ([], [])
+
+
+def test_row_hnf_entries_stay_small_on_the_lazard_lattices(monkeypatch):
+    # the column sweep reached 2,425-bit entries on the weight-16
+    # decomposable lattice, whose whole index is 1,818 bits
+    bases = []
+
+    def recording(rows):
+        hnf, pivots = row_hnf(rows)
+        bases.append(hnf)
+        return hnf, pivots
+
+    monkeypatch.setattr(fgl, "row_hnf", recording)
+    basis = fgl.LazardBasis(16)
+    top = bases[-1]  # the lattices are reduced in weight order, 16 last
+    assert len(top[0]) == len(basis.m_table.monomials_of_weight(16))
+    assert max(abs(x).bit_length() for row in top for x in row) <= 64
 
 
 def test_integer_matrices_reject_non_integers():
