@@ -684,7 +684,6 @@ def reference_row_hnf(rows):
     return hnf, pivots
 
 
-
 @st.composite
 def lattices(draw):
     m = draw(st.integers(1, 8))
