@@ -6,6 +6,7 @@ configurations."""
 
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -144,6 +145,37 @@ GOLDEN = {
 LAZARD_16_X_IN_M = "6c9075cce214a569587ea746d5cdd895859b34fa49ad2878a986d3744ebf82b2"
 
 
+# The frontier corpus: mu-moving and mu-split cohomology at the degrees where
+# the Smith reduction does its work, each pinned twice.  The first digest is
+# the JSON bytes.  The second covers the groups alone: the document with
+# every "generators" key dropped, dumped with sort_keys.  The printed
+# generator lifts depend on the pivot order of the Smith forms and the groups
+# do not, so a change of elimination may re-record the byte digest on
+# purpose, but never the groups-only one.
+FRONTIER = {
+    "cohomology --flavor mu-moving --max-degree 24 -N 12": (
+        "50967c14e9d4d1a6deb067124b4dd214ec5536b319c736df5b06eed8843f06d5",
+        "9e8e04ee659f4cc4863cfbbbcac076350ed9ddb157052c78ad1378d81ebfcac8"),
+    "cohomology --flavor mu-split --max-degree 24 -N 12": (
+        "d91550d841e3a778b56693acd82fff3fc86823cbcea74ee777ebe51a400b1699",
+        "3bffdc5febac2218dc3bf02ff99ab4cfb4ef43f393f615b77c695419603e1a5d"),
+}
+
+# the same pins past d=24, which take from seconds to about a minute each,
+# so they run only with FGLTHH_FRONTIER=1 (``pytest -m frontier`` selects them)
+FRONTIER_OPT_IN = {
+    "cohomology --flavor mu-moving --max-degree 28 -N 14": (
+        "4c10d646f43e34f251743c7079ad48c162fd126e44644fd77a7621679ceb4666",
+        "8cd830232c7889cdae2e63b28bf7ca2dae20fa768b3e4a35339778ad11360dd8"),
+    "cohomology --flavor mu-moving --max-degree 30 -N 15": (
+        "b0bd25661865af3cc9439a81b1cbb23c6f9b234470161c353f0c67e453b4e96d",
+        "82643fbadc1ca6e25679c9eafb1b153cefc61dc8aca88ce00af4bde37ce8ad8f"),
+    "cohomology --flavor mu-moving --max-degree 32 -N 16": (
+        "f00266f424807fb6ffab02ec4b9d4a2ace9ce94f3ed700610f3a07f1e2956332",
+        "148c27f750abf654ae2aa4af3bed763955acdb365dbc3243284f67fe1eb68bf2"),
+}
+
+
 def _commands(fmt):
     return sorted(command for command, digests in GOLDEN.items() if fmt in digests)
 
@@ -175,3 +207,33 @@ def test_golden_lazard_16_generators():
     doc = json.dumps([poly_json(basis.x_in_m[n]) for n in range(1, 17)],
                      sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == LAZARD_16_X_IN_M
+
+
+def groups_only(doc):
+    if isinstance(doc, dict):
+        return {k: groups_only(v) for k, v in doc.items() if k != "generators"}
+    if isinstance(doc, list):
+        return [groups_only(v) for v in doc]
+    return doc
+
+
+def _check_frontier(capsys, command, digests):
+    code = main(command.split() + ["--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    groups = json.dumps(groups_only(json.loads(out)), sort_keys=True)
+    assert (hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(groups.encode()).hexdigest()) == digests
+
+
+@pytest.mark.parametrize("command", sorted(FRONTIER))
+def test_frontier_bytes_and_groups(capsys, command):
+    _check_frontier(capsys, command, FRONTIER[command])
+
+
+@pytest.mark.frontier
+@pytest.mark.skipif(os.environ.get("FGLTHH_FRONTIER") != "1",
+                    reason="set FGLTHH_FRONTIER=1 to run the d >= 28 pins")
+@pytest.mark.parametrize("command", sorted(FRONTIER_OPT_IN))
+def test_frontier_opt_in_bytes_and_groups(capsys, command):
+    _check_frontier(capsys, command, FRONTIER_OPT_IN[command])
