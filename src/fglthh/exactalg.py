@@ -16,6 +16,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 
 
 class ExactAlgError(Exception):
@@ -766,10 +767,9 @@ class SmithDecomposition:
                     i, k = k, i
                 if negate:
                     q = -q
-                Ri = R[i]
-                for j, x in enumerate(R[k]):
-                    if x:
-                        Ri[j] -= q * x
+                Ri, Rk = R[i], R[k]
+                for j in compress(range(len(Rk)), Rk):
+                    Ri[j] -= q * Rk[j]
             elif kind == "swap":
                 k = op[2]
                 R[i], R[k] = R[k], R[i]
@@ -818,13 +818,11 @@ def smith_normal_form_full(matrix):
     col_ops = []
 
     def row_op(i, k, q):
-        # row_i -= q * row_k; a zero multiple is neither applied nor logged
-        if q:
-            Ai = A[i]
-            for j, x in enumerate(A[k]):
-                if x:
-                    Ai[j] -= q * x
-            row_ops.append(("add", i, k, q))
+        # row_i -= q * row_k, for a nonzero q
+        Ai, Ak = A[i], A[k]
+        for j in compress(range(m), Ak):
+            Ai[j] -= q * Ak[j]
+        row_ops.append(("add", i, k, q))
 
     def col_op(j, t, q):
         # col_j -= q * col_t, called once column t is clear off the pivot
@@ -850,19 +848,20 @@ def smith_normal_form_full(matrix):
 
     t = 0
     while True:
+        # the first entry of least absolute value in row-major order,
+        # stopping at the first unit
         pivot = None
         best = None
         for i in range(t, n):
-            Ai = A[i]
-            for j in range(t, m):
-                v = Ai[j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
+            seg = A[i][t:]
+            if not any(seg):
+                continue
+            low = min(map(abs, filter(None, seg)))
+            if best is None or low < best:
+                best = low
+                pivot = (i, t + min(seg.index(v) for v in (low, -low) if v in seg))
+                if best == 1:
+                    break
         if pivot is None:
             break
         swap_rows(t, pivot[0])
@@ -870,9 +869,18 @@ def smith_normal_form_full(matrix):
         if A[t][t] < 0:
             negate_row(t)
         while True:
+            # the pivot row is fixed during the sweep, so list its nonzeros once
+            At = A[t]
+            p = At[t]
+            support = [(j, At[j]) for j in compress(range(m), At)]
             for i in range(t + 1, n):
-                if A[i][t]:
-                    row_op(i, t, A[i][t] // A[t][t])
+                Ai = A[i]
+                if Ai[t]:
+                    q = Ai[t] // p
+                    if q:
+                        for j, x in support:
+                            Ai[j] -= q * x
+                        row_ops.append(("add", i, t, q))
             dirty = next((i for i in range(t + 1, n) if A[i][t]), None)
             if dirty is not None:
                 swap_rows(t, dirty)
@@ -1031,7 +1039,7 @@ def reduce_mod_rows(hnf, pivots, vector):
     for row, pc in zip(hnf, pivots):
         q = v[pc] // row[pc]
         if q:
-            for j in range(pc, len(v)):
+            for j in compress(range(len(row)), row):
                 v[j] -= q * row[j]
     return v
 

@@ -393,11 +393,36 @@ def without_zero_multiples(ops):
     return [op for op in ops if op[0] != "add" or op[3]]
 
 
+@st.composite
+def sparse_matrices(draw):
+    """Mostly-zero matrices up to 12x12, like the staircase maps."""
+    n, m = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    A = [[0] * m for _ in range(n)]
+    if n and m:
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, m - 1),
+                          st.integers(-50, 50))
+        for i, j, v in draw(st.lists(cells, max_size=n * m // 4 + 1)):
+            A[i][j] = v
+    return IntMatrix.from_rows(A, cols=m)
+
+
 @settings(max_examples=200)
 @given(int_matrices(st.integers(0, 10), st.integers(0, 10),
-                    st.one_of(st.just(0), st.integers(min_value=-50, max_value=50))))
+                    st.one_of(st.just(0), st.integers(min_value=-50, max_value=50)))
+       | sparse_matrices())
 @example(IntMatrix.from_rows([[5], [9], [7]]))  # the row sweep meets 2 // 4
 @example(IntMatrix.from_rows([[5, 9, 7]]))      # the column sweep likewise
+# the pivot is the first entry of least absolute value in row-major order:
+# -1 before +1 in one row
+@example(IntMatrix.from_rows([[0, 4, -1, 1], [1, 3, 0, 2]]))
+# a least value tied across two rows
+@example(IntMatrix.from_rows([[7, 0, 3, 5], [3, 8, 0, 4], [0, 3, 9, 6]]))
+# a non-unit least value with both signs in one row
+@example(IntMatrix.from_rows([[0, 6, 3, -3, 9], [5, 0, 0, 7, 0]]))
+# a sparse non-unit block that needs repeated sweeps
+@example(IntMatrix.from_rows([[0, 0, 0, 0, 0], [0, 6, 0, 0, 10],
+                              [0, 0, 0, 0, 0], [0, 10, 0, 0, 15],
+                              [0, 0, 0, 0, 0], [0, 14, 0, 0, 4]]))
 def test_snf_pivot_sequence_matches_dense_reference(M):
     ref = reference_smith_normal_form_full(M)
     got = smith_normal_form_full(M)
@@ -701,6 +726,29 @@ def lattices(draw):
             rows.append([p * x + q * y for x, y in zip(a, b)])
     order = draw(st.permutations(range(len(rows))))
     return m, [rows[i] for i in order]
+
+
+# the dense loop that reduce_mod_rows replaced, kept as the reference: it
+# walks every column from the pivot on, zeros included
+def reference_reduce_mod_rows(hnf, pivots, vector):
+    v = list(vector)
+    for row, pc in zip(hnf, pivots):
+        q = v[pc] // row[pc]
+        if q:
+            for j in range(pc, len(v)):
+                v[j] -= q * row[j]
+    return v
+
+
+@given(lattices(), st.data())
+def test_reduce_mod_rows_matches_the_dense_loop(lattice, data):
+    m, rows = lattice
+    vectors = data.draw(st.lists(st.lists(st.integers(-2**41, 2**41),
+                                          min_size=m, max_size=m), max_size=4))
+    for hnf, pivots in (row_hnf(rows), reference_row_hnf(rows)):
+        for v in rows + vectors:
+            assert reduce_mod_rows(hnf, pivots, v) == \
+                reference_reduce_mod_rows(hnf, pivots, v)
 
 
 @settings(max_examples=200)
