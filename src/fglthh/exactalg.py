@@ -849,7 +849,8 @@ def smith_normal_form_full(matrix):
     t = 0
     while True:
         # the first entry of least absolute value in row-major order,
-        # stopping at the first unit
+        # stopping at the first unit; the printed generator lifts, and so
+        # the output bytes, depend on this choice
         pivot = None
         best = None
         for i in range(t, n):
