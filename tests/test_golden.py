@@ -66,6 +66,9 @@ GOLDEN = {
         "text": "cc289d694d7a8ee34f72221fba5a326f446300414c8b65f4233dbbaa79470297",
         "tex": "0801a5f6f14c90fe9592d98c6b5feee3e50f933fbe88ef1a1a14c5f3f461a283",
     },
+    "sigma --flavor bp --prime 2 --max-n 7": {
+        "json": "4ef828d441dd19f5c583b7db7fc37a525536ef63ac7b3e49ec7f964b74257d6e",
+    },
     "sigma --flavor bp --prime 3 --max-n 4": {
         "json": "a942b9a5ecd52193a777cd8dd2ba625b4f64bccaf951f0f4e3b560c252d8ab5a",
         "text": "0352e97ff36de4e80c65230faca5e43c06d5a0ee8f88475026fcdb52b1cb02fe",
