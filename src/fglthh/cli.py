@@ -22,14 +22,14 @@ from .fgl import LazardBasis, TypicalBasis, x_name, v_name
 from .algebroid import MuStructure, TypicalStructure, CoordFlavor
 from .thh import (ExtElement, sigma_mu_moving, sigma_mu_split, sigma_bp,
                   lambda_in_e)
-from .cohomology import (cohomology_groups, localize_table, bp_degree_range,
-                         bar_tor_check, de_rham_cohomology, de_rham_comparison)
+from .cohomology import (SMALL_PRIMES, cohomology_groups, localize_table,
+                         bp_degree_range, bar_tor_check, de_rham_cohomology,
+                         de_rham_comparison)
 from .verify import verify_mu, verify_bp
 
 SCHEMA = "fgl-thh/1"
 FLAVORS = ("mu-moving", "mu-split", "bp")
 FORMATS = ("text", "json", "tex")
-SMALL_PRIMES = (2, 3, 5)
 
 
 class ContractFailure(Exception):

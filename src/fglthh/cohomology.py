@@ -249,6 +249,9 @@ def localize_table(table, p):
                            table.presentations, table.stairs)
 
 
+SMALL_PRIMES = (2, 3, 5)
+
+
 def bp_degree_range(p):
     return 2 * p * p + 4 * p - 6
 
@@ -257,9 +260,10 @@ def bp_cohomology_table(sigma_table):
     """Full p-typical cohomology table through the supported degree range,
     with p-local invariant factors."""
     p = sigma_table.flavor.prime
-    if p not in (2, 3, 5):
+    if p not in SMALL_PRIMES:
         raise ResourceGuardError(
-            f"prime {p} outside the supported desk-scale range {{2, 3, 5}}")
+            f"prime {p} outside the supported desk-scale range "
+            f"{{{', '.join(map(str, SMALL_PRIMES))}}}")
     d_max = bp_degree_range(p)
     table = cohomology_groups(sigma_table, d_max)
     return localize_table(table, p)

@@ -16,6 +16,7 @@ import fglthh.cli
 import fglthh.fgl
 from fglthh.cli import main
 from fglthh.exactalg import GradedPoly
+from fglthh.fgl import TYPICAL_MAX_N
 from fglthh.series import SeriesError
 from fglthh.thh import ExtElement
 
@@ -129,12 +130,15 @@ def test_bp_without_prime_is_usage_error(capsys):
     assert "prime" in err
 
 
-def test_sigma_bp_past_the_monomial_limit_fails_fast(capsys):
+@pytest.mark.parametrize("max_n", [TYPICAL_MAX_N + 1, 40])
+@pytest.mark.parametrize("command", ["sigma", "structure-maps"])
+def test_bp_past_the_max_n_cap_fails_fast(capsys, command, max_n):
     start = time.perf_counter()
-    code, out, err = run(capsys, "sigma", "--flavor", "bp", "--prime", "2", "--max-n", "8")
+    code, out, err = run(capsys, command, "--flavor", "bp", "--prime", "2",
+                         "--max-n", str(max_n))
     assert time.perf_counter() - start < 2
     assert (code, out) == (2, "")
-    assert "limit of 4000 monomials of weight 255" in err
+    assert f"capped at max_n {TYPICAL_MAX_N}, got {max_n}" in err
 
 
 def test_large_prime_guard(capsys):

@@ -74,6 +74,9 @@ GOLDEN = {
         "text": "0352e97ff36de4e80c65230faca5e43c06d5a0ee8f88475026fcdb52b1cb02fe",
         "tex": "ee7a3a148c0c8e7a3eece88d9996d5acdbe536d02b992d728d3eff2ecdab723f",
     },
+    "sigma --flavor bp --prime 3 --max-n 7": {
+        "json": "cdb54776372c07fa780bcaf065522155d8c934c189c75f7ccbeea2ac8e4cdb66",
+    },
     "sigma --flavor mu-moving --max-n 8 -N 8": {
         "json": "dd9848966d4fdd77d26635a58b0889cb2cec514e3cbbbfc0c04c50b4dae95c3b",
         "text": "66ab16bd7f74ac3296ba52618495a637504dae0ac8de4009954d03ea8061e9fc",

@@ -1,10 +1,13 @@
+import pytest
 from hypothesis import given, strategies as st
 
-from fglthh.exactalg import GenTable, GradedPoly
-from fglthh.fgl import x_name, v_name
-from fglthh.thh import (BP_MONOMIAL_LIMIT, ExtElement, count_monomials, sigma_bp,
+from fglthh.cli import main
+from fglthh.exactalg import GradedPoly
+from fglthh.fgl import TypicalBasis, x_name, v_name
+from fglthh.thh import (ExtElement, sigma_bp,
                         lambda_in_e, convert_moving_to_split, hurewicz_mu,
                         hurewicz_bp, merge_sign, mu_split_flavor, _linear_split_part)
+from fglthh import verify
 
 
 def xg(basis, n, exp=1):
@@ -160,7 +163,7 @@ def test_sigma_bp_theorem_values(sigma_bp_tables):
 
 def test_sigma_bp_recursion_oracle(typical_bases):
     # re-derive sigma(v_3) from the recursion by hand at each prime and
-    # compare with the table built by the dual-route constructor
+    # compare with the table sigma_bp builds
     for p, tb in typical_bases.items():
         sig = sigma_bp(tb)
         fl = sig.flavor
@@ -173,18 +176,39 @@ def test_sigma_bp_recursion_oracle(typical_bases):
         assert acc == sig.on_base["v_3"]
 
 
-def test_count_monomials_at_the_guard():
-    def count(p, n, limit=BP_MONOMIAL_LIMIT):
-        return count_monomials([p ** k - 1 for k in range(1, n + 1)], p ** n - 1, limit)
+@pytest.mark.parametrize("p, n", [(2, 6), (3, 5), (5, 4)])
+def test_sigma_bp_recursion_equals_the_rational_route(p, n):
+    tb = TypicalBasis(p, n)
+    sig = sigma_bp(tb)
+    assert verify.rational_sigma_bp(tb, sig.flavor) == sig.on_base
 
-    assert count(2, 7) == 2724
-    assert count(5, 5) == 3857
-    assert count(3, 6) > BP_MONOMIAL_LIMIT
-    assert count(3, 6, 10 ** 5) == 6724
-    # against the listed monomials of the v alphabet
-    for p, n in ((2, 6), (2, 7), (3, 5), (5, 4)):
-        table = GenTable([(v_name(k), p ** k - 1) for k in range(1, n + 1)], p ** n - 1)
-        assert count(p, n) == len(table.monomials_of_weight(p ** n - 1))
+
+def test_sigma_tables_make_no_rational_rewrite(monkeypatch, capsys):
+    calls = []
+    rewrite = TypicalBasis.rewrite_ell_to_v
+
+    def counting(self, poly):
+        calls.append(poly.weight())
+        return rewrite(self, poly)
+
+    monkeypatch.setattr(TypicalBasis, "rewrite_ell_to_v", counting)
+    assert main(["sigma", "--flavor", "bp", "--prime", "2", "--max-n", "5"]) == 0
+    assert main(["cohomology", "--flavor", "bp", "--prime", "3", "--max-degree", "24"]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+def test_verify_sees_a_perturbed_recursion(monkeypatch, capsys):
+    def perturbed(tbasis):
+        sig = sigma_bp(tbasis)
+        sig.on_base[v_name(2)] = sig.on_base[v_name(2)].scale(-1)
+        return sig
+
+    monkeypatch.setattr(verify, "sigma_bp", perturbed)
+    assert main(["verify", "--flavor", "bp", "--prime", "2", "--max-degree", "10"]) == 1
+    out = capsys.readouterr().out
+    assert ("[FAIL] recursive and rational sigma routes agree"
+            "  [recursive and rational sigma disagree on v_2]") in out
 
 
 def test_sigma_bp_squares(sigma_bp_tables):
