@@ -56,6 +56,9 @@ GOLDEN = {
         "text": "237fb09097673ab32e0882ce5a095bd97eba010addd7568d880cbaee33ba54c6",
         "tex": "00921f9faf82c92ae5dae75815e595e655f5e83c40d1fbe6e9845538a42bee33",
     },
+    "de-rham --max-degree 14 -N 12": {
+        "json": "f17e08ce218f87ef03109e187d9dd3053249adca1a1751feca4f813a0cf18c38",
+    },
     "de-rham --weights 1,2,3 --max-degree 14": {
         "json": "3da011713b8da6f9b80215749784e5274a582c9b1a93f7c04254bbf75daca315",
         "text": "6693080b7a780ee15f38910a9f8056c474913d1b584397a9ac14a041cdddb8e4",
