@@ -15,6 +15,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 from .exactalg import ExactAlgError, ResourceGuardError
@@ -239,7 +240,11 @@ def emit_report(report, fmt, config, out):
         results = {key: _rows(rows, fmt) for _title, key, rows in report.sections}
         results.update(report.flags)
         doc = {"schema": SCHEMA, "config": config, "results": results}
-        json.dump(doc, out, indent=2)
+        # the bytes of json.dump, which writes each encoder chunk on its own
+        # (a system call each when unbuffered); small batches keep memory low
+        chunks = json.JSONEncoder(indent=2).iterencode(doc)
+        while batch := "".join(islice(chunks, 1024)):
+            out.write(batch)
         out.write("\n")
         return
     lines = []

@@ -1150,39 +1150,41 @@ class SubquotientPresentation:
     ``V^-1`` past ``r`` give kernel coordinates.  ``relations`` is the
     image of ``d_in`` in those coordinates.  Both Smith forms are read
     through :meth:`SmithDecomposition.apply` on the vectors at hand, so no
-    transform is built.  The image lattice in ambient coordinates is
-    spanned by the columns of ``d_in`` itself.  Generator lifts are
-    returned in ambient coordinates, reduced to their canonical
-    representatives modulo that lattice.
+    transform is built, and neither is kept.  The image lattice in ambient
+    coordinates is spanned by the columns of ``d_in`` itself.  Generator
+    lifts are returned in ambient coordinates, reduced to their canonical
+    representatives modulo that lattice.  Class orders and generation are
+    answered from ``d_in`` and ``d_out`` by reduction modulo echelon bases
+    (Cohen, GTM 138, §2.4).
     """
 
-    def __init__(self, out_snf, d_in, relations):
-        self._out_snf = out_snf
-        self.relations = relations  # k x cols(d_in), k the kernel rank
-        k = relations.rows
+    def __init__(self, d_in, d_out, out_snf, relations):
+        self.d_in = d_in
+        self.d_out = d_out
+        k = relations.rows  # k x cols(d_in), k the kernel rank
         if k and relations.cols:
-            self._rel_snf = smith_normal_form_full(relations)
-            D = self._rel_snf.D
-            self._orders = [D.entries[i][i] if i < D.cols else 0 for i in range(k)]
+            rel_snf = smith_normal_form_full(relations)
+            D = rel_snf.D
+            orders = [D.entries[i][i] if i < D.cols else 0 for i in range(k)]
         else:
             # no relations: the kernel is free on its basis
-            self._rel_snf = None
-            self._orders = [0] * k
-        factors = [d for d in self._orders if d > 1]
-        free = sum(1 for d in self._orders if d == 0)
+            rel_snf = None
+            orders = [0] * k
+        factors = [d for d in orders if d > 1]
+        free = sum(1 for d in orders if d == 0)
         gens = []
-        lifted = [i for i, d in enumerate(self._orders) if d != 1]
+        lifted = [i for i, d in enumerate(orders) if d != 1]
         if lifted:
             # column c of the block is the kernel coordinates of lift c,
             # padded with r zero rows to V coordinates
             block = [[int(i == j) for j in lifted] for i in range(k)]
-            if self._rel_snf is not None:
-                block = self._rel_snf.apply("U_inv", block)
+            if rel_snf is not None:
+                block = rel_snf.apply("U_inv", block)
             block = out_snf.apply("V", [[0] * len(lifted)] * out_snf.rank + block)
             hnf, pivots = row_hnf(zip(*d_in.entries))
             for c, i in enumerate(lifted):
                 vec = reduce_mod_rows(hnf, pivots, [row[c] for row in block])
-                gens.append((self._orders[i], tuple(self._sign_normalize(vec))))
+                gens.append((orders[i], tuple(self._sign_normalize(vec))))
         gens.sort(key=lambda g: (g[0] != 0, g[0]))  # free generators first
         self.generator_vectors = tuple(gens)
         self.group = FinAbGroup(free, _chain_from_factors(factors))
@@ -1192,48 +1194,41 @@ class SubquotientPresentation:
         lead = next((x for x in vec if x), 0)
         return [-x for x in vec] if lead < 0 else list(vec)
 
-    def kernel_coords(self, vector):
-        """Coordinates of an ambient cocycle in the kernel basis; None if
-        the vector is not a cocycle."""
-        y = [row[0] for row in self._out_snf.apply("V_inv", [[x] for x in vector])]
-        r = self._out_snf.rank
-        return None if any(y[:r]) else y[r:]
+    def _check_cocycle(self, vector):
+        if any(sum(a * x for a, x in zip(row, vector)) for row in self.d_out.entries):
+            raise ValueError("vector is not a cocycle")
 
     def class_order(self, vector):
         """Order of the class of ``vector``; 0 means infinite order.
 
-        Raises ``ValueError`` when the vector is not a cocycle.
+        Raises ``ValueError`` when the vector is not a cocycle.  Reduced
+        modulo the image lattice, ``v`` has a multiple in it only if its
+        first nonzero column ``c`` is a pivot column; then, for the pivot
+        ``p`` there, the order is ``f = p / gcd(p, v[c])`` times that of ``f v``.
         """
-        y = self.kernel_coords(vector)
-        if y is None:
-            raise ValueError("vector is not a cocycle")
-        if self._rel_snf is not None:
-            y = [row[0] for row in self._rel_snf.apply("U", [[x] for x in y])]
+        self._check_cocycle(vector)
+        hnf, pivots = row_hnf(zip(*self.d_in.entries))
+        pivot_at = {pc: row[pc] for row, pc in zip(hnf, pivots)}
         order = 1
-        for d, c in zip(self._orders, y):
-            if d == 0:
-                if c:
-                    return 0
-            elif d > 1 and c % d:
-                order = math.lcm(order, d // math.gcd(d, c))
+        v = reduce_mod_rows(hnf, pivots, vector)
+        while any(v):
+            c = next(j for j, x in enumerate(v) if x)
+            p = pivot_at.get(c)
+            if p is None:
+                return 0
+            f = p // math.gcd(p, v[c])
+            order *= f
+            v = reduce_mod_rows(hnf, pivots, [f * x for x in v])
         return order
 
     def generates(self, vectors):
-        """True when the classes of ``vectors`` generate the whole group."""
-        extra = []
+        """True when the classes of ``vectors`` generate the whole group:
+        every generator lift lies in the image lattice plus their span."""
         for v in vectors:
-            z = self.kernel_coords(v)
-            if z is None:
-                raise ValueError("vector is not a cocycle")
-            extra.append(z)
-        k = self.relations.rows
-        if k == 0:
-            return True
-        rows = [list(row) + [z[i] for z in extra]
-                for i, row in enumerate(self.relations.entries)]
-        facs = invariant_factors(
-            IntMatrix.from_rows(rows, cols=self.relations.cols + len(extra)))
-        return len(facs) == k and all(d == 1 for d in facs)
+            self._check_cocycle(v)
+        hnf, pivots = row_hnf([*zip(*self.d_in.entries), *vectors])
+        return not any(any(reduce_mod_rows(hnf, pivots, g))
+                       for _, g in self.generator_vectors)
 
 
 def subquotient_group(d_in, d_out):
@@ -1252,5 +1247,5 @@ def subquotient_group(d_in, d_out):
     y = out_snf.apply("V_inv", d_in.entries)
     if any(any(row) for row in y[:r]):
         raise ComplexViolationError("image does not lie in the kernel")
-    return SubquotientPresentation(out_snf, d_in, IntMatrix(
+    return SubquotientPresentation(d_in, d_out, out_snf, IntMatrix(
         len(y) - r, d_in.cols, tuple(map(tuple, y[r:]))))

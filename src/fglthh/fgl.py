@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .exactalg import (GenTable, GradedPoly, DegreeGuardError,
                        IntegralityError, ResourceGuardError, ext_gcd, row_hnf,
-                       reduce_mod_rows, solve_integer)
+                       reduce_mod_rows)
 from .series import fgl_from_log
 
 
@@ -225,9 +225,8 @@ class LazardBasis:
                 col[index[m]] = int(c)
             if any(col):
                 cols.append(col)
-        rows = [[c[i] for c in cols] for i in range(len(m_monos))]
         rhs = [int(self.x_in_m[n].terms.get(m, 0)) for m in m_monos]
-        return solve_integer(rows, rhs) is not None
+        return not any(reduce_mod_rows(*row_hnf(cols), rhs))
 
 
 # ---------------------------------------------------------------------------

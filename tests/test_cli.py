@@ -101,6 +101,32 @@ def test_json_round_trip_and_determinism(capsys):
     assert json.loads(json.dumps(doc)) == doc
 
 
+class CountingStream(io.StringIO):
+    """A text stream that counts its ``write`` calls."""
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_json_is_written_in_batches_of_json_dump_bytes(monkeypatch):
+    # json.dump writes each encoder chunk separately, one system call each
+    # on an unbuffered stream; the batches must carry the same bytes
+    out = CountingStream()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main("structure-maps --flavor mu-split --max-n 8 -N 8 "
+                "--format json".split()) == 0
+    text = out.getvalue()
+    doc = json.loads(text)
+    expected = io.StringIO()
+    json.dump(doc, expected, indent=2)
+    assert text == expected.getvalue() + "\n"
+    chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(doc))
+    assert chunks > 2048
+    assert out.writes <= chunks // 1024 + 2
+
+
 def test_structure_maps_empty_table_is_valid_json(capsys):
     code, out, _ = run(capsys, "structure-maps", "--flavor", "mu-moving",
                        "--max-n", "0", "--truncation", "4", "--format", "json")

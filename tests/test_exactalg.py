@@ -1,4 +1,6 @@
+import gc
 import math
+import types
 from fractions import Fraction
 from itertools import combinations
 
@@ -500,9 +502,9 @@ def built_transforms(decomposition):
 
 
 def test_subquotient_builds_only_read_transforms(monkeypatch):
-    # the subquotient and its class checks apply the Smith operation logs
-    # to the vectors they need; every outgoing map, the 0-row one
-    # included, takes the Smith-form route
+    # the subquotient applies the Smith operation logs to the vectors it
+    # needs, and its class checks reduce modulo echelon bases; every
+    # outgoing map, the 0-row one included, takes the Smith-form route
     made = []
 
     def recording(matrix):
@@ -516,10 +518,9 @@ def test_subquotient_builds_only_read_transforms(monkeypatch):
         pres = subquotient_group(d_in, d_out)
         assert pres.class_order(cocycle) > 1
         assert pres.generates([list(v) for _, v in pres.generator_vectors])
-        # the outgoing map, the relations, and the relations extended by
-        # the stated generators
-        assert len(made) == 3
-        assert [built_transforms(snf) for snf in made] == [set()] * 3
+        # the outgoing map and the relations, none for the class checks
+        assert len(made) == 2
+        assert [built_transforms(snf) for snf in made] == [set()] * 2
     made.clear()
     d_in = DEGREE_NINE_PAIR[0]
     x = [1, -2, 0, 3, 1]
@@ -528,6 +529,29 @@ def test_subquotient_builds_only_read_transforms(monkeypatch):
     assert [sum(a * b for a, b in zip(row, sol)) for row in d_in.entries] == rhs
     assert invariant_factors(d_in) == minor_gcd_chain(d_in.entries)
     assert [built_transforms(snf) for snf in made] == [set(), set()]
+
+
+def reachable(root):
+    """Every object reachable from ``root`` through references, without
+    entering classes, modules or functions."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType,
+                                               types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        yield obj
+        stack.extend(gc.get_referents(obj))
+
+
+def test_presentation_keeps_no_smith_form():
+    for (d_in, d_out), cocycle in ((DEGREE_NINE_PAIR, [0, -2, 1, 0, 0, 1, 0]),
+                                   (Z2_PAIR, [1])):
+        pres = subquotient_group(d_in, d_out)
+        pres.class_order(cocycle)
+        pres.generates([cocycle])
+        assert not any(isinstance(obj, SmithDecomposition) for obj in reachable(pres))
 
 
 def test_subquotient_complex_violation():
@@ -591,6 +615,118 @@ def test_generator_lifts_on_random_complexes(data):
             neg == reduce_mod_rows(hnf, pivots, neg)
         assert pres.class_order(g) == order
     assert pres.generates(lifts)
+
+
+# The Smith-log queries that reduction modulo echelon bases replaced, kept
+# as the reference: kernel coordinates by ``V^-1`` of the outgoing map,
+# class orders by the relations' ``U``, and generation by the Smith form of
+# the relations extended by the vectors' kernel coordinates.
+def reference_kernel_coords(out_snf, vector):
+    y = [row[0] for row in out_snf.apply("V_inv", [[x] for x in vector])]
+    r = out_snf.rank
+    return None if any(y[:r]) else y[r:]
+
+
+def reference_relations(d_in, out_snf):
+    y = out_snf.apply("V_inv", d_in.entries)
+    return IntMatrix.from_rows(y[out_snf.rank:], cols=d_in.cols)
+
+
+def reference_class_order(d_in, d_out, vector):
+    out_snf = smith_normal_form_full(d_out)
+    y = reference_kernel_coords(out_snf, vector)
+    if y is None:
+        raise ValueError("vector is not a cocycle")
+    relations = reference_relations(d_in, out_snf)
+    k = relations.rows
+    if k and relations.cols:
+        rel_snf = smith_normal_form_full(relations)
+        D = rel_snf.D
+        orders = [D.entries[i][i] if i < D.cols else 0 for i in range(k)]
+        y = [row[0] for row in rel_snf.apply("U", [[x] for x in y])]
+    else:
+        orders = [0] * k
+    order = 1
+    for d, c in zip(orders, y):
+        if d == 0:
+            if c:
+                return 0
+        elif d > 1 and c % d:
+            order = math.lcm(order, d // math.gcd(d, c))
+    return order
+
+
+def reference_generates(d_in, d_out, vectors):
+    out_snf = smith_normal_form_full(d_out)
+    extra = []
+    for v in vectors:
+        z = reference_kernel_coords(out_snf, v)
+        if z is None:
+            raise ValueError("vector is not a cocycle")
+        extra.append(z)
+    relations = reference_relations(d_in, out_snf)
+    k = relations.rows
+    if k == 0:
+        return True
+    rows = [list(row) + [z[i] for z in extra]
+            for i, row in enumerate(relations.entries)]
+    facs = invariant_factors(
+        IntMatrix.from_rows(rows, cols=relations.cols + len(extra)))
+    return len(facs) == k and all(d == 1 for d in facs)
+
+
+def assert_queries_match_references(d_in, d_out, vectors):
+    """Class orders of each vector and generation by all of them agree
+    with the references, a non-cocycle raising ``ValueError`` in both."""
+    pres = subquotient_group(d_in, d_out)
+    for query, reference, args in (
+            *((pres.class_order, reference_class_order, v) for v in vectors),
+            (pres.generates, reference_generates, vectors)):
+        try:
+            expected = reference(d_in, d_out, args)
+        except ValueError:
+            with pytest.raises(ValueError, match="not a cocycle"):
+                query(args)
+        else:
+            assert query(args) == expected
+
+
+@pytest.mark.parametrize("d_in, d_out, vectors", [
+    (*Z2_PAIR, [[1], [2], [0], [-3]]),                      # 0-row d_out
+    (*DEGREE_NINE_PAIR, [[0, -2, 1, 0, 0, 1, 0], [0, 0, 0, 1, -1, 0, 0]]),
+    (*DEGREE_NINE_PAIR, [[1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0]]),  # Z, not a cocycle
+    (IntMatrix.zero(3, 0), IntMatrix.from_rows([[1, 1, 0]]),  # no columns in
+     [[1, -1, 0], [0, 0, 2], [0, 0, 0]]),                 # free, order 0
+    (IntMatrix.from_rows([[2], [0]]), IntMatrix.zero(0, 2), [[1, 3], [3, 0]]),
+])
+def test_echelon_queries_match_references_on_edge_cases(d_in, d_out, vectors):
+    assert_queries_match_references(d_in, d_out, vectors)
+
+
+@given(st.data())
+def test_echelon_queries_match_smith_references(data):
+    # random complexes, with and without a 0-row outgoing map or incoming
+    # columns; the vectors are mostly cocycles, with free and torsion
+    # classes, and sometimes a random vector that is not one
+    m, a, b = (data.draw(st.integers(lo, hi))
+               for lo, hi in ((0, 5), (0, 4), (0, 3)))
+    entry = st.integers(-3, 3)
+    d_out = IntMatrix.from_rows(
+        [[data.draw(entry) for _ in range(m)] for _ in range(b)], cols=m)
+    kernel = kernel_columns(d_out)
+
+    def cocycle(bound):
+        combo = [data.draw(st.integers(-bound, bound)) for _ in kernel]
+        return [sum(c * v[i] for c, v in zip(combo, kernel)) for i in range(m)]
+
+    cols = [cocycle(6) for _ in range(a)]
+    d_in = IntMatrix.from_rows([[col[i] for col in cols] for i in range(m)], cols=a)
+    vectors = [cocycle(4) if data.draw(st.integers(0, 4)) else
+               [data.draw(entry) for _ in range(m)]
+               for _ in range(data.draw(st.integers(0, 3)))]
+    assert_queries_match_references(d_in, d_out, vectors)
+    lifts = [list(vec) for _, vec in subquotient_group(d_in, d_out).generator_vectors]
+    assert_queries_match_references(d_in, d_out, lifts)
 
 
 @given(st.permutations(range(4)), st.permutations(range(3)))
