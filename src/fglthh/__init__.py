@@ -9,8 +9,7 @@ from .fgl import LazardBasis, TypicalBasis
 from .algebroid import MuStructure, TypicalStructure, CoordFlavor
 from .thh import (ExtElement, SigmaTable, sigma_mu_moving, sigma_mu_split,
                   sigma_bp, lambda_in_e, hurewicz_mu, hurewicz_bp)
-from .cohomology import (DegreeComplex, assemble_complex,
-                         cohomology_groups, bp_cohomology_table,
+from .cohomology import (DegreeComplex, cohomology_groups,
                          rational_collapse_check, bar_tor_check,
                          de_rham_cohomology, de_rham_comparison)
 
@@ -26,7 +25,6 @@ __all__ = [
     "MuStructure", "TypicalStructure", "CoordFlavor",
     "ExtElement", "SigmaTable", "sigma_mu_moving", "sigma_mu_split",
     "sigma_bp", "lambda_in_e", "hurewicz_mu", "hurewicz_bp",
-    "DegreeComplex", "assemble_complex",
-    "cohomology_groups", "bp_cohomology_table", "rational_collapse_check",
+    "DegreeComplex", "cohomology_groups", "rational_collapse_check",
     "bar_tor_check", "de_rham_cohomology", "de_rham_comparison",
 ]

@@ -80,20 +80,15 @@ def generic_strict_series(table, names_by_degree, bound):
 
 def moving_right_unit(n, table=None):
     """Right unit on the weight-n logarithm coefficient in moving
-    coordinates.  A closed divisor sum, so it needs no truncation data; a
-    private table of exactly the required size is built when none is given."""
-    if n == 0:
-        if table is None:
-            table = GenTable([(m_name(1), 1), (c_name(1), 1)], 1)
-        return GradedPoly.one(table)
+    coordinates.  A closed divisor sum, so it needs no truncation data; when
+    no table is given, a private one holds just the generators of the
+    divisor pairs."""
+    pairs = [(i, (n + 1) // (i + 1) - 1) for i in range(n + 1) if (n + 1) % (i + 1) == 0]
     if table is None:
-        table = GenTable([(m_name(k), k) for k in range(1, n + 1)]
-                         + [(c_name(k), k) for k in range(1, n + 1)], n)
+        table = GenTable([(m_name(i), i) for i, _ in pairs if i]
+                         + [(c_name(j), j) for _, j in pairs if j], n)
     parts = []
-    for i in range(0, n + 1):
-        if (n + 1) % (i + 1):
-            continue
-        j = (n + 1) // (i + 1) - 1
+    for i, j in pairs:
         mi = GradedPoly.one(table) if i == 0 else GradedPoly.gen(table, m_name(i))
         cj = GradedPoly.one(table) if j == 0 else GradedPoly.gen(table, c_name(j))
         parts.append(mi * cj ** (i + 1))
@@ -287,7 +282,6 @@ class TypicalStructure:
         self.t_table = GenTable([(t_name(n), p ** n - 1) for n in range(1, max_n + 1)],
                                 tbasis.truncation_weight)
         self.ellt_table = tbasis.ell_table.union(self.t_table)
-        self.vt_table = tbasis.v_table.union(self.t_table)
 
     def eta_ell(self, n):
         """``sum_{i+j=n} ell_i t_j^(p^i)`` with leading and trailing units."""

@@ -14,37 +14,16 @@ independent check on the exterior-algebra form of the coalgebra Tor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from itertools import combinations
 
 from .exactalg import (GenTable, GradedPoly, FinAbGroup, IntMatrix,
                        ComplexViolationError, IntegralityError, DegreeGuardError,
-                       ResourceGuardError, subquotient_group, rational_rank)
-from .thh import ExtElement, ThhFlavor
+                       ResourceGuardError, subquotient_group, rational_rank, p_part)
+from .thh import DeRhamDifferential, ExtElement, hurewicz_mu, ring_map
 from .algebroid import CoordFlavor
 
 # A cochain differential is any object with a ``flavor`` and an ``apply``
-# method: a ``SigmaTable`` or a ``DeRhamDifferential``.
-
-
-class DeRhamDifferential:
-    """Exterior derivative on the de Rham complex of a weighted polynomial
-    ring; exterior generator n is the differential of the n-th base
-    generator and sits one degree above it."""
-
-    def __init__(self, base_table, truncation_weight=None):
-        self.flavor = ThhFlavor(
-            "de-rham", base_table, "d",
-            tuple((k + 1, w) for k, (_, w) in enumerate(base_table.gens)),
-            truncation_weight=truncation_weight)
-
-    def apply(self, elt):
-        out = ExtElement.zero(self.flavor)
-        for subset, coeff in elt.terms.items():
-            lam = ExtElement(self.flavor, {subset: GradedPoly.one(self.flavor.base)})
-            for gi, part in coeff.partials().items():
-                if gi + 1 not in subset:
-                    out = out + ExtElement(self.flavor, {(gi + 1,): part}) * lam
-        return out
+# method: a ``SigmaTable``, of which ``DeRhamDifferential`` is one.
 
 
 def _basis_at(diff, degree, q):
@@ -145,15 +124,6 @@ def staircase(diff, root):
     return DegreeComplex(flavor.tag, top, root, tuple(bases), tuple(diffs))
 
 
-def assemble_complex(diff, d):
-    """The staircase computing the torsion classes of internal degree ``d``:
-    rooted at ``d-1`` for odd ``d``, at ``d-2`` for positive even ``d``."""
-    if d < 0:
-        raise ValueError("negative internal degree")
-    root = 0 if d == 0 else (d - 1 if d % 2 else d - 2)
-    return staircase(diff, root)
-
-
 @dataclass
 class CohomologyTable:
     """Cohomology groups per internal degree with the finer per-exterior-count
@@ -233,18 +203,9 @@ def localize_table(table, p):
     by_q = {k: g.localize(p) for k, g in table.by_q.items()}
     gens = {}
     for d, pairs in table.generators.items():
-        kept = []
-        for order, elt in pairs:
-            if order == 0:
-                kept.append((0, elt))
-                continue
-            e = 0
-            while order % p == 0:
-                order //= p
-                e += 1
-            if e:
-                kept.append((p ** e, elt))
-        gens[d] = tuple(kept)
+        # a free generator keeps order 0; one of order prime to p drops out
+        local = [(p_part(order, p) if order else 0, elt) for order, elt in pairs]
+        gens[d] = tuple((order, elt) for order, elt in local if order != 1)
     return CohomologyTable(table.tag, table.d_max, groups, by_q, gens,
                            table.presentations, table.stairs)
 
@@ -254,19 +215,6 @@ SMALL_PRIMES = (2, 3, 5)
 
 def bp_degree_range(p):
     return 2 * p * p + 4 * p - 6
-
-
-def bp_cohomology_table(sigma_table):
-    """Full p-typical cohomology table through the supported degree range,
-    with p-local invariant factors."""
-    p = sigma_table.flavor.prime
-    if p not in SMALL_PRIMES:
-        raise ResourceGuardError(
-            f"prime {p} outside the supported desk-scale range "
-            f"{{{', '.join(map(str, SMALL_PRIMES))}}}")
-    d_max = bp_degree_range(p)
-    table = cohomology_groups(sigma_table, d_max)
-    return localize_table(table, p)
 
 
 # ---------------------------------------------------------------------------
@@ -335,32 +283,16 @@ def bar_tor_check(coord_flavor: CoordFlavor, weight_max, q_max):
     table = coord_flavor.coord_table(max(n - 1, 1), weight_max) if weights else GenTable(
         [(coord_flavor.coord_name(1), coord_flavor.coord_weight(1))], weight_max)
 
-    def positive_monos(w):
-        return [m for m in table.monomials_of_weight(w) if m]
-
-    bases = {}
-    for q in range(q_max + 2):
+    # position q, weight w: the q-tuples of positive monomials of total
+    # weight w, each a tuple at position q-1 extended by one monomial
+    bases = {(0, w): [()] if w == 0 else [] for w in range(weight_max + 1)}
+    for q in range(1, q_max + 2):
         for w in range(weight_max + 1):
-            if q == 0:
-                bases[(q, w)] = [()] if w == 0 else []
-                continue
-            out = []
-
-            def rec(left, acc):
-                if len(acc) == q:
-                    if left == 0:
-                        out.append(tuple(acc))
-                    return
-                remaining = q - len(acc)
-                for part in range(1, left - (remaining - 1) + 1):
-                    for mono in positive_monos(part):
-                        acc.append(mono)
-                        rec(left - part, acc)
-                        acc.pop()
-
-            rec(w, [])
-            out.sort(key=lambda tup: tuple(table.mono_key(m) for m in tup))
-            bases[(q, w)] = out
+            bases[(q, w)] = sorted(
+                (tup + (mono,) for part in range(1, w + 1)
+                 for tup in bases[(q - 1, w - part)]
+                 for mono in table.monomials_of_weight(part)),
+                key=lambda tup: tuple(table.mono_key(m) for m in tup))
 
     def differential(q, w):
         dom = bases[(q, w)]
@@ -374,25 +306,6 @@ def bar_tor_check(coord_flavor: CoordFlavor, weight_max, q_max):
                 rows[index[merged]][j] += sign
         return IntMatrix.from_rows(rows, cols=len(dom))
 
-    def expected_rank(q, w):
-        if q == 0:
-            return 1 if w == 0 else 0
-        count = 0
-
-        def rec(start, left, depth):
-            nonlocal count
-            if depth == 0:
-                if left == 0:
-                    count += 1
-                return
-            for k in range(start, len(weights)):
-                if weights[k] > left:
-                    break
-                rec(k + 1, left - weights[k], depth - 1)
-
-        rec(0, w, q)
-        return count
-
     results, expected, ok = {}, {}, True
     for w in range(weight_max + 1):
         d_out = IntMatrix.zero(0, len(bases[(0, w)]))
@@ -402,7 +315,7 @@ def bar_tor_check(coord_flavor: CoordFlavor, weight_max, q_max):
             group = subquotient_group(d_in, d_out).group
             d_out = d_in
             results[(q, w)] = group
-            expected[(q, w)] = expected_rank(q, w)
+            expected[(q, w)] = sum(1 for c in combinations(weights, q) if sum(c) == w)
             if group.invariant_factors or group.free_rank != expected[(q, w)]:
                 ok = False
     return BarTorReport(coord_flavor.tag, results, expected, ok)
@@ -428,33 +341,6 @@ class DeRhamComparison:
     forms_coords: CohomologyTable
     chain_map_residuals_zero: bool
     induced: dict
-
-
-def _include_forms_to_thh(sigma_table, source_flavor, elt):
-    """dx_n -> left-derivation value of sigma on x_n, base carried across."""
-    out = ExtElement.zero(sigma_table.flavor)
-    base = sigma_table.flavor.base
-    for subset, coeff in elt.terms.items():
-        acc = ExtElement.from_base(sigma_table.flavor, coeff.extend_to(base))
-        for n in subset:
-            name = source_flavor.base.name(n - 1)
-            acc = acc * sigma_table.on_base[name]
-        out = out + acc
-    return out
-
-
-def _include_thh_to_forms(structure, derham_c, elt):
-    """Base through the homology image, exterior generators to coordinate
-    differentials; fails if an image is not integral."""
-    from .thh import hurewicz_mu
-    flavor = derham_c.flavor
-    out = ExtElement.zero(flavor)
-    for subset, coeff in elt.terms.items():
-        image, integral = hurewicz_mu(structure, coeff)
-        if not integral:
-            raise IntegralityError("homology image is not integral")
-        out = out + ExtElement(flavor, {subset: image})
-    return out
 
 
 def _commutes(stair, d_max, source, d_source, d_target, include):
@@ -507,8 +393,25 @@ def de_rham_comparison(structure, sigma_moving, thh_table, d_max):
     forms_l = cohomology_groups(derham_l, d_max)
     forms_c = cohomology_groups(derham_c, d_max)
 
-    to_thh = partial(_include_forms_to_thh, sigma_moving, derham_l.flavor)
-    to_forms = partial(_include_thh_to_forms, structure, derham_c)
+    # dx_n goes to sigma(x_n), the base carried across
+    sigma_x = {n: sigma_moving.on_base[name]
+               for n, name in enumerate(derham_l.flavor.base.names, 1)}
+
+    def to_thh(elt):
+        return ring_map(elt, sigma_moving.flavor, sigma_x)
+
+    # the base goes through the homology image, lambda'_n to dc_n
+    dc = {n: ExtElement.ext_gen(derham_c.flavor, n) for n in derham_c.flavor.ext_indices()}
+
+    def integral_image(coeff):
+        image, integral = hurewicz_mu(structure, coeff)
+        if not integral:
+            raise IntegralityError("homology image is not integral")
+        return image
+
+    def to_forms(elt):
+        return ring_map(elt, derham_c.flavor, dc, integral_image)
+
     residual_ok = True
     for root in range(0, d_max + 1, 2):
         residual_ok &= _commutes(forms_l.stairs[root], d_max, derham_l,

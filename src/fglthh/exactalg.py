@@ -1,9 +1,9 @@
 """Exact arithmetic kernel.
 
 Sparse graded polynomials with rational coefficients, exact rational
-linear solving, integer matrices with Smith normal forms, canonical
-representatives modulo integer lattices, and finitely generated abelian
-groups presented as kernel-mod-image subquotients.  Coefficients are
+linear solving by echelon reduction, integer matrices with Smith normal
+forms, canonical representatives modulo integer lattices, and finitely
+generated abelian groups presented as kernel-mod-image subquotients.  Coefficients are
 Python ints or ``fractions.Fraction``; there is no floating point
 anywhere in the package.
 """
@@ -573,73 +573,44 @@ def poly_sum(polys, table):
 # exact rational linear solving
 # ---------------------------------------------------------------------------
 
+def _integral_rows(matrix):
+    """Each row scaled to integers by the lcm of its denominators."""
+    rows = []
+    for row in matrix:
+        scale = math.lcm(*(Fraction(x).denominator for x in row))
+        rows.append([int(x * scale) for x in row])
+    return rows
+
+
 def solve_rational_linear(matrix, rhs):
     """Solve ``A x = rhs`` exactly for a unique solution.
 
-    Fraction-free (Bareiss) elimination on the denominator-cleared system.
-    Returns the solution as a list of Fractions/ints; returns ``None`` when
-    the system is inconsistent; raises :class:`UnderdeterminedSystemError`
-    when solutions exist but are not unique.
+    The augmented rows ``[A | rhs]``, scaled to integers, are put into
+    echelon form by :func:`row_hnf`.  Returns the solution as a list of
+    Fractions/ints; returns ``None`` when the system is inconsistent (a
+    pivot in the rhs column); raises :class:`UnderdeterminedSystemError`
+    when solutions exist but are not unique (fewer pivots than unknowns).
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     if len(rhs) != m:
         raise ValueError("rhs length does not match matrix")
-    aug = []
-    for i in range(m):
-        row = [Fraction(x) for x in matrix[i]] + [Fraction(rhs[i])]
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        aug.append([int(x * lcm) for x in row])
-
-    pivot_cols = []
-    prev = 1
-    r = 0
-    for col in range(n):
-        pivot = None
-        for i in range(r, m):
-            if aug[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        p = aug[r][col]
-        for i in range(r + 1, m):
-            q = aug[i][col]
-            for j in range(col, n + 1):
-                aug[i][j] = (aug[i][j] * p - aug[r][j] * q) // prev
-        prev = p
-        pivot_cols.append(col)
-        r += 1
-        if r == m:
-            break
-
-    for i in range(r, m):
-        if aug[i][n]:
-            return None
-    if r < n:
-        raise UnderdeterminedSystemError(n - r)
-
-    x = [Fraction(0)] * n
-    for k in range(r - 1, -1, -1):
-        col = pivot_cols[k]
-        s = Fraction(aug[k][n])
-        for j in range(col + 1, n):
-            s -= aug[k][j] * x[j]
-        x[col] = s / aug[k][col]
-    return [_norm_coeff(v if isinstance(v, Fraction) else Fraction(v)) for v in x]
+    hnf, pivots = row_hnf(_integral_rows([*row, b] for row, b in zip(matrix, rhs)))
+    if pivots and pivots[-1] == n:
+        return None
+    if len(pivots) < n:
+        raise UnderdeterminedSystemError(n - len(pivots))
+    # n pivots, one in each column: back-substitute from the last row
+    x = [0] * n
+    for row, c in zip(reversed(hnf), reversed(pivots)):
+        x[c] = (Fraction(row[n]) - sum(row[j] * x[j] for j in range(c + 1, n))) / row[c]
+    return [_norm_coeff(v) for v in x]
 
 
 def rational_rank(matrix):
     """Rank of a matrix with exact rational entries: each row is scaled to
     integers, which keeps the rank, and put into echelon form."""
-    rows = []
-    for row in matrix:
-        scale = math.lcm(*(Fraction(x).denominator for x in row))
-        rows.append([int(x * scale) for x in row])
-    return len(row_hnf(rows)[0])
+    return len(row_hnf(_integral_rows(matrix))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -698,27 +669,6 @@ class IntMatrix:
 
     def to_lists(self):
         return [list(r) for r in self.entries]
-
-
-def det_int(rows):
-    """Exact determinant of a square integer matrix (Bareiss)."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * (a[n - 1][n - 1] if n else 1)
 
 
 # name -> (read the log backward, transpose each add, negate each add)
@@ -1062,6 +1012,15 @@ def _factorize(n):
     return out
 
 
+def p_part(n, p):
+    """The largest power of the prime ``p`` dividing the nonzero ``n``."""
+    out = 1
+    while n % p == 0:
+        n //= p
+        out *= p
+    return out
+
+
 def _chain_from_factors(factors):
     """Rebuild the canonical divisor chain from arbitrary torsion factors."""
     primary = {}
@@ -1115,15 +1074,8 @@ class FinAbGroup:
 
     def localize(self, p):
         """p-primary part (free rank is unchanged)."""
-        local = []
-        for d in self.invariant_factors:
-            e = 0
-            while d % p == 0:
-                d //= p
-                e += 1
-            if e:
-                local.append(p ** e)
-        return FinAbGroup(self.free_rank, _chain_from_factors(local))
+        return FinAbGroup(self.free_rank, _chain_from_factors(
+            [p_part(d, p) for d in self.invariant_factors]))
 
     def direct_sum(self, other):
         return FinAbGroup.from_factors(

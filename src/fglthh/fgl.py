@@ -187,44 +187,24 @@ class LazardBasis:
         return {m_name(n): self.m_in_x(n).extend_to(target)
                 for n in range(1, self.N + 1)}
 
-    def x_images(self, target):
-        """Images of every integral generator in the logarithmic basis."""
-        return {x_name(n): self.x_in_m[n].extend_to(target)
-                for n in range(1, self.N + 1)}
-
     def integral_in_a(self, n):
-        """Whether generator ``n`` lies in the integer span of the
-        universal-coefficient monomials (membership test over Z)."""
-        w = n
-        m_monos = self.m_table.monomials_of_weight(w)
+        """Whether generator ``n`` lies in the integer span of the weight-n
+        monomials in the universal coefficients ``a_ij`` (membership test
+        over Z)."""
+        keys = {f"a_{i}_{j}": (i, j) for (i, j) in self.a_in_m if i + j - 1 <= n}
+        a_table = GenTable([(name, i + j - 1) for name, (i, j) in keys.items()], n)
+        a = [self.a_in_m[keys[name]] for name in a_table.names]
+        m_monos = self.m_table.monomials_of_weight(n)
         index = {m: k for k, m in enumerate(m_monos)}
-        a_monos = []
-        alphabet = sorted(self.a_in_m)
-        singles = [(i, j) for (i, j) in alphabet if i + j - 1 == w]
-
-        def expansions(remaining, budget):
-            if budget == 0:
-                yield GradedPoly.one(self.m_table)
-                return
-            if not remaining:
-                return
-            (i, j) = remaining[0]
-            wt = i + j - 1
-            yield from expansions(remaining[1:], budget)
-            power = GradedPoly.one(self.m_table)
-            for e in range(1, budget // wt + 1):
-                power = power * self.a_in_m[(i, j)]
-                for rest in expansions(remaining[1:], budget - e * wt):
-                    yield power * rest
-
         cols = []
-        usable = [(i, j) for (i, j) in alphabet if i + j - 1 <= w]
-        for poly in expansions(usable, w):
+        for mono in a_table.monomials_of_weight(n):
+            poly = GradedPoly.one(self.m_table)
+            for i, e in a_table.exponents(mono):
+                poly = poly * a[i] ** e
             col = [0] * len(m_monos)
             for m, c in poly.terms.items():
                 col[index[m]] = int(c)
-            if any(col):
-                cols.append(col)
+            cols.append(col)
         rhs = [int(self.x_in_m[n].terms.get(m, 0)) for m in m_monos]
         return not any(reduce_mod_rows(*row_hnf(cols), rhs))
 

@@ -7,6 +7,8 @@ generators.  The sigma operator is a degree +1 right derivation vanishing
 on the lambda generators; in the split flavor its exterior values are
 forced by the vanishing of its square.  The p-typical table comes from the
 defining recursion alone; ``verify`` checks it against the rational route.
+The de Rham differential is a table of the same kind, and every map between
+these rings is one ``ring_map``, fixed by its values on generators.
 """
 
 from __future__ import annotations
@@ -264,6 +266,40 @@ class SigmaTable:
         return out
 
 
+class DeRhamDifferential(SigmaTable):
+    """Exterior derivative on the de Rham complex of a weighted polynomial
+    ring; exterior generator n is the differential of the n-th base
+    generator and sits one degree above it.  As a table it sends each base
+    generator to its exterior partner and the exterior generators to zero,
+    and it is applied as the left derivation ``sigma_prime``."""
+
+    def __init__(self, base_table, truncation_weight=None):
+        flavor = ThhFlavor(
+            "de-rham", base_table, "d",
+            tuple((k + 1, w) for k, (_, w) in enumerate(base_table.gens)),
+            truncation_weight=truncation_weight)
+        super().__init__(flavor, {name: ExtElement.ext_gen(flavor, k + 1)
+                                  for k, name in enumerate(base_table.names)})
+
+    def apply(self, elt):
+        return self.sigma_prime(elt)
+
+
+def ring_map(elt, target, ext, base=None):
+    """The ring map into the flavor ``target`` given by generator images:
+    ``c * prod lambda_n`` goes to ``base(c) * prod ext[n]``, the product in
+    the order of the exterior monomial.  ``base`` defaults to carrying the
+    coefficient across to ``target.base`` unchanged."""
+    out = ExtElement.zero(target)
+    for subset, coeff in elt.terms.items():
+        acc = ExtElement.from_base(
+            target, coeff.extend_to(target.base) if base is None else base(coeff))
+        for n in subset:
+            acc = acc * ext[n]
+        out = out + acc
+    return out
+
+
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
@@ -342,18 +378,6 @@ def lambda_in_e(structure: MuStructure):
     flavor = mu_split_flavor(structure.basis)
     return {n: _linear_split_part(structure, flavor, structure.c_in_xb(n))
             for n in range(1, structure.N + 1)}
-
-
-def convert_moving_to_split(conversion, elt):
-    """Push a moving-flavor element through a lambda'-to-e conversion table."""
-    target_flavor = next(iter(conversion.values())).flavor
-    out = ExtElement.zero(target_flavor)
-    for subset, coeff in elt.terms.items():
-        acc = ExtElement.from_base(target_flavor, coeff)
-        for n in subset:
-            acc = acc * conversion[n]
-        out = out + acc
-    return out
 
 
 def sigma_bp(tbasis: TypicalBasis):

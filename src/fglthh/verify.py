@@ -13,16 +13,15 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .exactalg import (GenTable, GradedPoly, det_int, invariant_factors,
+from .exactalg import (GenTable, GradedPoly, invariant_factors, row_hnf,
                        IntegralityError, DegreeGuardError)
 from .series import (TruncatedSeries, fgl_from_log, fgl_formal_sum,
                      series_from_coefficient_table)
 from .fgl import LazardBasis, TypicalBasis, m_name, x_name, ell_name, v_name
 from .algebroid import (MuStructure, TypicalStructure, CoordFlavor,
                         typicality_filter, b_name, c_name)
-from .thh import (sigma_mu_moving, sigma_mu_split, sigma_bp,
-                  lambda_in_e, convert_moving_to_split, hurewicz_mu,
-                  hurewicz_bp, _log_derivative)
+from .thh import (sigma_mu_moving, sigma_mu_split, sigma_bp, lambda_in_e,
+                  ring_map, hurewicz_mu, hurewicz_bp, _log_derivative)
 # staircase is unused here; perfbench's tests assert the tracer wraps this binding
 from .cohomology import (staircase, basis_element, cohomology_groups,
                          rational_collapse_check, bar_tor_check,
@@ -47,8 +46,11 @@ def minor_gcd_invariants(matrix):
         g = 0
         for rows in combinations(range(n), k):
             for cols in combinations(range(m), k):
-                sub = [[entries[i][j] for j in cols] for i in rows]
-                g = math.gcd(g, det_int(sub))
+                # |det| is the product of the k pivots of an echelon basis
+                # of the rows; with fewer pivots the minor vanishes
+                hnf, pivots = row_hnf([[entries[i][j] for j in cols] for i in rows])
+                if len(pivots) == k:
+                    g = math.gcd(g, math.prod(row[c] for row, c in zip(hnf, pivots)))
         if g == 0:
             break
         out.append(g // prev)
@@ -197,7 +199,7 @@ def verify_mu(flavor_tag, N, d_max):
     except IntegralityError as err:
         _check(results, label, False, str(err))
         return results
-    ok = all(convert_moving_to_split(conv, mov.on_base[x_name(n)])
+    ok = all(ring_map(mov.on_base[x_name(n)], spl.flavor, conv)
              == spl.on_base[x_name(n)] for n in range(1, min(N, 4) + 1))
     _check(results, label, ok)
 

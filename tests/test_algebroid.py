@@ -45,6 +45,14 @@ def test_eta_m_unit_element():
     assert moving_right_unit(0) == GradedPoly.one(moving_right_unit(0).table)
 
 
+def test_moving_right_unit_private_table_holds_the_divisor_pairs():
+    # (i+1)(j+1) = 31^3 pairs i, j in {0, 30, 960, 29790}: m_i and c_j for
+    # the three nonzero indices of each
+    poly = moving_right_unit(31 ** 3 - 1)
+    assert poly.table.names == ("c_30", "m_30", "c_960", "m_960", "c_29790", "m_29790")
+    assert len(poly.terms) == 4
+
+
 def test_eta_m_matches_inverting_over_the_larger_table(structure6):
     # reference: invert the conjugate series again over the m and b alphabets
     ms = structure6
@@ -121,7 +129,7 @@ def test_moving_coordinates_additive_specialization(structure6):
 def test_c_in_xb_maps_back_to_c_in_mb(structure6):
     # the printed integral coordinates expand back to the formal-sum solve
     ms = structure6
-    x_images = ms.basis.x_images(ms.mb_table)
+    x_images = {x_name(n): ms.basis.x_in_m[n].extend_to(ms.mb_table) for n in range(1, 7)}
     for n in range(1, 7):
         assert ms.c_in_xb(n).substitute(x_images, ms.mb_table) == ms.c_in_mb(n)
 

@@ -167,6 +167,11 @@ def test_bp_past_the_max_n_cap_fails_fast(capsys, command, max_n):
     assert f"capped at max_n {TYPICAL_MAX_N}, got {max_n}" in err
 
 
+def test_all_exports_resolve():
+    for name in fglthh.__all__:
+        assert getattr(fglthh, name) is not None, name
+
+
 def test_large_prime_guard(capsys):
     code, _, err = run(capsys, "cohomology", "--flavor", "bp", "--prime", "7",
                        "--max-degree", "10")

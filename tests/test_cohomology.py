@@ -1,12 +1,12 @@
 import pytest
 
 from fglthh.exactalg import (ComplexViolationError, FinAbGroup, GenTable, GradedPoly,
-                             DegreeGuardError, ResourceGuardError)
+                             DegreeGuardError, ResourceGuardError, subquotient_group)
 from fglthh.fgl import x_name, v_name
 from fglthh.algebroid import CoordFlavor
 from fglthh.thh import ExtElement
-from fglthh.cohomology import (DeRhamDifferential, assemble_complex, staircase,
-                               cohomology_groups, bp_cohomology_table,
+from fglthh.cohomology import (DeRhamDifferential, staircase,
+                               cohomology_groups, localize_table,
                                bp_degree_range,
                                rational_collapse_check, bar_tor_check,
                                de_rham_cohomology, de_rham_comparison)
@@ -24,7 +24,8 @@ def split_table(sigma_split10):
 
 @pytest.fixture(scope="module")
 def bp_tables(sigma_bp_tables):
-    return {p: bp_cohomology_table(sig) for p, sig in sigma_bp_tables.items()}
+    return {p: localize_table(cohomology_groups(sig, bp_degree_range(p)), p)
+            for p, sig in sigma_bp_tables.items()}
 
 
 def xg(basis, n, exp=1):
@@ -35,13 +36,19 @@ def xg(basis, n, exp=1):
 # assembled complexes
 # ---------------------------------------------------------------------------
 
+def stair_for_degree(diff, d):
+    """The staircase whose torsion sits in internal degree ``d``: rooted at
+    ``d-1`` for odd ``d``, at ``d-2`` for positive even ``d``."""
+    return staircase(diff, 0 if d == 0 else (d - 1 if d % 2 else d - 2))
+
+
 def unpacked(diff, basis):
     """A staircase basis with each monomial as its ``(index, exponent)`` pairs."""
     return tuple((s, diff.flavor.base.exponents(m)) for s, m in basis)
 
 
 def test_displayed_two_by_two(sigma_moving10):
-    st = assemble_complex(sigma_moving10, 5)
+    st = stair_for_degree(sigma_moving10, 5)
     assert st.diffs[0].entries == ((-4, -4), (0, -3))
     # basis x_1^2, x_2 maps to basis x_1*lambda'_1, lambda'_2
     assert unpacked(sigma_moving10, st.bases[0]) == (((), ((0, 2),)), ((), ((1, 1),)))
@@ -49,7 +56,7 @@ def test_displayed_two_by_two(sigma_moving10):
 
 
 def test_displayed_degree_ten_block(sigma_moving10):
-    st = assemble_complex(sigma_moving10, 10)
+    st = stair_for_degree(sigma_moving10, 10)
     assert st.root == 8
     assert st.diffs[0].entries[0] == (-8, -4, -5, 0, 0)
     assert st.diffs[0].rows == 7 and st.diffs[0].cols == 5
@@ -58,7 +65,7 @@ def test_displayed_degree_ten_block(sigma_moving10):
 
 
 def test_degree_zero_complex(sigma_moving10):
-    st = assemble_complex(sigma_moving10, 0)
+    st = stair_for_degree(sigma_moving10, 0)
     assert unpacked(sigma_moving10, st.bases[0]) == (((), ()),)
     assert st.diffs[0].is_zero()
 
@@ -213,13 +220,6 @@ def test_bp_odd_concentration(bp_tables):
         assert not table.groups[edge].is_trivial()
 
 
-def test_bp_prime_guard(sigma_bp_tables):
-    from fglthh.fgl import TypicalBasis
-    from fglthh.thh import sigma_bp
-    with pytest.raises(ResourceGuardError):
-        bp_cohomology_table(sigma_bp(TypicalBasis(7, 2)))
-
-
 # ---------------------------------------------------------------------------
 # rational collapse
 # ---------------------------------------------------------------------------
@@ -268,6 +268,82 @@ def test_bar_tor_typical():
         for w in range(1, 9):
             expected = 1 if w in {p ** k - 1 for k in (1, 2, 3)} else 0
             assert rep.table[(1, w)].free_rank == expected
+
+
+def bar_bases_oracle(table, weight_max, q_max):
+    """The former recursive enumeration of the normalized bar bases."""
+    bases = {}
+    for q in range(q_max + 2):
+        for w in range(weight_max + 1):
+            if q == 0:
+                bases[(q, w)] = [()] if w == 0 else []
+                continue
+            out = []
+
+            def rec(left, acc):
+                if len(acc) == q:
+                    if left == 0:
+                        out.append(tuple(acc))
+                    return
+                remaining = q - len(acc)
+                for part in range(1, left - (remaining - 1) + 1):
+                    for mono in table.monomials_of_weight(part):
+                        acc.append(mono)
+                        rec(left - part, acc)
+                        acc.pop()
+
+            rec(w, [])
+            out.sort(key=lambda tup: tuple(table.mono_key(m) for m in tup))
+            bases[(q, w)] = out
+    return bases
+
+
+def expected_rank_oracle(weights, q, w):
+    """The former recursive count of q-element generator sets of weight w."""
+    count = 0
+
+    def rec(start, left, depth):
+        nonlocal count
+        if depth == 0:
+            count += left == 0
+            return
+        for k in range(start, len(weights)):
+            if weights[k] > left:
+                break
+            rec(k + 1, left - weights[k], depth - 1)
+
+    rec(0, w, q)
+    return count
+
+
+@pytest.mark.parametrize("flavor", (CoordFlavor.absolute(), CoordFlavor.moving(),
+                                    CoordFlavor.typical(2)), ids=lambda f: f.tag)
+def test_bar_bases_match_the_recursive_enumeration(flavor, monkeypatch):
+    import fglthh.cohomology
+    seen = []
+
+    def spy(d_in, d_out):
+        seen.append(d_in.entries)
+        return subquotient_group(d_in, d_out)
+
+    monkeypatch.setattr(fglthh.cohomology, "subquotient_group", spy)
+    rep = bar_tor_check(flavor, 8, 3)
+    weights = [w for w in (flavor.coord_weight(n) for n in range(1, 9)) if w <= 8]
+    bases = bar_bases_oracle(flavor.coord_table(len(weights), 8), 8, 3)
+    want = []
+    for w in range(9):
+        for q in range(4):
+            assert rep.expected[(q, w)] == expected_rank_oracle(weights, q, w)
+            # the bar map out of position q + 1, rows indexed by position q
+            dom, cod = bases[(q + 1, w)], bases[(q, w)]
+            index = {t: k for k, t in enumerate(cod)}
+            rows = [[0] * len(dom) for _ in cod]
+            for j, tup in enumerate(dom):
+                for i in range(1, q + 1):
+                    merged = tup[:i - 1] + (tup[i - 1] + tup[i],) + tup[i + 1:]
+                    rows[index[merged]][j] += -1 if i % 2 else 1
+            want.append(tuple(map(tuple, rows)))
+    assert seen == want
 
 
 def test_bar_tor_guard():

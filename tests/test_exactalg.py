@@ -11,9 +11,10 @@ from fglthh import exactalg, fgl
 from fglthh.exactalg import (
     GenTable, GradedPoly, GradedWeightError, GeneratorTableError,
     UnderdeterminedSystemError, ComplexViolationError, IntMatrix, FinAbGroup,
-    SmithDecomposition, smith_normal_form_full, invariant_factors, det_int,
+    SmithDecomposition, smith_normal_form_full, invariant_factors,
     solve_rational_linear, solve_integer, subquotient_group, row_hnf,
-    reduce_mod_rows, rational_rank)
+    reduce_mod_rows, rational_rank, p_part)
+from fglthh.verify import minor_gcd_invariants
 
 
 # the bound holds the product of two of the monomials drawn below
@@ -163,6 +164,116 @@ def test_solve_basis_coefficients():
     assert solve_rational_linear([[1, 0], [0, 1]], [4, -3]) == [4, -3]
 
 
+def det_int(rows):
+    """Exact determinant of a square integer matrix (Bareiss), the reference
+    for the echelon-based routines."""
+    n = len(rows)
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * (a[n - 1][n - 1] if n else 1)
+
+
+def bareiss_solve(matrix, rhs):
+    """The former ``solve_rational_linear``: fraction-free (Bareiss)
+    elimination on the denominator-cleared augmented system."""
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    if len(rhs) != m:
+        raise ValueError("rhs length does not match matrix")
+    aug = []
+    for i in range(m):
+        row = [Fraction(x) for x in matrix[i]] + [Fraction(rhs[i])]
+        lcm = 1
+        for x in row:
+            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+        aug.append([int(x * lcm) for x in row])
+    pivot_cols = []
+    prev = 1
+    r = 0
+    for col in range(n):
+        pivot = next((i for i in range(r, m) if aug[i][col]), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        p = aug[r][col]
+        for i in range(r + 1, m):
+            q = aug[i][col]
+            for j in range(col, n + 1):
+                aug[i][j] = (aug[i][j] * p - aug[r][j] * q) // prev
+        prev = p
+        pivot_cols.append(col)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if aug[i][n]:
+            return None
+    if r < n:
+        raise UnderdeterminedSystemError(n - r)
+    x = [Fraction(0)] * n
+    for k in range(r - 1, -1, -1):
+        col = pivot_cols[k]
+        s = Fraction(aug[k][n])
+        for j in range(col + 1, n):
+            s -= aug[k][j] * x[j]
+        x[col] = s / aug[k][col]
+    return [exactalg._norm_coeff(v) for v in x]
+
+
+def solve_outcome(solve, matrix, rhs):
+    """The return value with each entry's type, or the kernel dimension of
+    the underdetermined-system error."""
+    try:
+        got = solve(matrix, rhs)
+    except UnderdeterminedSystemError as err:
+        return ("underdetermined", err.kernel_dim)
+    return None if got is None else [(x, type(x)) for x in got]
+
+
+small_rational = st.one_of(st.integers(-4, 4),
+                           st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+
+
+@st.composite
+def linear_systems(draw):
+    """Square, tall and wide systems, with 0 rows or 0 columns included;
+    repeated rows and zero columns make inconsistent and underdetermined
+    cases common."""
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(small_rational, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    if m > 1 and draw(st.booleans()):
+        rows[-1] = list(rows[0])
+    rhs = draw(st.lists(small_rational, min_size=m, max_size=m))
+    return rows, rhs
+
+
+@given(linear_systems())
+@example(([], []))
+@example(([[], []], [1, 0]))
+@example(([[], []], [0, 0]))
+@example(([[1, 1], [1, 1]], [0, 1]))
+@example(([[1, 1], [2, 2], [0, 0]], [1, 2, 3]))
+@example(([[0, 1]], [Fraction(1, 2)]))
+def test_solver_matches_the_bareiss_reference(system):
+    matrix, rhs = system
+    assert (solve_outcome(solve_rational_linear, matrix, rhs)
+            == solve_outcome(bareiss_solve, matrix, rhs))
+
+
 def cramer(matrix, rhs):
     n = len(matrix)
     det = det_int(matrix)
@@ -244,6 +355,13 @@ def int_matrices(draw, rows=dim, cols=dim, entry=sparse_entry):
     entries = draw(st.lists(st.lists(entry, min_size=m, max_size=m),
                             min_size=n, max_size=n))
     return IntMatrix.from_rows(entries, cols=m)
+
+
+@given(int_matrices(st.integers(0, 6), st.integers(0, 6)))
+@example(IntMatrix.zero(3, 3))
+@example(IntMatrix.from_rows([[2, 4], [1, 2]]))
+def test_minor_oracle_matches_the_bareiss_minors(M):
+    assert minor_gcd_invariants(M) == minor_gcd_chain(M.entries)
 
 
 @given(int_matrices(), st.permutations(TRANSFORMS))
@@ -745,6 +863,12 @@ def test_subquotient_permutation_invariance(row_perm, col_perm):
 # ---------------------------------------------------------------------------
 # groups, lattices
 # ---------------------------------------------------------------------------
+
+def test_p_part():
+    assert [p_part(n, 2) for n in (1, 2, 12, -48, 7)] == [1, 2, 4, 16, 1]
+    assert FinAbGroup(1, (6, 36)).localize(3) == FinAbGroup(1, (3, 9))
+    assert FinAbGroup(0, (6, 36)).localize(5) == FinAbGroup.trivial()
+
 
 def test_finab_canonical_chain():
     assert FinAbGroup.from_factors(0, [16, 6, 5]) == FinAbGroup(0, (2, 240))

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from fglthh.exactalg import GradedPoly, DegreeGuardError, solve_rational_linear
+from fglthh.exactalg import (GradedPoly, DegreeGuardError, solve_rational_linear,
+                             row_hnf, reduce_mod_rows)
 from fglthh.fgl import (TypicalBasis, lazard_indecomposable_unit,
                         m_name, x_name, ell_name, v_name)
 
@@ -68,7 +69,8 @@ def test_round_trip(lazard10):
     for n in range(1, 11):
         out, integral = b.rewrite_m_to_x(b.x_in_m[n])
         assert out == xg(b, n) and integral
-        back = b.m_in_x(n).substitute(b.x_images(b.m_table), b.m_table)
+        back = b.m_in_x(n).substitute(
+            {x_name(k): b.x_in_m[k] for k in range(1, 11)}, b.m_table)
         assert back == mg(b, n)
 
 
@@ -117,6 +119,60 @@ def test_m_in_x_matches_dense_solve(lazard10):
 
 def test_generators_in_integer_span(lazard6):
     assert all(lazard6.integral_in_a(n) for n in range(1, 6))
+
+
+def a_span_columns_oracle(basis, n):
+    """The former column lattice of ``integral_in_a``: products of powers of
+    the a_ij of total weight ``n``, from a recursive expansion generator."""
+    m_monos = basis.m_table.monomials_of_weight(n)
+    index = {m: k for k, m in enumerate(m_monos)}
+
+    def expansions(remaining, budget):
+        if budget == 0:
+            yield GradedPoly.one(basis.m_table)
+            return
+        if not remaining:
+            return
+        (i, j) = remaining[0]
+        wt = i + j - 1
+        yield from expansions(remaining[1:], budget)
+        power = GradedPoly.one(basis.m_table)
+        for e in range(1, budget // wt + 1):
+            power = power * basis.a_in_m[(i, j)]
+            for rest in expansions(remaining[1:], budget - e * wt):
+                yield power * rest
+
+    cols = []
+    for poly in expansions([ij for ij in sorted(basis.a_in_m) if sum(ij) - 1 <= n], n):
+        col = [0] * len(m_monos)
+        for m, c in poly.terms.items():
+            col[index[m]] = int(c)
+        if any(col):
+            cols.append(col)
+    return cols
+
+
+def test_a_span_lattice_matches_the_recursive_expansion(lazard10, monkeypatch):
+    import fglthh.fgl
+    seen = []
+
+    def spy(rows):
+        rows = list(rows)
+        seen.append(rows)
+        return row_hnf(rows)
+
+    monkeypatch.setattr(fglthh.fgl, "row_hnf", spy)
+    for n in range(1, 11):
+        seen.clear()
+        assert lazard10.integral_in_a(n)
+        new = seen[0]
+        old = a_span_columns_oracle(lazard10, n)
+        # the same lattice: each spanning set reduces to zero modulo the
+        # other (the columns come in another order, so the echelon bases
+        # agree in their pivots, not in every entry)
+        for a, b in ((new, old), (old, new)):
+            hnf, pivots = row_hnf(b)
+            assert not any(any(reduce_mod_rows(hnf, pivots, v)) for v in a), n
 
 
 def test_weight_guard(lazard6):

@@ -4,9 +4,11 @@ from hypothesis import given, strategies as st
 from fglthh.cli import main
 from fglthh.exactalg import GradedPoly
 from fglthh.fgl import TypicalBasis, x_name, v_name
-from fglthh.thh import (ExtElement, sigma_bp,
-                        lambda_in_e, convert_moving_to_split, hurewicz_mu,
+from fglthh.exactalg import IntegralityError
+from fglthh.thh import (DeRhamDifferential, ExtElement, SigmaTable, sigma_bp,
+                        lambda_in_e, ring_map, hurewicz_mu,
                         hurewicz_bp, merge_sign, mu_split_flavor, _linear_split_part)
+from fglthh.cohomology import basis_element, staircase
 from fglthh import verify
 
 
@@ -133,8 +135,83 @@ def test_linear_split_part_keeps_single_b_terms(structure6):
 def test_flavor_coherence(structure10, sigma_moving10, sigma_split10):
     conv = lambda_in_e(structure10)
     for n in range(1, 5):
-        assert (convert_moving_to_split(conv, sigma_moving10.on_base[x_name(n)])
+        assert (ring_map(sigma_moving10.on_base[x_name(n)], sigma_split10.flavor, conv)
                 == sigma_split10.on_base[x_name(n)])
+
+
+# The three cochain maps that ``ring_map`` replaced, kept as its references.
+
+def convert_moving_to_split_oracle(conversion, elt):
+    target_flavor = next(iter(conversion.values())).flavor
+    out = ExtElement.zero(target_flavor)
+    for subset, coeff in elt.terms.items():
+        acc = ExtElement.from_base(target_flavor, coeff)
+        for n in subset:
+            acc = acc * conversion[n]
+        out = out + acc
+    return out
+
+
+def include_forms_to_thh_oracle(sigma_table, source_flavor, elt):
+    out = ExtElement.zero(sigma_table.flavor)
+    base = sigma_table.flavor.base
+    for subset, coeff in elt.terms.items():
+        acc = ExtElement.from_base(sigma_table.flavor, coeff.extend_to(base))
+        for n in subset:
+            acc = acc * sigma_table.on_base[source_flavor.base.name(n - 1)]
+        out = out + acc
+    return out
+
+
+def include_thh_to_forms_oracle(structure, derham_c, elt):
+    out = ExtElement.zero(derham_c.flavor)
+    for subset, coeff in elt.terms.items():
+        image, integral = hurewicz_mu(structure, coeff)
+        if not integral:
+            raise IntegralityError("homology image is not integral")
+        out = out + ExtElement(derham_c.flavor, {subset: image})
+    return out
+
+
+def staircase_elements(diff, d_max):
+    for root in range(0, d_max + 1, 2):
+        stair = staircase(diff, root)
+        for q, basis in enumerate(stair.bases):
+            if root + q <= d_max:
+                for subset, mono in basis:
+                    yield basis_element(diff, subset, mono)
+
+
+def test_ring_map_matches_the_three_cochain_maps(structure10, sigma_moving10):
+    conv = lambda_in_e(structure10)
+    split = mu_split_flavor(structure10.basis)
+    derham_l = DeRhamDifferential(structure10.basis.x_table, truncation_weight=10)
+    derham_c = DeRhamDifferential(structure10.c_table, truncation_weight=10)
+    sigma_x = {n: sigma_moving10.on_base[x_name(n)] for n in range(1, 11)}
+    dc = {n: ExtElement.ext_gen(derham_c.flavor, n) for n in range(1, 11)}
+
+    def integral_image(coeff):
+        image, integral = hurewicz_mu(structure10, coeff)
+        assert integral
+        return image
+
+    count = 0
+    for elt in staircase_elements(sigma_moving10, 10):
+        count += 1
+        assert ring_map(elt, split, conv) == convert_moving_to_split_oracle(conv, elt)
+        assert (ring_map(elt, derham_c.flavor, dc, integral_image)
+                == include_thh_to_forms_oracle(structure10, derham_c, elt))
+    for elt in staircase_elements(derham_l, 10):
+        count += 1
+        assert (ring_map(elt, sigma_moving10.flavor, sigma_x)
+                == include_forms_to_thh_oracle(sigma_moving10, derham_l.flavor, elt))
+    assert count == 72  # basis elements of both staircase families through d = 10
+
+
+def test_de_rham_differential_is_a_sigma_table():
+    import fglthh.cohomology
+    assert issubclass(DeRhamDifferential, SigmaTable)
+    assert fglthh.cohomology.DeRhamDifferential is DeRhamDifferential
 
 
 # ---------------------------------------------------------------------------
