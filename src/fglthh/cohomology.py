@@ -89,8 +89,9 @@ def _map_matrix(diff, dom, cod):
     index = {bm: k for k, bm in enumerate(cod)}
     cols = [_element_vector(index, diff.apply(basis_element(diff, subset, mono)))
             for subset, mono in dom]
-    rows = zip(*cols) if cols else [()] * len(cod)
-    return IntMatrix.from_rows(rows, cols=len(dom))
+    # ``_element_vector`` has refused every non-integral entry already
+    rows = tuple(zip(*cols)) if cols else ((),) * len(cod)
+    return IntMatrix(len(cod), len(dom), rows)
 
 
 def staircase(diff, root):
@@ -403,10 +404,17 @@ def de_rham_comparison(structure, sigma_moving, thh_table, d_max):
     # the base goes through the homology image, lambda'_n to dc_n
     dc = {n: ExtElement.ext_gen(derham_c.flavor, n) for n in derham_c.flavor.ext_indices()}
 
+    # the chain-map check and the induced orders meet the same coefficients
+    images = {}
+
     def integral_image(coeff):
-        image, integral = hurewicz_mu(structure, coeff)
-        if not integral:
-            raise IntegralityError("homology image is not integral")
+        key = frozenset(coeff.terms.items())
+        image = images.get(key)
+        if image is None:
+            image, integral = hurewicz_mu(structure, coeff)
+            if not integral:
+                raise IntegralityError("homology image is not integral")
+            images[key] = image
         return image
 
     def to_forms(elt):

@@ -650,20 +650,20 @@ class IntMatrix:
                                for i in range(n)))
 
     def is_zero(self):
-        return all(all(x == 0 for x in row) for row in self.entries)
+        return not any(map(any, self.entries))
 
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        rhs = other.entries
+        # each right-hand row's nonzeros, listed once for every left row
+        rhs = [[(j, y) for j, y in enumerate(r) if y] for r in other.entries]
         out = []
         for a in self.entries:
             row = [0] * other.cols
-            for k, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(rhs[k]):
-                        if y:
-                            row[j] += x * y
+            for k in compress(range(self.cols), a):
+                x = a[k]
+                for j, y in rhs[k]:
+                    row[j] += x * y
             out.append(tuple(row))
         return IntMatrix(self.rows, other.cols, tuple(out))
 
@@ -766,6 +766,9 @@ def smith_normal_form_full(matrix):
     n, m = matrix.rows, matrix.cols
     row_ops = []
     col_ops = []
+    # least nonzero |entry| of each row (0 for a zero row), None once the
+    # row changes; column swaps and negations keep it
+    lows = [None] * n
 
     def row_op(i, k, q):
         # row_i -= q * row_k, for a nonzero q
@@ -773,6 +776,7 @@ def smith_normal_form_full(matrix):
         for j in compress(range(m), Ak):
             Ai[j] -= q * Ak[j]
         row_ops.append(("add", i, k, q))
+        lows[i] = None
 
     def col_op(j, t, q):
         # col_j -= q * col_t, called once column t is clear off the pivot
@@ -781,9 +785,11 @@ def smith_normal_form_full(matrix):
         if q:
             A[t][j] -= q * A[t][t]
             col_ops.append(("add", j, t, q))
+            lows[t] = None
 
     def swap_rows(i, k):
         A[i], A[k] = A[k], A[i]
+        lows[i], lows[k] = lows[k], lows[i]
         row_ops.append(("swap", i, k))
 
     def swap_cols(j, k):
@@ -800,21 +806,22 @@ def smith_normal_form_full(matrix):
     while True:
         # the first entry of least absolute value in row-major order,
         # stopping at the first unit; the printed generator lifts, and so
-        # the output bytes, depend on this choice
-        pivot = None
-        best = None
+        # the output bytes, depend on this choice.  Rows t.. are zero left
+        # of column t, so a row's least entry over A[i][t:] is its least
+        # entry, which stays valid until the row changes.
+        pivot_row, best = None, 0
         for i in range(t, n):
-            seg = A[i][t:]
-            if not any(seg):
-                continue
-            low = min(map(abs, filter(None, seg)))
-            if best is None or low < best:
-                best = low
-                pivot = (i, t + min(seg.index(v) for v in (low, -low) if v in seg))
+            low = lows[i]
+            if low is None:
+                low = lows[i] = min(map(abs, filter(None, A[i][t:])), default=0)
+            if low and (not best or low < best):
+                pivot_row, best = i, low
                 if best == 1:
                     break
-        if pivot is None:
+        if pivot_row is None:
             break
+        seg = A[pivot_row][t:]
+        pivot = (pivot_row, t + min(seg.index(v) for v in (best, -best) if v in seg))
         swap_rows(t, pivot[0])
         swap_cols(t, pivot[1])
         if A[t][t] < 0:
@@ -832,6 +839,7 @@ def smith_normal_form_full(matrix):
                         for j, x in support:
                             Ai[j] -= q * x
                         row_ops.append(("add", i, t, q))
+                        lows[i] = None
             dirty = next((i for i in range(t + 1, n) if A[i][t]), None)
             if dirty is not None:
                 swap_rows(t, dirty)
@@ -969,10 +977,20 @@ def row_hnf(rows):
                 for j, x in support[c]:
                     r[j] -= q * x
             else:
+                # s*b + t*r takes the pivot, u*r - v*b carries on; both
+                # are built from the nonzeros of b and r alone
                 g, s, t = ext_gcd(p, a)
                 u, v = p // g, a // g
-                install([s * x + t * y for x, y in zip(b, r)], c)
-                r = [u * y - v * x for x, y in zip(b, r)]
+                gcd_row, rest = [0] * m, [0] * m
+                for j, x in support[c]:
+                    gcd_row[j] = s * x
+                    rest[j] = -v * x
+                for j in compress(range(c, m), r[c:]):
+                    y = r[j]
+                    gcd_row[j] += t * y
+                    rest[j] += u * y
+                install(gcd_row, c)
+                r = rest
             c += 1
     return [basis[c] for c in pivots], pivots
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import GenTable, GradedPoly, IntegralityError
+from .exactalg import GenTable, GeneratorTableError, GradedPoly, IntegralityError
 from .fgl import LazardBasis, TypicalBasis, x_name, ell_name, v_name
 from .algebroid import MuStructure, TypicalStructure, b_name, t_name
 
@@ -214,55 +214,106 @@ class SigmaTable:
     """The sigma derivation recorded on base and exterior generators.
 
     Extension to arbitrary elements uses the right-action Leibniz rule
-    ``sigma(x*y) = x*sigma(y) + (-1)^|y| sigma(x)*y``.
+    ``sigma(x*y) = x*sigma(y) + (-1)^|y| sigma(x)*y``.  On ``c * lambda_S``
+    this is ``(-1)^|S| sum_i dc/dy_i sigma(y_i) lambda_S + c sigma(lambda_S)``,
+    which ``sigma`` sums straight onto packed monomials from each base
+    generator's image, read once per ``S``, and a memo of ``sigma(lambda_S)``
+    that is dropped whenever ``on_ext`` gains a value.
     """
 
     def __init__(self, flavor, on_base, on_ext=None):
         self.flavor = flavor
         self.on_base = dict(on_base)
         self.on_ext = dict(on_ext or {})
+        self._placed = {}       # (S, i) -> rows of sigma(y_i) lambda_S
+        self._ext_memo = {}     # S -> sigma(lambda_S)
+        self._ext_len = 0       # len(on_ext) when the memo was filled
 
-    def sigma_base_poly(self, poly):
-        """Derivation on a base polynomial (even, so sign-free)."""
-        out = ExtElement.zero(self.flavor)
-        name = self.flavor.base.name
-        for gi, part in poly.partials().items():
-            out = out + self.on_base[name(gi)] * part
-        return out
+    def _placed_rows(self, subset, i):
+        """``(merged subset, sign, weight, terms)`` for each term of
+        ``sigma(y_i)`` that ``lambda_subset`` does not kill, the sign
+        including the ``(-1)^|subset|`` of the Leibniz rule."""
+        base = self.flavor.base
+        sign = -1 if len(subset) % 2 else 1
+        rows = []
+        for s1, poly in self.on_base[base.name(i)].terms.items():
+            if poly.table is not base and poly.table != base:
+                raise GeneratorTableError("operands do not share a generator table")
+            if not set(s1) & set(subset):
+                rows.append((tuple(sorted(s1 + subset)), sign * merge_sign(s1, subset),
+                             max(poly.terms) >> base.shift, tuple(poly.terms.items())))
+        rows = self._placed[(subset, i)] = tuple(rows)
+        return rows
 
-    def _sigma_ext_monomial(self, subset):
-        if not subset:
-            return ExtElement.zero(self.flavor)
-        head, tail = subset[0], subset[1:]
-        sh = self.on_ext.get(head, ExtElement.zero(self.flavor))
-        head_elt = ExtElement.ext_gen(self.flavor, head)
-        out = head_elt * self._sigma_ext_monomial(tail)
-        sign = -1 if len(tail) % 2 else 1
-        tail_elt = ExtElement(self.flavor, {tail: GradedPoly.one(self.flavor.base)})
-        return out + (sh * tail_elt).scale(sign)
+    def _sigma_lambda(self, subset):
+        """``sigma(lambda_h lambda_T) = lambda_h sigma(lambda_T)
+        + (-1)^|T| sigma(lambda_h) lambda_T`` for a nonempty subset."""
+        if len(self.on_ext) != self._ext_len:
+            self._ext_memo, self._ext_len = {}, len(self.on_ext)
+        value = self._ext_memo.get(subset)
+        if value is None:
+            flavor = self.flavor
+            head, tail = subset[0], subset[1:]
+            value = (self.on_ext.get(head, ExtElement.zero(flavor))
+                     * ExtElement(flavor, {tail: GradedPoly.one(flavor.base)}))
+            if len(tail) % 2:
+                value = -value
+            if tail:
+                value = ExtElement.ext_gen(flavor, head) * self._sigma_lambda(tail) + value
+            self._ext_memo[subset] = value
+        return value
 
     def sigma(self, elt):
-        out = ExtElement.zero(self.flavor)
+        base = self.flavor.base
+        shift, bound, units, exponents = base.shift, base.bound, base.units, base.exponents
+        placed = self._placed
+        out = {}
         for subset, coeff in elt.terms.items():
-            sc = self.sigma_base_poly(coeff)
-            lam = ExtElement(self.flavor, {subset: GradedPoly.one(self.flavor.base)})
-            sign = -1 if len(subset) % 2 else 1
-            out = out + (sc * lam).scale(sign)
-            if self.on_ext:
-                out = out + coeff * self._sigma_ext_monomial(subset)
-        return out
+            if coeff.table is not base and coeff.table != base:
+                raise GeneratorTableError("operands do not share a generator table")
+            terms = coeff.terms.items()
+            for m, c in terms:
+                for i, e in exponents(m):
+                    rows = placed.get((subset, i))
+                    if rows is None:
+                        rows = self._placed_rows(subset, i)
+                    rest = m - units[i]
+                    rest_w = rest >> shift
+                    k = c * e
+                    for merged, sign, w, image in rows:
+                        # the bound of GradedPoly products, checked per product
+                        if rest_w + w > bound:
+                            base.check_weight(rest_w + w)
+                        acc = out.setdefault(merged, {})
+                        get = acc.get
+                        f = sign * k
+                        for m2, c2 in image:
+                            key = rest + m2
+                            acc[key] = get(key, 0) + f * c2
+            if self.on_ext and subset:
+                for merged, poly in self._sigma_lambda(subset).terms.items():
+                    w = max(poly.terms) >> shift
+                    acc = out.setdefault(merged, {})
+                    get = acc.get
+                    for m, c in terms:
+                        if (m >> shift) + w > bound:
+                            base.check_weight((m >> shift) + w)
+                        for m2, c2 in poly.terms.items():
+                            key = m + m2
+                            acc[key] = get(key, 0) + c * c2
+        return ExtElement(self.flavor, {s: GradedPoly(base, part) for s, part in out.items()})
 
     def apply(self, elt):
         """The table as a cochain differential: ``sigma``."""
         return self.sigma(elt)
 
     def sigma_prime(self, elt):
-        """Left-derivation variant: sign twist by the internal degree."""
+        """Left-derivation variant: sign twist by the internal degree, whose
+        parity is that of the exterior count (exterior degrees are odd)."""
         out = ExtElement.zero(self.flavor)
         for subset, coeff in elt.terms.items():
             piece = self.sigma(ExtElement(self.flavor, {subset: coeff}))
-            d = 2 * coeff.weight() + sum(self.flavor.ext_degree(n) for n in subset)
-            out = out + (piece.scale(-1) if d % 2 else piece)
+            out = out + (-piece if len(subset) % 2 else piece)
         return out
 
 

@@ -1,7 +1,8 @@
 import pytest
 
 from fglthh.exactalg import (ComplexViolationError, FinAbGroup, GenTable, GradedPoly,
-                             DegreeGuardError, ResourceGuardError, subquotient_group)
+                             DegreeGuardError, IntegralityError, ResourceGuardError,
+                             subquotient_group)
 from fglthh.fgl import x_name, v_name
 from fglthh.algebroid import CoordFlavor
 from fglthh.thh import ExtElement
@@ -407,6 +408,29 @@ def test_de_rham_comparison(structure10, sigma_moving10, moving_table):
     assert rep.thh.groups[5] == FinAbGroup.from_factors(0, [12])
     assert rep.forms_base.groups[5] == FinAbGroup.from_factors(0, [2])
     assert rep.forms_coords.groups[5] == FinAbGroup.from_factors(0, [2])
+
+
+def test_de_rham_comparison_maps_each_coefficient_once(monkeypatch, structure10,
+                                                      sigma_moving10, moving_table):
+    from fglthh import cohomology
+
+    seen = []
+
+    def counting(structure, poly):
+        seen.append(frozenset(poly.terms.items()))
+        return real(structure, poly)
+
+    real = cohomology.hurewicz_mu
+    monkeypatch.setattr(cohomology, "hurewicz_mu", counting)
+    rep = de_rham_comparison(structure10, sigma_moving10, moving_table, 10)
+    assert rep.chain_map_residuals_zero
+    assert seen and len(seen) == len(set(seen))
+
+    # a non-integral image still stops the comparison
+    monkeypatch.setattr(cohomology, "hurewicz_mu",
+                        lambda structure, poly: (real(structure, poly)[0], False))
+    with pytest.raises(IntegralityError):
+        de_rham_comparison(structure10, sigma_moving10, moving_table, 10)
 
 
 def test_each_staircase_is_assembled_once(monkeypatch, structure10, sigma_moving10):

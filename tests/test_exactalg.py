@@ -1,6 +1,7 @@
 import gc
 import math
 import types
+from bisect import bisect_right, insort
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,7 +14,7 @@ from fglthh.exactalg import (
     UnderdeterminedSystemError, ComplexViolationError, IntMatrix, FinAbGroup,
     SmithDecomposition, smith_normal_form_full, invariant_factors,
     solve_rational_linear, solve_integer, subquotient_group, row_hnf,
-    reduce_mod_rows, rational_rank, p_part)
+    reduce_mod_rows, rational_rank, p_part, ext_gcd)
 from fglthh.verify import minor_gcd_invariants
 
 
@@ -543,6 +544,11 @@ def sparse_matrices(draw):
 @example(IntMatrix.from_rows([[0, 0, 0, 0, 0], [0, 6, 0, 0, 10],
                               [0, 0, 0, 0, 0], [0, 10, 0, 0, 15],
                               [0, 0, 0, 0, 0], [0, 14, 0, 0, 4]]))
+# the sweep changes row 1, which then holds the next least entry (2, below
+# the 3 that row 2 kept since the first search)
+@example(IntMatrix.from_rows([[2, 4, 0], [4, 9, 0], [0, 0, 3]]))
+# the first pivot swaps rows 0 and 1, then rows 2 and 3 tie on 3
+@example(IntMatrix.from_rows([[0, 0, 5], [2, 0, 0], [0, 3, 0], [0, 0, 3]]))
 def test_snf_pivot_sequence_matches_dense_reference(M):
     ref = reference_smith_normal_form_full(M)
     got = smith_normal_form_full(M)
@@ -1030,6 +1036,76 @@ def test_row_hnf_matches_the_column_sweep(lattice, data):
                                           min_size=m, max_size=m), max_size=4))
     for v in vectors:
         assert reduce_mod_rows(hnf, pivots, v) == reduce_mod_rows(ref, ref_pivots, v)
+
+
+# row_hnf before its extended-gcd combine walked only nonzeros, kept as the
+# reference: the combine ran two dense comprehensions over whole rows
+def dense_combine_row_hnf(rows):
+    basis, support, pivots = {}, {}, []
+
+    def install(row, c):
+        for pc in pivots[bisect_right(pivots, c):]:
+            x = row[pc]
+            if x:
+                q = x // basis[pc][pc]
+                if q:
+                    for j, y in support[pc]:
+                        row[j] -= q * y
+        basis[c] = row
+        support[c] = [(j, x) for j, x in enumerate(row) if x]
+
+    for r in rows:
+        r = list(r)
+        m = len(r)
+        c = 0
+        while True:
+            while c < m and not r[c]:
+                c += 1
+            if c == m:
+                break
+            a = r[c]
+            b = basis.get(c)
+            if b is None:
+                if a < 0:
+                    r = [-x for x in r]
+                insort(pivots, c)
+                install(r, c)
+                break
+            p = b[c]
+            q, rem = divmod(a, p)
+            if not rem:
+                for j, x in support[c]:
+                    r[j] -= q * x
+            else:
+                g, s, t = ext_gcd(p, a)
+                u, v = p // g, a // g
+                install([s * x + t * y for x, y in zip(b, r)], c)
+                r = [u * y - v * x for x, y in zip(b, r)]
+            c += 1
+    return [basis[c] for c in pivots], pivots
+
+
+@st.composite
+def sparse_lattices(draw):
+    """Rows with a few nonzeros each, like the Lazard lattices, whose
+    pivots often fail to divide and so take the extended-gcd combine."""
+    m = draw(st.integers(1, 14))
+    cells = st.tuples(st.integers(0, m - 1),
+                      st.integers(-60, 60) | st.sampled_from([2**40 + 3, -2**40]))
+    rows = []
+    for cs in draw(st.lists(st.lists(cells, max_size=3), max_size=12)):
+        row = [0] * m
+        for j, x in cs:
+            row[j] = x
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=200)
+@given(sparse_lattices())
+@example([[6, 0, 4, 0], [4, 3, 0, 0], [0, 0, 0, 0], [9, 0, 0, 5]])
+def test_row_hnf_matches_the_dense_combine(rows):
+    assert row_hnf(rows) == dense_combine_row_hnf(rows)
 
 
 def test_row_hnf_of_no_rows():

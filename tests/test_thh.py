@@ -1,12 +1,15 @@
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
 from fglthh.cli import main
-from fglthh.exactalg import GradedPoly
+from fglthh.exactalg import DegreeGuardError, GenTable, GeneratorTableError, GradedPoly
 from fglthh.fgl import TypicalBasis, x_name, v_name
 from fglthh.exactalg import IntegralityError
-from fglthh.thh import (DeRhamDifferential, ExtElement, SigmaTable, sigma_bp,
-                        lambda_in_e, ring_map, hurewicz_mu,
+from fglthh.thh import (DeRhamDifferential, ExtElement, SigmaTable, ThhFlavor, sigma_bp,
+                        sigma_mu_split, lambda_in_e, ring_map, hurewicz_mu,
                         hurewicz_bp, merge_sign, mu_split_flavor, _linear_split_part)
 from fglthh.cohomology import basis_element, staircase
 from fglthh import verify
@@ -81,6 +84,176 @@ def test_right_leibniz(sigma_moving10, lazard10, w1, w2, n1, n2):
     lhs = sig.sigma(a * b)
     rhs = a * sig.sigma(b) + (sig.sigma(a) * b).scale(-1)
     assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# the sigma kernel against the ExtElement route it replaced
+# ---------------------------------------------------------------------------
+
+# ``SigmaTable.sigma`` before it summed onto packed monomials, kept as the
+# reference: one ExtElement product per partial derivative and per factor
+
+def reference_sigma_base_poly(table, poly):
+    out = ExtElement.zero(table.flavor)
+    name = table.flavor.base.name
+    for gi, part in poly.partials().items():
+        out = out + table.on_base[name(gi)] * part
+    return out
+
+
+def reference_sigma_ext_monomial(table, subset):
+    if not subset:
+        return ExtElement.zero(table.flavor)
+    head, tail = subset[0], subset[1:]
+    sh = table.on_ext.get(head, ExtElement.zero(table.flavor))
+    head_elt = ExtElement.ext_gen(table.flavor, head)
+    out = head_elt * reference_sigma_ext_monomial(table, tail)
+    sign = -1 if len(tail) % 2 else 1
+    tail_elt = ExtElement(table.flavor, {tail: GradedPoly.one(table.flavor.base)})
+    return out + (sh * tail_elt).scale(sign)
+
+
+def reference_sigma(table, elt):
+    out = ExtElement.zero(table.flavor)
+    for subset, coeff in elt.terms.items():
+        sc = reference_sigma_base_poly(table, coeff)
+        lam_s = ExtElement(table.flavor, {subset: GradedPoly.one(table.flavor.base)})
+        sign = -1 if len(subset) % 2 else 1
+        out = out + (sc * lam_s).scale(sign)
+        if table.on_ext:
+            out = out + coeff * reference_sigma_ext_monomial(table, subset)
+    return out
+
+
+def reference_sigma_prime(table, elt):
+    out = ExtElement.zero(table.flavor)
+    for subset, coeff in elt.terms.items():
+        piece = reference_sigma(table, ExtElement(table.flavor, {subset: coeff}))
+        d = 2 * coeff.weight() + sum(table.flavor.ext_degree(n) for n in subset)
+        out = out + (piece.scale(-1) if d % 2 else piece)
+    return out
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (DegreeGuardError, GeneratorTableError) as err:
+        return type(err)
+
+
+@pytest.fixture(scope="session")
+def kernel_tables(structure10, sigma_moving10, sigma_split10, sigma_bp_tables):
+    return {"mu-moving": sigma_moving10, "mu-split": sigma_split10,
+            "bp-2": sigma_bp_tables[2], "bp-3": sigma_bp_tables[3],
+            "de-rham": DeRhamDifferential(structure10.c_table, truncation_weight=10)}
+
+
+def draw_element(data, table):
+    """A homogeneous element: up to four exterior subsets (of up to three
+    indices) of one internal degree, each with a few monomials and integer
+    or Fraction coefficients."""
+    flavor = table.flavor
+    base = flavor.base
+    by_degree = {}
+    for size in range(4):
+        for subset in combinations(flavor.ext_indices(), size):
+            ext = sum(flavor.ext_degree(n) for n in subset)
+            for w in range(min(base.bound, 20) + 1):
+                if ext + 2 * w < 2 * base.bound and base.monomials_of_weight(w):
+                    by_degree.setdefault(ext + 2 * w, []).append((subset, w))
+    degree = data.draw(st.sampled_from(sorted(by_degree)))
+    parts = data.draw(st.lists(st.sampled_from(by_degree[degree]), min_size=1,
+                               max_size=4, unique=True))
+    coeffs = (st.integers(-9, 9)
+              | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+    terms = {}
+    for subset, w in parts:
+        picked = data.draw(st.lists(st.sampled_from(base.monomials_of_weight(w)),
+                                    min_size=1, max_size=3, unique=True))
+        terms[subset] = GradedPoly(base, {m: data.draw(coeffs) for m in picked})
+    return ExtElement(flavor, terms)
+
+
+@pytest.mark.parametrize("which", ["mu-moving", "mu-split", "bp-2", "bp-3", "de-rham"])
+@given(data=st.data())
+def test_sigma_kernel_matches_the_reference(kernel_tables, which, data):
+    table = kernel_tables[which]
+    elt = draw_element(data, table)
+    if which == "de-rham":
+        assert outcome(table.apply, elt) == outcome(reference_sigma_prime, table, elt)
+    else:
+        assert outcome(table.sigma, elt) == outcome(reference_sigma, table, elt)
+        assert (outcome(table.sigma_prime, elt)
+                == outcome(reference_sigma_prime, table, elt))
+
+
+def test_sigma_memo_follows_the_exterior_values(structure6):
+    # sigma_mu_split fills on_ext one value at a time while it applies
+    # sigma, so sigma(lambda_S) must be read again once on_ext gains a value
+    full = sigma_mu_split(structure6)
+    flavor = full.flavor
+    table = SigmaTable(flavor, full.on_base, {})
+    x1 = GradedPoly.gen(flavor.base, x_name(1))
+    changed = 0
+    for n in range(1, 7):
+        elts = [ExtElement(flavor, {subset: coeff})
+                for subset in [(n,)] + [(k, n) for k in range(1, n)]
+                for coeff in (GradedPoly.one(flavor.base), x1)]
+        before = [table.sigma(e) for e in elts]
+        assert before == [reference_sigma(table, e) for e in elts]
+        table.on_ext[n] = full.on_ext[n]
+        after = [table.sigma(e) for e in elts]
+        assert after == [reference_sigma(table, e) for e in elts]
+        changed += before != after
+    assert changed >= 3  # sigma(e_n) is nonzero from n = 3 on
+
+
+def toy_table(on_base, on_ext=None, bound=3):
+    base = GenTable([("x", 1), ("y", 1)], bound)
+    flavor = ThhFlavor("toy", base, "l", ((1, 1), (2, 2)))
+    return SigmaTable(flavor, on_base(flavor, base), on_ext and on_ext(flavor, base))
+
+
+def test_sigma_guards_the_table_bound():
+    def images(flavor, base):
+        x, y = GradedPoly.gen(base, "x"), GradedPoly.gen(base, "y")
+        return {"x": ExtElement.ext_gen(flavor, 1, y ** 3),
+                "y": ExtElement.ext_gen(flavor, 1, x * y ** 2)}
+
+    def ext_values(flavor, base):
+        return {2: ExtElement.ext_gen(flavor, 1, GradedPoly.gen(base, "x", 3))}
+
+    table = toy_table(images, ext_values)
+    base = table.flavor.base
+    x, y = GradedPoly.gen(base, "x"), GradedPoly.gen(base, "y")
+    # 2x*y^3 - 2y*xy^2 cancels, but each product has weight 4 past the bound 3
+    elt = ExtElement.from_base(table.flavor, x * x - y * y)
+    for f in (table.sigma, lambda e: reference_sigma(table, e)):
+        with pytest.raises(DegreeGuardError):
+            f(elt)
+    # x * sigma(l_2) = x^4 l_1
+    elt = ExtElement.ext_gen(table.flavor, 2, GradedPoly.one(base))
+    assert table.sigma(elt) == reference_sigma(table, elt)
+    elt = ExtElement.ext_gen(table.flavor, 2, x)
+    for f in (table.sigma, lambda e: reference_sigma(table, e)):
+        with pytest.raises(DegreeGuardError):
+            f(elt)
+    # within the bound the kernel and the reference agree
+    wide = toy_table(images, ext_values, bound=6)
+    for coeff in (x * x - y * y, x * y, x):
+        elt = ExtElement.ext_gen(wide.flavor, 2, coeff.extend_to(wide.flavor.base))
+        assert wide.sigma(elt) == reference_sigma(wide, elt)
+
+
+def test_sigma_refuses_a_foreign_coefficient(sigma_moving10, sigma_split10, lazard8):
+    foreign = GradedPoly.gen(lazard8.x_table, x_name(2)) * GradedPoly.gen(
+        lazard8.x_table, x_name(1))
+    for table in (sigma_moving10, sigma_split10):
+        for subset in ((), (3,)):
+            elt = ExtElement(table.flavor, {subset: foreign})
+            for f in (table.sigma, lambda e: reference_sigma(table, e)):
+                with pytest.raises(GeneratorTableError):
+                    f(elt)
 
 
 # ---------------------------------------------------------------------------
