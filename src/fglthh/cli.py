@@ -551,6 +551,10 @@ def main(argv=None):
     except OSError as err:
         sys.stderr.write(f"i/o error: {err}\n")
         return 1
+    except MemoryError:
+        sys.stderr.write("out of memory: the request is too large; ask for a smaller "
+                         "degree or range\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -56,11 +56,8 @@ def _basis_at(diff, degree, q):
 @dataclass(frozen=True)
 class DegreeComplex:
     """One staircase complex: position q holds internal degree root+q and
-    exterior count q; ``degree`` is the internal degree whose torsion the
-    staircase computes."""
+    exterior count q."""
 
-    flavor_tag: str
-    degree: int
     root: int
     bases: tuple      # per q: tuple of (subset, mono)
     diffs: tuple      # per q: IntMatrix from position q to q+1
@@ -121,8 +118,7 @@ def staircase(diff, root):
             comp = diffs[q + 1].mul(diffs[q])
             if not comp.is_zero():
                 raise ComplexViolationError("consecutive differentials do not compose to zero")
-    top = root + len(bases) - 1
-    return DegreeComplex(flavor.tag, top, root, tuple(bases), tuple(diffs))
+    return DegreeComplex(root, tuple(bases), tuple(diffs))
 
 
 @dataclass
@@ -184,13 +180,13 @@ def cohomology_groups(diff, d_max):
             presentations[(d, q)] = (pres, basis)
             total = total.direct_sum(pres.group)
             for order, vec in pres.generator_vectors:
-                elt = ExtElement.zero(flavor)
+                terms = {}
                 for k, c in enumerate(vec):
                     if c:
                         subset, mono = basis[k]
-                        elt = elt + ExtElement(
-                            flavor, {subset: GradedPoly(flavor.base, {mono: c})})
-                gens.append((order, elt))
+                        terms.setdefault(subset, {})[mono] = c
+                gens.append((order, ExtElement(flavor, {
+                    s: GradedPoly(flavor.base, part) for s, part in terms.items()})))
         groups[d] = total
         generators[d] = tuple(gens)
     return CohomologyTable(flavor.tag, d_max, groups, by_q, generators,
@@ -305,7 +301,7 @@ def bar_tor_check(coord_flavor: CoordFlavor, weight_max, q_max):
                 merged = tup[:i - 1] + (tup[i - 1] + tup[i],) + tup[i + 1:]
                 sign = -1 if i % 2 else 1
                 rows[index[merged]][j] += sign
-        return IntMatrix.from_rows(rows, cols=len(dom))
+        return IntMatrix(len(cod), len(dom), tuple(map(tuple, rows)))
 
     results, expected, ok = {}, {}, True
     for w in range(weight_max + 1):

@@ -441,23 +441,6 @@ class GradedPoly:
 
     # -- structural operations ---------------------------------------------
 
-    def partials(self):
-        """Every nonzero first partial derivative, keyed by generator index
-        in ascending order; one pass over the terms."""
-        table = self.table
-        out = {}
-        for mono, c in self.terms.items():
-            for i, e in table.exponents(mono):
-                rest = mono - table.units[i]
-                part = out.setdefault(i, {})
-                s = part.get(rest, 0) + c * e
-                if s:
-                    part[rest] = s
-                else:
-                    del part[rest]
-        return {i: GradedPoly._raw(table, {m: _norm_coeff(c) for m, c in part.items()})
-                for i, part in sorted(out.items()) if part}
-
     def extend_to(self, target):
         """Re-express on another table; every generator actually used must
         exist there under the same name."""
@@ -1121,11 +1104,11 @@ class SubquotientPresentation:
     image of ``d_in`` in those coordinates.  Both Smith forms are read
     through :meth:`SmithDecomposition.apply` on the vectors at hand, so no
     transform is built, and neither is kept.  The image lattice in ambient
-    coordinates is spanned by the columns of ``d_in`` itself.  Generator
-    lifts are returned in ambient coordinates, reduced to their canonical
-    representatives modulo that lattice.  Class orders and generation are
-    answered from ``d_in`` and ``d_out`` by reduction modulo echelon bases
-    (Cohen, GTM 138, §2.4).
+    coordinates is spanned by the columns of ``d_in`` itself; its echelon
+    basis is built once, on first use.  Generator lifts are returned in
+    ambient coordinates, reduced to their canonical representatives modulo
+    that lattice.  Class orders and generation are answered from that basis
+    and ``d_out`` by reduction modulo echelon bases (Cohen, GTM 138, §2.4).
     """
 
     def __init__(self, d_in, d_out, out_snf, relations):
@@ -1151,13 +1134,18 @@ class SubquotientPresentation:
             if rel_snf is not None:
                 block = rel_snf.apply("U_inv", block)
             block = out_snf.apply("V", [[0] * len(lifted)] * out_snf.rank + block)
-            hnf, pivots = row_hnf(zip(*d_in.entries))
+            hnf, pivots = self._image_echelon
             for c, i in enumerate(lifted):
                 vec = reduce_mod_rows(hnf, pivots, [row[c] for row in block])
                 gens.append((orders[i], tuple(self._sign_normalize(vec))))
         gens.sort(key=lambda g: (g[0] != 0, g[0]))  # free generators first
         self.generator_vectors = tuple(gens)
         self.group = FinAbGroup(free, _chain_from_factors(factors))
+
+    @cached_property
+    def _image_echelon(self):
+        """``(rows, pivots)`` of the image lattice's echelon basis."""
+        return row_hnf(zip(*self.d_in.entries))
 
     @staticmethod
     def _sign_normalize(vec):
@@ -1177,7 +1165,7 @@ class SubquotientPresentation:
         ``p`` there, the order is ``f = p / gcd(p, v[c])`` times that of ``f v``.
         """
         self._check_cocycle(vector)
-        hnf, pivots = row_hnf(zip(*self.d_in.entries))
+        hnf, pivots = self._image_echelon
         pivot_at = {pc: row[pc] for row, pc in zip(hnf, pivots)}
         order = 1
         v = reduce_mod_rows(hnf, pivots, vector)
@@ -1196,7 +1184,7 @@ class SubquotientPresentation:
         every generator lift lies in the image lattice plus their span."""
         for v in vectors:
             self._check_cocycle(v)
-        hnf, pivots = row_hnf([*zip(*self.d_in.entries), *vectors])
+        hnf, pivots = row_hnf([*self._image_echelon[0], *vectors])
         return not any(any(reduce_mod_rows(hnf, pivots, g))
                        for _, g in self.generator_vectors)
 

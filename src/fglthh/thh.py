@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .exactalg import GenTable, GeneratorTableError, GradedPoly, IntegralityError
 from .fgl import LazardBasis, TypicalBasis, x_name, ell_name, v_name
@@ -217,17 +218,18 @@ class SigmaTable:
     ``sigma(x*y) = x*sigma(y) + (-1)^|y| sigma(x)*y``.  On ``c * lambda_S``
     this is ``(-1)^|S| sum_i dc/dy_i sigma(y_i) lambda_S + c sigma(lambda_S)``,
     which ``sigma`` sums straight onto packed monomials from each base
-    generator's image, read once per ``S``, and a memo of ``sigma(lambda_S)``
-    that is dropped whenever ``on_ext`` gains a value.
+    generator's image, read once per ``S``, and a memo of ``sigma(lambda_S)``.
+    The generator values are fixed when the table is built (read-only
+    mappings over the table's own copies), so both caches hold for its
+    whole life.
     """
 
     def __init__(self, flavor, on_base, on_ext=None):
         self.flavor = flavor
-        self.on_base = dict(on_base)
-        self.on_ext = dict(on_ext or {})
+        self.on_base = MappingProxyType(dict(on_base))
+        self.on_ext = MappingProxyType(dict(on_ext or {}))
         self._placed = {}       # (S, i) -> rows of sigma(y_i) lambda_S
         self._ext_memo = {}     # S -> sigma(lambda_S)
-        self._ext_len = 0       # len(on_ext) when the memo was filled
 
     def _placed_rows(self, subset, i):
         """``(merged subset, sign, weight, terms)`` for each term of
@@ -248,8 +250,6 @@ class SigmaTable:
     def _sigma_lambda(self, subset):
         """``sigma(lambda_h lambda_T) = lambda_h sigma(lambda_T)
         + (-1)^|T| sigma(lambda_h) lambda_T`` for a nonempty subset."""
-        if len(self.on_ext) != self._ext_len:
-            self._ext_memo, self._ext_len = {}, len(self.on_ext)
         value = self._ext_memo.get(subset)
         if value is None:
             flavor = self.flavor
@@ -263,7 +263,9 @@ class SigmaTable:
             self._ext_memo[subset] = value
         return value
 
-    def sigma(self, elt):
+    def sigma(self, elt, twist=False):
+        """``sigma(elt)``; with ``twist``, each odd-|S| part is negated first,
+        which gives ``sigma_prime``."""
         base = self.flavor.base
         shift, bound, units, exponents = base.shift, base.bound, base.units, base.exponents
         placed = self._placed
@@ -272,6 +274,8 @@ class SigmaTable:
             if coeff.table is not base and coeff.table != base:
                 raise GeneratorTableError("operands do not share a generator table")
             terms = coeff.terms.items()
+            if twist and len(subset) % 2:
+                terms = [(m, -c) for m, c in terms]
             for m, c in terms:
                 for i, e in exponents(m):
                     rows = placed.get((subset, i))
@@ -310,11 +314,7 @@ class SigmaTable:
     def sigma_prime(self, elt):
         """Left-derivation variant: sign twist by the internal degree, whose
         parity is that of the exterior count (exterior degrees are odd)."""
-        out = ExtElement.zero(self.flavor)
-        for subset, coeff in elt.terms.items():
-            piece = self.sigma(ExtElement(self.flavor, {subset: coeff}))
-            out = out + (-piece if len(subset) % 2 else piece)
-        return out
+        return self.sigma(elt, twist=True)
 
 
 class DeRhamDifferential(SigmaTable):
@@ -360,10 +360,13 @@ def _log_derivative(flavor, expr, rewrite, error):
     rational derivation sending each logarithm generator to its exterior
     partner, each exterior coefficient rewritten by ``rewrite`` (which
     returns ``(poly, integral)``).  ``error(idx)`` is the message raised
-    when the coefficient of exterior generator ``idx`` is not integral."""
+    when the coefficient of exterior generator ``idx`` is not integral.
+    The partials of ``expr`` are its de Rham differential's coefficients."""
+    derham = DeRhamDifferential(expr.table)
+    d_expr = derham.sigma(ExtElement.from_base(derham.flavor, expr))
     terms = {}
-    for gi, poly in expr.partials().items():
-        idx = int(expr.table.name(gi).split("_")[1])
+    for (k,), poly in sorted(d_expr.terms.items()):
+        idx = int(expr.table.name(k - 1).split("_")[1])
         rewritten, integral = rewrite(poly)
         if not integral:
             raise IntegralityError(error(idx))
@@ -409,18 +412,19 @@ def sigma_mu_split(structure: MuStructure):
     on_base = {x_name(n): _linear_split_part(structure, flavor, structure.eta_x(n))
                for n in range(1, basis.N + 1)}
 
-    table = SigmaTable(flavor, on_base, {})
+    on_ext = {}
     for n in range(1, basis.N + 1):
         sx = on_base[x_name(n)]
         lead = sx.coefficient((n,), ())
         if lead == 0:
             raise IntegralityError(f"sigma(x_{n}) has vanishing e_{n} coefficient")
-        residual = table.sigma(table.sigma(ExtElement.from_base(flavor, GradedPoly.gen(basis.x_table, x_name(n)))))
+        # sigma(e_n) is still unknown, so it counts as 0 in sigma(sigma(x_n))
+        residual = SigmaTable(flavor, on_base, on_ext).sigma(sx)
         value = residual.scale(Fraction(-1, int(lead)))
         if not value.is_integral():
             raise IntegralityError(f"sigma(e_{n}) requires a non-exact division")
-        table.on_ext[n] = value
-    return table
+        on_ext[n] = value
+    return SigmaTable(flavor, on_base, on_ext)
 
 
 def lambda_in_e(structure: MuStructure):

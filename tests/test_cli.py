@@ -236,6 +236,19 @@ def test_series_error_is_a_contract_violation(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_out_of_memory_is_a_usage_error_without_traceback(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(fglthh.cli.COMMANDS, "de-rham", exhausted)
+    code, out, err = run(capsys, "de-rham", "--weights", "1,2", "--max-degree", "4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("out of memory: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_bar_tor_command(capsys):
     code, out, _ = run(capsys, "bar-tor", "--flavor", "mu-moving",
                        "--max-weight", "5", "--max-q", "2")

@@ -17,6 +17,8 @@ from fglthh.exactalg import (
     reduce_mod_rows, rational_rank, p_part, ext_gcd)
 from fglthh.verify import minor_gcd_invariants
 
+from test_derivations import de_rham_partials
+
 
 # the bound holds the product of two of the monomials drawn below
 TABLE = GenTable([("b_1", 1), ("b_2", 2), ("b_3", 3),
@@ -66,7 +68,8 @@ def test_weight_and_integrality():
 
 def test_partial_derivative():
     p = g("b_1", 3) * g("b_2") + 2 * g("b_2", 2) * g("b_1")
-    assert p.partials()[p.table.index("b_1")] == 3 * g("b_1", 2) * g("b_2") + 2 * g("b_2", 2)
+    assert (de_rham_partials(p)[p.table.index("b_1")]
+            == 3 * g("b_1", 2) * g("b_2") + 2 * g("b_2", 2))
 
 
 def test_substitute_weight_guard():
@@ -653,6 +656,25 @@ def test_subquotient_builds_only_read_transforms(monkeypatch):
     assert [sum(a * b for a, b in zip(row, sol)) for row in d_in.entries] == rhs
     assert invariant_factors(d_in) == minor_gcd_chain(d_in.entries)
     assert [built_transforms(snf) for snf in made] == [set(), set()]
+
+
+def test_subquotient_builds_the_image_echelon_basis_once(monkeypatch):
+    # the lifts and every class order read one echelon basis of the image
+    # lattice; generation seeds one more reduction with it
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return row_hnf(rows)
+
+    monkeypatch.setattr(exactalg, "row_hnf", counting)
+    pres = subquotient_group(*DEGREE_NINE_PAIR)
+    assert [order for order, _ in pres.generator_vectors] == [2, 240]
+    stated = ([0, -2, 1, 0, 0, 1, 0], [0, 0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 0, 0, 1])
+    assert [pres.class_order(v) for v in stated * 2] == [16, 6, 5] * 2
+    assert len(calls) == 1
+    assert pres.generates(list(stated))
+    assert len(calls) == 2
 
 
 def reachable(root):

@@ -2,11 +2,13 @@
 
 Until monomials became one packed int each, a monomial was a tuple of
 ``(generator index, exponent)`` pairs sorted by index.  The tuple kernel's
-monomial product, polynomial product, ``partials``, ``extend_to``, ``substitute``, ``mono_key`` and monomial enumeration are
-kept here verbatim (on ``TupleTable`` and ``TuplePoly``) as the reference:
-after unpacking through ``GenTable.exponents``, the packed kernel must give
-the same polynomials and the same order, on tables shaped like the Lazard
+monomial product, polynomial product, ``partials``, ``extend_to``,
+``substitute``, ``mono_key`` and monomial enumeration are kept here
+verbatim (on ``TupleTable`` and ``TuplePoly``) as the reference: after
+unpacking through ``GenTable.exponents``, the packed kernel must give the
+same polynomials and the same order, on tables shaped like the Lazard
 alphabets (weights 1..N) and like the Hazewinkel ones (weights p^n - 1).
+The partials are now the coefficients of the de Rham differential.
 """
 
 from fractions import Fraction
@@ -16,6 +18,8 @@ from hypothesis import given, strategies as st
 
 from fglthh.exactalg import (DegreeGuardError, GenTable, GeneratorTableError,
                              GradedPoly, GradedWeightError, _norm_coeff)
+
+from test_derivations import de_rham_partials
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +363,8 @@ def test_power_matches_tuple_kernel(data):
 def test_partials_match_tuple_kernel(data):
     table, (w,) = data.draw(table_and_weights(1))
     a = data.draw(homogeneous(table, w))
-    ref = as_tuple_poly(a)
-    got = a.partials()
-    want = ref.partials()
+    got = de_rham_partials(a)
+    want = as_tuple_poly(a).partials()
     assert list(got) == list(want)
     assert {i: unpacked(p) for i, p in got.items()} == {i: p.terms for i, p in want.items()}
 

@@ -14,6 +14,8 @@ from fglthh.thh import (DeRhamDifferential, ExtElement, SigmaTable, ThhFlavor, s
 from fglthh.cohomology import basis_element, staircase
 from fglthh import verify
 
+from test_derivations import partial_oracle
+
 
 def xg(basis, n, exp=1):
     return GradedPoly.gen(basis.x_table, x_name(n), exp)
@@ -91,13 +93,15 @@ def test_right_leibniz(sigma_moving10, lazard10, w1, w2, n1, n2):
 # ---------------------------------------------------------------------------
 
 # ``SigmaTable.sigma`` before it summed onto packed monomials, kept as the
-# reference: one ExtElement product per partial derivative and per factor
+# reference: one ExtElement product per partial derivative and per factor,
+# the partials taken one generator at a time by the test oracle
 
 def reference_sigma_base_poly(table, poly):
     out = ExtElement.zero(table.flavor)
-    name = table.flavor.base.name
-    for gi, part in poly.partials().items():
-        out = out + table.on_base[name(gi)] * part
+    for name in table.flavor.base.names:
+        part = partial_oracle(poly, name)
+        if not part.is_zero():
+            out = out + table.on_base[name] * part
     return out
 
 
@@ -187,25 +191,26 @@ def test_sigma_kernel_matches_the_reference(kernel_tables, which, data):
                 == outcome(reference_sigma_prime, table, elt))
 
 
-def test_sigma_memo_follows_the_exterior_values(structure6):
-    # sigma_mu_split fills on_ext one value at a time while it applies
-    # sigma, so sigma(lambda_S) must be read again once on_ext gains a value
+def test_prefix_tables_match_the_reference(structure6):
+    # sigma_mu_split solves sigma(e_n) on the table of the values below n;
+    # each such table is built whole, and its values cannot be edited after
     full = sigma_mu_split(structure6)
     flavor = full.flavor
-    table = SigmaTable(flavor, full.on_base, {})
     x1 = GradedPoly.gen(flavor.base, x_name(1))
-    changed = 0
+    differs = []
     for n in range(1, 7):
+        table = SigmaTable(flavor, full.on_base, {k: full.on_ext[k] for k in range(1, n)})
         elts = [ExtElement(flavor, {subset: coeff})
                 for subset in [(n,)] + [(k, n) for k in range(1, n)]
                 for coeff in (GradedPoly.one(flavor.base), x1)]
-        before = [table.sigma(e) for e in elts]
-        assert before == [reference_sigma(table, e) for e in elts]
-        table.on_ext[n] = full.on_ext[n]
-        after = [table.sigma(e) for e in elts]
-        assert after == [reference_sigma(table, e) for e in elts]
-        changed += before != after
-    assert changed >= 3  # sigma(e_n) is nonzero from n = 3 on
+        got = [table.sigma(e) for e in elts]
+        assert got == [reference_sigma(table, e) for e in elts]
+        if got != [full.sigma(e) for e in elts]:
+            differs.append(n)
+    assert differs == [3, 4, 5, 6]  # sigma(e_n) is nonzero from n = 3 on
+    for values, key in ((full.on_base, x_name(1)), (full.on_ext, 1), (full.on_ext, 7)):
+        with pytest.raises(TypeError):
+            values[key] = ExtElement.zero(flavor)
 
 
 def toy_table(on_base, on_ext=None, bound=3):
@@ -451,8 +456,9 @@ def test_sigma_tables_make_no_rational_rewrite(monkeypatch, capsys):
 def test_verify_sees_a_perturbed_recursion(monkeypatch, capsys):
     def perturbed(tbasis):
         sig = sigma_bp(tbasis)
-        sig.on_base[v_name(2)] = sig.on_base[v_name(2)].scale(-1)
-        return sig
+        on_base = dict(sig.on_base)
+        on_base[v_name(2)] = on_base[v_name(2)].scale(-1)
+        return SigmaTable(sig.flavor, on_base, sig.on_ext)
 
     monkeypatch.setattr(verify, "sigma_bp", perturbed)
     assert main(["verify", "--flavor", "bp", "--prime", "2", "--max-degree", "10"]) == 1
