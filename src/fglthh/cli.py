@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
-from .exactalg import ExactAlgError, ResourceGuardError
+from .exactalg import ExactAlgError, ResourceGuardError, Style
 from .fgl import LazardBasis, TypicalBasis, x_name, v_name
 from .algebroid import MuStructure, TypicalStructure, CoordFlavor
 from .thh import (ExtElement, sigma_mu_moving, sigma_mu_split, sigma_bp,
@@ -96,46 +96,15 @@ def tex_coeff(c):
     return str(c)
 
 
+TEX = Style(tex_gen, "{}^{{{}}}", tex_coeff, " ")
+
+
 def poly_tex(poly):
-    if poly.is_zero():
-        return "0"
-    parts = []
-    for mono, c in poly.sorted_terms():
-        body = " ".join(
-            f"{tex_gen(poly.table.name(i))}^{{{e}}}" if e > 1 else tex_gen(poly.table.name(i))
-            for i, e in poly.table.exponents(mono))
-        if not mono:
-            text = tex_coeff(c)
-        elif c == 1:
-            text = body
-        elif c == -1:
-            text = f"-{body}"
-        else:
-            text = f"{tex_coeff(c)} {body}"
-        parts.append(text)
-    out = parts[0]
-    for part in parts[1:]:
-        out += f" {part}" if part.startswith("-") else f" + {part}"
-    return out
+    return poly.render(TEX)
 
 
 def ext_tex(elt):
-    if elt.is_zero():
-        return "0"
-    parts = []
-    for subset, poly in elt.sorted_terms():
-        ext = " ".join(tex_gen(f"{elt.flavor.ext_prefix}_{n}") for n in subset)
-        items = poly.sorted_terms()
-        if len(items) == 1:
-            text = poly_tex(poly)
-            text = f"{text} {ext}".strip() if text != "1" or not ext else ext
-        else:
-            text = f"({poly_tex(poly)}) {ext}".strip()
-        parts.append(text)
-    out = parts[0]
-    for part in parts[1:]:
-        out += f" {part}" if part.startswith("-") else f" + {part}"
-    return out
+    return elt.render(TEX)
 
 
 def group_text(group, generators=()):

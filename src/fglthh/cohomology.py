@@ -129,7 +129,6 @@ class CohomologyTable:
     (root -> ``DegreeComplex``) they were computed from, so that checks on
     the same differential reuse them instead of assembling them again."""
 
-    tag: str
     d_max: int
     groups: dict
     by_q: dict
@@ -189,8 +188,7 @@ def cohomology_groups(diff, d_max):
                     s: GradedPoly(flavor.base, part) for s, part in terms.items()})))
         groups[d] = total
         generators[d] = tuple(gens)
-    return CohomologyTable(flavor.tag, d_max, groups, by_q, generators,
-                           presentations, stairs)
+    return CohomologyTable(d_max, groups, by_q, generators, presentations, stairs)
 
 
 def localize_table(table, p):
@@ -203,7 +201,7 @@ def localize_table(table, p):
         # a free generator keeps order 0; one of order prime to p drops out
         local = [(p_part(order, p) if order else 0, elt) for order, elt in pairs]
         gens[d] = tuple((order, elt) for order, elt in local if order != 1)
-    return CohomologyTable(table.tag, table.d_max, groups, by_q, gens,
+    return CohomologyTable(table.d_max, groups, by_q, gens,
                            table.presentations, table.stairs)
 
 
@@ -238,13 +236,10 @@ def log_basis_injectivity(log_table, weight):
     return rational_rank(d0.entries) == d0.cols
 
 
-def rational_collapse_check(table, log_table, d_max=None):
+def rational_collapse_check(table, log_table):
     """Free ranks must be (1, 0, 0, ...) and the logarithmic-basis
     derivation must act injectively on every positive weight in range."""
-    if d_max is None:
-        d_max = table.d_max
-    if d_max > table.d_max:
-        raise DegreeGuardError("requested range exceeds the computed table")
+    d_max = table.d_max
     ranks = {d: table.groups[d].free_rank for d in range(d_max + 1)}
     ranks_ok = ranks[0] == 1 and all(ranks[d] == 0 for d in range(1, d_max + 1))
     inj = {}
@@ -260,7 +255,6 @@ def rational_collapse_check(table, log_table, d_max=None):
 
 @dataclass
 class BarTorReport:
-    flavor_tag: str
     table: dict        # (q, weight) -> FinAbGroup
     expected: dict     # (q, weight) -> exterior-algebra rank
     all_ok: bool
@@ -315,7 +309,7 @@ def bar_tor_check(coord_flavor: CoordFlavor, weight_max, q_max):
             expected[(q, w)] = sum(1 for c in combinations(weights, q) if sum(c) == w)
             if group.invariant_factors or group.free_rank != expected[(q, w)]:
                 ok = False
-    return BarTorReport(coord_flavor.tag, results, expected, ok)
+    return BarTorReport(results, expected, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +319,8 @@ def bar_tor_check(coord_flavor: CoordFlavor, weight_max, q_max):
 def de_rham_cohomology(gens, d_max):
     """Cohomology of the algebraic de Rham complex of a weighted polynomial
     ring (a Koszul-shaped complex with one exterior generator per ring
-    generator).  A generator list gets a table bounded by the largest
-    base weight through ``d_max``."""
-    table = gens if isinstance(gens, GenTable) else GenTable(gens, d_max // 2)
-    return cohomology_groups(DeRhamDifferential(table), d_max)
+    generator), over ``(name, weight)`` generators and through ``d_max``."""
+    return cohomology_groups(DeRhamDifferential(GenTable(gens, d_max // 2)), d_max)
 
 
 @dataclass

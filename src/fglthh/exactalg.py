@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
+from typing import Callable, NamedTuple
 
 
 class ExactAlgError(Exception):
@@ -178,12 +179,18 @@ class GenTable:
         """Canonical order key: ascending weight, then descending exponents."""
         return mono ^ self.mask
 
-    def mono_text(self, mono):
-        if not mono:
-            return "1"
-        return "*".join(
-            f"{self.gens[i][0]}^{e}" if e > 1 else self.gens[i][0]
-            for i, e in self.exponents(mono))
+    def mono_text(self, mono, style, coeff=1, ext=()):
+        """The ``(negative, body)`` term of ``coeff * mono`` times the
+        already written factors ``ext``; a coefficient of +-1 is written
+        only when there is no factor."""
+        gen, power = style.gen, style.power
+        factors = [power.format(gen(self.gens[i][0]), e) if e > 1 else gen(self.gens[i][0])
+                   for i, e in self.exponents(mono)]
+        factors += ext
+        size = abs(coeff)
+        if size != 1 or not factors:
+            factors.insert(0, style.coeff(size))
+        return coeff < 0, style.times.join(factors)
 
     def monomials_of_weight(self, w):
         """All monomials of the given weight, in canonical order."""
@@ -215,6 +222,31 @@ def coeff_text(c):
     if isinstance(c, Fraction):
         return f"{c.numerator}/{c.denominator}"
     return str(c)
+
+
+class Style(NamedTuple):
+    """How terms are written: generator names, a power (``format`` of the
+    written name and the exponent), a nonnegative coefficient, and the sign
+    between the factors of a product."""
+    gen: Callable
+    power: str
+    coeff: Callable
+    times: str
+
+
+TEXT = Style(str, "{}^{}", coeff_text, "*")
+
+
+def signed_sum(parts):
+    """Join ``(negative, body)`` terms as ``a - b + c``; no terms is ``0``."""
+    text = ""
+    for negative, body in parts:
+        if text:
+            text += " - " if negative else " + "
+        elif negative:
+            text = "-"
+        text += body
+    return text or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -420,24 +452,11 @@ class GradedPoly:
         return f"GradedPoly({self})"
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, c in self.sorted_terms():
-            mtext = self.table.mono_text(mono)
-            if not mono:
-                body = coeff_text(abs(c))
-            elif abs(c) == 1:
-                body = mtext
-            else:
-                body = f"{coeff_text(abs(c))}*{mtext}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return self.render(TEXT)
+
+    def render(self, style):
+        return signed_sum(self.table.mono_text(mono, style, c)
+                          for mono, c in self.sorted_terms())
 
     # -- structural operations ---------------------------------------------
 
@@ -935,7 +954,8 @@ def row_hnf(rows):
                     for j, y in support[pc]:
                         row[j] -= q * y
         basis[c] = row
-        support[c] = [(j, x) for j, x in enumerate(row) if x]
+        # the row is zero left of its pivot column
+        support[c] = [(j, row[j]) for j in compress(range(c, len(row)), row[c:])]
 
     for r in rows:
         r = list(r)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .exactalg import GenTable, GeneratorTableError, GradedPoly, IntegralityError
+from .exactalg import (GenTable, GeneratorTableError, GradedPoly, IntegralityError,
+                       TEXT, signed_sum)
 from .fgl import LazardBasis, TypicalBasis, x_name, ell_name, v_name
 from .algebroid import MuStructure, TypicalStructure, b_name, t_name
 
@@ -30,7 +31,6 @@ class ThhFlavor:
     base: GenTable
     ext_prefix: str
     ext_weights: tuple  # ((index, weight), ...)
-    prime: int | None = None
     truncation_weight: int | None = None
 
     def ext_weight(self, n):
@@ -41,9 +41,6 @@ class ThhFlavor:
 
     def ext_indices(self):
         return tuple(n for n, _ in self.ext_weights)
-
-    def ext_text(self, subset):
-        return "*".join(f"{self.ext_prefix}_{n}" for n in subset)
 
 
 def mu_moving_flavor(basis: LazardBasis):
@@ -62,7 +59,7 @@ def bp_flavor(tbasis: TypicalBasis):
     p = tbasis.p
     return ThhFlavor("bp", tbasis.v_table, "lambda",
                      tuple((n, p ** n - 1) for n in range(1, tbasis.max_n + 1)),
-                     prime=p, truncation_weight=tbasis.truncation_weight)
+                     truncation_weight=tbasis.truncation_weight)
 
 
 def merge_sign(left, right):
@@ -178,34 +175,20 @@ class ExtElement:
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
+        return self.render(TEXT)
+
+    def render(self, style):
+        """A monomial coefficient joins the exterior factors in one term; a
+        longer one is parenthesized."""
+        parts = []
         for s, p in self.sorted_terms():
-            ext = self.flavor.ext_text(s)
-            items = p.sorted_terms()
-            if len(items) == 1:
-                mono, c = items[0]
-                body = self.flavor.base.mono_text(mono)
-                factors = [x for x in ([body] if mono else []) + ([ext] if ext else [])]
-                core = "*".join(factors) if factors else "1"
-                if c == 1:
-                    text = core
-                elif c == -1:
-                    text = f"-{core}"
-                else:
-                    cstr = str(c) if not isinstance(c, Fraction) else f"{c.numerator}/{c.denominator}"
-                    text = f"{cstr}*{core}" if factors else cstr
+            ext = [style.gen(f"{self.flavor.ext_prefix}_{n}") for n in s]
+            if len(p.terms) == 1:
+                (mono, c), = p.terms.items()
+                parts.append(self.flavor.base.mono_text(mono, style, c, ext))
             else:
-                text = f"({p})*{ext}" if ext else f"({p})"
-            chunks.append(text)
-        out = chunks[0]
-        for ch in chunks[1:]:
-            if ch.startswith("-"):
-                out += " - " + ch[1:]
-            else:
-                out += " + " + ch
-        return out
+                parts.append((False, style.times.join([f"({p.render(style)})", *ext])))
+        return signed_sum(parts)
 
     def __repr__(self):
         return f"ExtElement({self})"

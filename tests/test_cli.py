@@ -58,6 +58,23 @@ def test_tex_braces_multi_digit_subscripts(capsys):
     assert "_10" not in out
 
 
+def readme_commands():
+    """The ``fglthh ...`` lines of README.md's "Command line" section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return [line.split()[1:] for line in section.splitlines() if line.startswith("fglthh ")]
+
+
+def test_readme_command_examples_run(capsys):
+    commands = readme_commands()
+    assert len(commands) == 7
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        if argv[:3] == ["sigma", "--flavor", "bp"]:
+            assert "sigma(v_1) = 2*lambda_1" in out
+
+
 @pytest.mark.parametrize("command", ["structure-maps", "sigma"])
 def test_json_run_renders_no_text_or_tex(capsys, monkeypatch, command):
     def refuse(*_args):
@@ -67,6 +84,8 @@ def test_json_run_renders_no_text_or_tex(capsys, monkeypatch, command):
     monkeypatch.setattr(fglthh.cli, "ext_tex", refuse)
     monkeypatch.setattr(GradedPoly, "__str__", refuse)
     monkeypatch.setattr(ExtElement, "__str__", refuse)
+    monkeypatch.setattr(GradedPoly, "render", refuse)
+    monkeypatch.setattr(ExtElement, "render", refuse)
     code, out, _ = run(capsys, command, "--flavor", "mu-split", "--max-n", "3",
                        "-N", "3", "--format", "json")
     assert code == 0

@@ -241,11 +241,6 @@ def test_rational_collapse_bp(sigma_bp_tables):
         assert rep.all_ok
 
 
-def test_collapse_range_guard(moving_table, lazard10):
-    with pytest.raises(DegreeGuardError):
-        rational_collapse_check(moving_table, lazard10.m_table, d_max=12)
-
-
 # ---------------------------------------------------------------------------
 # bar homology
 # ---------------------------------------------------------------------------

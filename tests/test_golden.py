@@ -39,14 +39,14 @@ GOLDEN = {
     },
     "cohomology --flavor mu-moving --max-degree 12 -N 6": {
         "text": "abb25be55e1828dbb50ff27235f3f34f3bfbf757076f90906c2394e89a4ffaf3",
-        "tex": "e273f5b55bc6790b4a1b69bc023f19a2ff409f9d0c8326e6e06c1724fa329330",
+        "tex": "fc3bdea8b778522c277220cae218b7cef746b1037c58c45470c115db223d69a6",
     },
     "cohomology --flavor mu-moving --max-degree 20 -N 10": {
         "json": "77832273f537959a7835dde433dbd5196c0f77dd11e777192d81054891bf5a28",
     },
     "cohomology --flavor mu-split --max-degree 12 -N 6": {
         "text": "b1dc139dac3cf06e56f08b940db9e12458a765741b14aacbe1a4fca1c413d5cc",
-        "tex": "25baaa417da2712c531242d531453290c42b56d4922290fad6469082ce3e96d5",
+        "tex": "3f99ab981a8c5f28979378bee5c9ddc2baddef3597bc4b6448e5ca1dbb7f942e",
     },
     "cohomology --flavor mu-split --max-degree 20 -N 10": {
         "json": "8fc12f73a83a5ae12831f6eb82e50882ffcf83851f1242e7382d7ced784eadff",
@@ -75,7 +75,7 @@ GOLDEN = {
     "sigma --flavor bp --prime 3 --max-n 4": {
         "json": "a942b9a5ecd52193a777cd8dd2ba625b4f64bccaf951f0f4e3b560c252d8ab5a",
         "text": "0352e97ff36de4e80c65230faca5e43c06d5a0ee8f88475026fcdb52b1cb02fe",
-        "tex": "ee7a3a148c0c8e7a3eece88d9996d5acdbe536d02b992d728d3eff2ecdab723f",
+        "tex": "5f665f49ff8f0ed33e37a0deb599be1ad8d8771bb2ba50d1908f7f739af42283",
     },
     "sigma --flavor bp --prime 3 --max-n 7": {
         "json": "cdb54776372c07fa780bcaf065522155d8c934c189c75f7ccbeea2ac8e4cdb66",
@@ -83,7 +83,7 @@ GOLDEN = {
     "sigma --flavor mu-moving --max-n 8 -N 8": {
         "json": "dd9848966d4fdd77d26635a58b0889cb2cec514e3cbbbfc0c04c50b4dae95c3b",
         "text": "66ab16bd7f74ac3296ba52618495a637504dae0ac8de4009954d03ea8061e9fc",
-        "tex": "cb76a1bcea3230b03c75e39ad28b7ffbb973e8781714db5f859e6b3302ff40a6",
+        "tex": "699651e2d72d0b4136609c4ddf4026eb5fd7d905bab56fd0b6ac254125979e3e",
     },
     "sigma --flavor mu-split --max-n 12 -N 12": {
         "json": "6db6edaa58fdd95eee85a709c404c414946ce58a09f2f19e4325ed45d3f26316",
@@ -91,12 +91,12 @@ GOLDEN = {
     "sigma --flavor mu-split --max-n 4 -N 4": {
         "json": "138ab25d633a592798eb943cdee74b5cc345c513bd58b038f1a0f8ab758a9cdd",
         "text": "42a40e9bb0053c4d937709d7f6a759b62c1041111850a4b01693dc54394671bc",
-        "tex": "de3fe9c0de4c22c99ac8c01d4ee9fda845bd76923bac0e00a05a8fceec66a59a",
+        "tex": "643e6b2e492a08dde1b6e294365b5c3d07ca74b437d0c51d99b43c486fe573c8",
     },
     "sigma --flavor mu-split --max-n 8 -N 8": {
         "json": "0eee120e575b289bfa7b8b8076a884707581b80e1cc8626d46101cbd5953aaa3",
         "text": "1ac773b094090f8fab14bd81315954c1670dadfac8b09eb989c7f0792f01df1c",
-        "tex": "450c6f69eff3fa3a640f77d56e2f9f690cc14c3f180cafe0079ae1d18cfbe5ae",
+        "tex": "d9083d4e64ce687cf791c027baae1e137b0e51d36ad84139c9d46783d0acb5cd",
     },
     "structure-maps --flavor bp --prime 2 --max-n 4": {
         "json": "0218afae46b261e24fc72254fd0cd4476ab699e6f91827086b654b2afcb5bb95",
@@ -112,7 +112,7 @@ GOLDEN = {
     "structure-maps --flavor mu-moving --max-n 4 -N 4": {
         "json": "be19db80a27a710af1621e06d9236816280b4da6b896a9bcc7d574d1f487ad65",
         "text": "669e51ded0994432eb80ed5367a0b334126a355ed113c27fe95aeabb1aa54e6a",
-        "tex": "c91302ab28f101e8fb9b8b498ee73eed4bf457ef1291de42703207013ba0bdaf",
+        "tex": "de762a71c21a470f8a2322979fe623a0d0f55bb4d41600d6066e7af1a7d65747",
     },
     "structure-maps --flavor mu-moving --max-n 8 -N 8": {
         "json": "f4cb21948058721f64d51aa67666fe3024d94dcdf775313bc46d197f69346a6f",
@@ -120,12 +120,12 @@ GOLDEN = {
     "structure-maps --flavor mu-split --max-n 4 -N 4": {
         "json": "cb9f9c04d74cd6b1902ff6c29f65ca6c4ec6f4c4e98c41ac1d2d79109d87063a",
         "text": "4c03113ebf98be7396c59cda791afc4e3ae27414d9ab3fd5f26525e399762f2c",
-        "tex": "01713d6ce4941d01a618577c52e142f8ca8ea41f2c55066dae2ac08680fb58d7",
+        "tex": "540efa1603a9d672d0ad49ba241e01791c7aab57ff951a58464ab3e88e5f17c9",
     },
     "structure-maps --flavor mu-split --max-n 8 -N 8": {
         "json": "06d9c074322400f8325c00e16527a44006597e2e7c7212e789e05f76050940a6",
         "text": "8aafd75250d1c2fe256ec3ff8e373fee09282576848691f773383805a7c486d8",
-        "tex": "89e29c4667e389a5e78476b20ca835cc9482b88fb8b1a553067f6b466b128194",
+        "tex": "7237aefeee32fbde5144e658723a97e6bac08f212c01cf63ad66c6f6dd3d69bd",
     },
     "verify --flavor bp --prime 2 --max-degree 10": {
         "json": "73729f4f272efc9dbcd0743c7b7fda716cfb5f78c3c8cd1e31db2fa214051659",

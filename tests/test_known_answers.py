@@ -1,0 +1,96 @@
+"""Closed-form answers the engine must reproduce.
+
+The constant part of sigma on each polynomial generator is its Hurewicz
+image modulo decomposables (Milnor-Novikov; Ravenel, *Complex Cobordism*,
+3.1): c_n times the exterior partner, with c_n = p when n + 1 is a power of
+the prime p and 1 otherwise, and p for every v_n.
+
+The de Rham cohomology of Z[y_1..y_k] is the tensor product of the
+one-variable complexes d(y^n) = n c y^(n-1) dy, whose groups come from the
+Kunneth formula over Z (Weibel, *An Introduction to Homological Algebra*,
+3.6.3).  With c_n = -lazard_indecomposable_unit(n) the same product is the
+cohomology of the associated graded of sigma for the word-length filtration.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, strategies as st
+
+from fglthh.algebroid import MuStructure
+from fglthh.cohomology import cohomology_groups, de_rham_cohomology
+from fglthh.exactalg import FinAbGroup, GenTable, GradedPoly
+from fglthh.fgl import LazardBasis, TypicalBasis, lazard_indecomposable_unit, v_name, x_name
+from fglthh.thh import (ExtElement, SigmaTable, ThhFlavor, sigma_bp, sigma_mu_moving,
+                        sigma_mu_split)
+
+
+def constant_part(elt):
+    """The terms of ``elt`` with no base generator: ``{subset: coefficient}``."""
+    return {s: p.terms[0] for s, p in elt.terms.items() if 0 in p.terms}
+
+
+def test_constant_part_of_sigma_mu_moving():
+    sig = sigma_mu_moving(LazardBasis(16))
+    for n in range(1, 17):
+        assert constant_part(sig.on_base[x_name(n)]) == {(n,): -lazard_indecomposable_unit(n)}, n
+
+
+def test_constant_part_of_sigma_mu_split():
+    sig = sigma_mu_split(MuStructure(LazardBasis(12)))
+    for n in range(1, 13):
+        assert constant_part(sig.on_base[x_name(n)]) == {(n,): lazard_indecomposable_unit(n)}, n
+
+
+@pytest.mark.parametrize("p, max_n", [(2, 7), (3, 5), (5, 4)])
+def test_constant_part_of_sigma_bp(p, max_n):
+    sig = sigma_bp(TypicalBasis(p, max_n))
+    for n in range(1, max_n + 1):
+        assert constant_part(sig.on_base[v_name(n)]) == {(n,): p}, n
+
+
+def kunneth_groups(weights, d_max, coeffs=None):
+    """Groups through ``d_max`` of the tensor product of the complexes
+    d(y^n) = n c y^(n-1) dy, one per generator of weight w and coefficient
+    c (default 1).  Each factor has Z in degree 0 and Z/(n c) in degree
+    2wn + 1.  Orders are kept as lists with 0 for Z: a tensor product of
+    cyclic groups has the gcd of their orders in the summed degree, and
+    two finite ones add a Tor term of that order one degree lower."""
+    coeffs = coeffs or [1] * len(weights)
+    top = d_max + 1  # a Tor term from degree d_max + 1 lands in d_max
+    groups = {0: [0]}
+    for w, c in zip(weights, coeffs):
+        factor = {0: 0, **{2 * w * n + 1: n * c for n in range(1, top // (2 * w) + 1)}}
+        out = {}
+        for d1, orders in groups.items():
+            for d2, b in factor.items():
+                for a in orders:
+                    if d1 + d2 <= top:
+                        out.setdefault(d1 + d2, []).append(math.gcd(a, b))
+                    if a and b and d1 + d2 - 1 <= top:
+                        out.setdefault(d1 + d2 - 1, []).append(math.gcd(a, b))
+        groups = out
+    return {d: FinAbGroup.from_factors(groups.get(d, []).count(0),
+                                       [a for a in groups.get(d, []) if a])
+            for d in range(d_max + 1)}
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+def test_de_rham_matches_the_kunneth_formula(weights):
+    table = de_rham_cohomology([(f"y_{k}", w) for k, w in enumerate(weights, 1)], 16)
+    assert table.groups == kunneth_groups(weights, 16)
+
+
+def test_kunneth_with_coefficients_is_the_graded_sigma():
+    """x_n -> -c_n lambda'_n on the Lazard generators, the constant part of
+    sigma mu-moving, has the Kunneth groups with coefficients -c_n."""
+    n_max, d_max = 6, 12
+    base = GenTable([(x_name(n), n) for n in range(1, n_max + 1)], d_max // 2)
+    flavor = ThhFlavor("koszul", base, "lambda'", tuple((n, n) for n in range(1, n_max + 1)))
+    coeffs = [-lazard_indecomposable_unit(n) for n in range(1, n_max + 1)]
+    graded = SigmaTable(flavor, {
+        x_name(n): ExtElement.ext_gen(flavor, n, GradedPoly.const(base, c))
+        for n, c in zip(range(1, n_max + 1), coeffs)})
+    groups = cohomology_groups(graded, d_max).groups
+    assert groups == kunneth_groups(range(1, n_max + 1), d_max, coeffs)
+    assert groups[9] == FinAbGroup.from_factors(0, [2, 2, 120])
