@@ -19,6 +19,7 @@ from itertools import combinations
 from .exactalg import (GenTable, GradedPoly, FinAbGroup, IntMatrix,
                        ComplexViolationError, IntegralityError, DegreeGuardError,
                        ResourceGuardError, subquotient_group, rational_rank, p_part)
+from . import exactalg
 from .thh import DeRhamDifferential, ExtElement, hurewicz_mu, ring_map
 from .algebroid import CoordFlavor
 
@@ -61,6 +62,11 @@ class DegreeComplex:
     root: int
     bases: tuple      # per q: tuple of (subset, mono)
     diffs: tuple      # per q: IntMatrix from position q to q+1
+
+    def maps(self, q):
+        """``(d_in, d_out)`` at position q; nothing comes into position 0."""
+        d_in = self.diffs[q - 1] if q else IntMatrix.zero(len(self.bases[0]), 0)
+        return d_in, self.diffs[q]
 
 
 def _element_vector(index, elt):
@@ -124,27 +130,27 @@ def staircase(diff, root):
 @dataclass
 class CohomologyTable:
     """Cohomology groups per internal degree with the finer per-exterior-count
-    breakdown, generator lifts, the presentations used to verify stated
-    generators by membership and order, and the staircase complexes
-    (root -> ``DegreeComplex``) they were computed from, so that checks on
-    the same differential reuse them instead of assembling them again."""
+    breakdown, generator lifts, and the staircase complexes
+    (root -> ``DegreeComplex``) they were computed from, whose maps answer
+    class orders and generation and which checks on the same differential
+    reuse instead of assembling them again."""
 
     d_max: int
     groups: dict
     by_q: dict
     generators: dict
-    presentations: dict
     stairs: dict
 
     def class_order(self, d, q, elt):
-        pres, basis = self.presentations[(d, q)]
-        index = {bm: k for k, bm in enumerate(basis)}
-        return pres.class_order(_element_vector(index, elt))
+        stair = self.stairs[d - q]
+        index = {bm: k for k, bm in enumerate(stair.bases[q])}
+        return exactalg.class_order(*stair.maps(q), _element_vector(index, elt))
 
     def generates(self, d, q, elts):
-        pres, basis = self.presentations[(d, q)]
-        index = {bm: k for k, bm in enumerate(basis)}
-        return pres.generates([_element_vector(index, e) for e in elts])
+        stair = self.stairs[d - q]
+        index = {bm: k for k, bm in enumerate(stair.bases[q])}
+        return exactalg.generates(*stair.maps(q),
+                                  [_element_vector(index, e) for e in elts])
 
 
 def cohomology_groups(diff, d_max):
@@ -160,7 +166,7 @@ def cohomology_groups(diff, d_max):
             f"d_max {d_max} exceeds the truncation (weight {flavor.truncation_weight})")
     stairs = {root: staircase(diff, root) for root in range(0, d_max + 1, 2)}
 
-    groups, by_q, generators, presentations = {}, {}, {}, {}
+    groups, by_q, generators = {}, {}, {}
     for d in range(d_max + 1):
         total = FinAbGroup.trivial()
         gens = []
@@ -172,13 +178,10 @@ def cohomology_groups(diff, d_max):
             if q >= len(stair.bases) or not stair.bases[q]:
                 continue
             basis = stair.bases[q]
-            # staircase emits one map per position (the top one is 0 x n)
-            d_in = stair.diffs[q - 1] if q else IntMatrix.zero(len(basis), 0)
-            pres = subquotient_group(d_in, stair.diffs[q])
-            by_q[(d, q)] = pres.group
-            presentations[(d, q)] = (pres, basis)
-            total = total.direct_sum(pres.group)
-            for order, vec in pres.generator_vectors:
+            sub = subquotient_group(*stair.maps(q))
+            by_q[(d, q)] = sub.group
+            total = total.direct_sum(sub.group)
+            for order, vec in sub.generator_vectors:
                 terms = {}
                 for k, c in enumerate(vec):
                     if c:
@@ -188,7 +191,7 @@ def cohomology_groups(diff, d_max):
                     s: GradedPoly(flavor.base, part) for s, part in terms.items()})))
         groups[d] = total
         generators[d] = tuple(gens)
-    return CohomologyTable(d_max, groups, by_q, generators, presentations, stairs)
+    return CohomologyTable(d_max, groups, by_q, generators, stairs)
 
 
 def localize_table(table, p):
@@ -201,8 +204,7 @@ def localize_table(table, p):
         # a free generator keeps order 0; one of order prime to p drops out
         local = [(p_part(order, p) if order else 0, elt) for order, elt in pairs]
         gens[d] = tuple((order, elt) for order, elt in local if order != 1)
-    return CohomologyTable(table.d_max, groups, by_q, gens,
-                           table.presentations, table.stairs)
+    return CohomologyTable(table.d_max, groups, by_q, gens, table.stairs)
 
 
 SMALL_PRIMES = (2, 3, 5)
@@ -348,14 +350,14 @@ def _commutes(stair, d_max, source, d_source, d_target, include):
 
 def _induced_orders(label, d, generators, include, target):
     """``(label, order, order of the image class)`` for each generator in
-    degree ``d``; with no presentation of ``target`` there, the image order
-    is 1 for a zero image and None otherwise."""
+    degree ``d``; where ``target`` has no group at ``(d, q)``, the image
+    order is 1 for a zero image and None otherwise."""
     entries = []
     for order, gen in generators:
         subset_counts = {len(s) for s in gen.terms}
         q = subset_counts.pop() if subset_counts else 0
         image = include(gen)
-        if (d, q) in target.presentations:
+        if (d, q) in target.by_q:
             target_order = target.class_order(d, q, image)
         else:
             target_order = 1 if image.is_zero() else None

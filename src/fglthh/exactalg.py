@@ -1115,108 +1115,31 @@ class FinAbGroup:
 # subquotients ker/im
 # ---------------------------------------------------------------------------
 
-class SubquotientPresentation:
-    """Presentation of ``ker(d_out) / im(d_in)`` over a free module.
+class Subquotient(NamedTuple):
+    """``ker(d_out)/im(d_in)``: the group and one ``(order, vector)`` lift
+    per summand in ambient coordinates, free generators first."""
 
-    ``out_snf`` is the Smith form of ``d_out``, of rank ``r``: the columns
-    of its ``V`` past ``r`` span the (saturated) kernel, and the rows of
-    ``V^-1`` past ``r`` give kernel coordinates.  ``relations`` is the
-    image of ``d_in`` in those coordinates.  Both Smith forms are read
-    through :meth:`SmithDecomposition.apply` on the vectors at hand, so no
-    transform is built, and neither is kept.  The image lattice in ambient
-    coordinates is spanned by the columns of ``d_in`` itself; its echelon
-    basis is built once, on first use.  Generator lifts are returned in
-    ambient coordinates, reduced to their canonical representatives modulo
-    that lattice.  Class orders and generation are answered from that basis
-    and ``d_out`` by reduction modulo echelon bases (Cohen, GTM 138, §2.4).
-    """
+    group: FinAbGroup
+    generator_vectors: tuple
 
-    def __init__(self, d_in, d_out, out_snf, relations):
-        self.d_in = d_in
-        self.d_out = d_out
-        k = relations.rows  # k x cols(d_in), k the kernel rank
-        if k and relations.cols:
-            rel_snf = smith_normal_form_full(relations)
-            D = rel_snf.D
-            orders = [D.entries[i][i] if i < D.cols else 0 for i in range(k)]
-        else:
-            # no relations: the kernel is free on its basis
-            rel_snf = None
-            orders = [0] * k
-        factors = [d for d in orders if d > 1]
-        free = sum(1 for d in orders if d == 0)
-        gens = []
-        lifted = [i for i, d in enumerate(orders) if d != 1]
-        if lifted:
-            # column c of the block is the kernel coordinates of lift c,
-            # padded with r zero rows to V coordinates
-            block = [[int(i == j) for j in lifted] for i in range(k)]
-            if rel_snf is not None:
-                block = rel_snf.apply("U_inv", block)
-            block = out_snf.apply("V", [[0] * len(lifted)] * out_snf.rank + block)
-            hnf, pivots = self._image_echelon
-            for c, i in enumerate(lifted):
-                vec = reduce_mod_rows(hnf, pivots, [row[c] for row in block])
-                gens.append((orders[i], tuple(self._sign_normalize(vec))))
-        gens.sort(key=lambda g: (g[0] != 0, g[0]))  # free generators first
-        self.generator_vectors = tuple(gens)
-        self.group = FinAbGroup(free, _chain_from_factors(factors))
 
-    @cached_property
-    def _image_echelon(self):
-        """``(rows, pivots)`` of the image lattice's echelon basis."""
-        return row_hnf(zip(*self.d_in.entries))
-
-    @staticmethod
-    def _sign_normalize(vec):
-        lead = next((x for x in vec if x), 0)
-        return [-x for x in vec] if lead < 0 else list(vec)
-
-    def _check_cocycle(self, vector):
-        if any(sum(a * x for a, x in zip(row, vector)) for row in self.d_out.entries):
-            raise ValueError("vector is not a cocycle")
-
-    def class_order(self, vector):
-        """Order of the class of ``vector``; 0 means infinite order.
-
-        Raises ``ValueError`` when the vector is not a cocycle.  Reduced
-        modulo the image lattice, ``v`` has a multiple in it only if its
-        first nonzero column ``c`` is a pivot column; then, for the pivot
-        ``p`` there, the order is ``f = p / gcd(p, v[c])`` times that of ``f v``.
-        """
-        self._check_cocycle(vector)
-        hnf, pivots = self._image_echelon
-        pivot_at = {pc: row[pc] for row, pc in zip(hnf, pivots)}
-        order = 1
-        v = reduce_mod_rows(hnf, pivots, vector)
-        while any(v):
-            c = next(j for j, x in enumerate(v) if x)
-            p = pivot_at.get(c)
-            if p is None:
-                return 0
-            f = p // math.gcd(p, v[c])
-            order *= f
-            v = reduce_mod_rows(hnf, pivots, [f * x for x in v])
-        return order
-
-    def generates(self, vectors):
-        """True when the classes of ``vectors`` generate the whole group:
-        every generator lift lies in the image lattice plus their span."""
-        for v in vectors:
-            self._check_cocycle(v)
-        hnf, pivots = row_hnf([*self._image_echelon[0], *vectors])
-        return not any(any(reduce_mod_rows(hnf, pivots, g))
-                       for _, g in self.generator_vectors)
+def _check_cocycle(d_out, vector):
+    if any(sum(a * x for a, x in zip(row, vector)) for row in d_out.entries):
+        raise ValueError("vector is not a cocycle")
 
 
 def subquotient_group(d_in, d_out):
-    """Presentation of ``ker(d_out)/im(d_in)`` for composable differentials.
+    """``Subquotient`` of ``ker(d_out)/im(d_in)`` for composable maps.
 
     ``d_in`` maps into the middle module (its rows), ``d_out`` maps out of it
-    (its columns); the composite must vanish.  That is checked on the Smith
-    form of ``d_out``: ``d_in`` is rejected when the rows of ``V^-1 d_in``
-    against the nonzero invariant factors do not all vanish.  When ``d_out``
-    is injective those are all the rows, so ``d_in`` itself must vanish.
+    (its columns).  For ``d_out`` of rank ``r``, the columns of its ``V``
+    past ``r`` span the (saturated) kernel and the rows of ``V^-1`` past
+    ``r`` give kernel coordinates, so ``d_in`` is rejected when the first
+    ``r`` rows of ``V^-1 d_in`` do not vanish; the rest are the relations,
+    whose Smith form gives the group.  Both Smith forms are read through
+    :meth:`SmithDecomposition.apply` on the vectors at hand, so no
+    transform is built or kept.  Each lift is reduced modulo the echelon
+    basis of the columns of ``d_in`` and has a positive leading entry.
     """
     if d_in.rows != d_out.cols:
         raise ValueError("differentials do not compose through a common module")
@@ -1225,5 +1148,67 @@ def subquotient_group(d_in, d_out):
     y = out_snf.apply("V_inv", d_in.entries)
     if any(any(row) for row in y[:r]):
         raise ComplexViolationError("image does not lie in the kernel")
-    return SubquotientPresentation(d_in, d_out, out_snf, IntMatrix(
-        len(y) - r, d_in.cols, tuple(map(tuple, y[r:]))))
+    k = len(y) - r  # the kernel rank
+    if k and d_in.cols:
+        rel_snf = smith_normal_form_full(
+            IntMatrix(k, d_in.cols, tuple(map(tuple, y[r:]))))
+        D = rel_snf.D
+        orders = [D.entries[i][i] if i < D.cols else 0 for i in range(k)]
+    else:
+        # no relations: the kernel is free on its basis
+        rel_snf = None
+        orders = [0] * k
+    gens = []
+    lifted = [i for i, d in enumerate(orders) if d != 1]
+    if lifted:
+        # column c of the block is the kernel coordinates of lift c,
+        # padded with r zero rows to V coordinates
+        block = [[int(i == j) for j in lifted] for i in range(k)]
+        if rel_snf is not None:
+            block = rel_snf.apply("U_inv", block)
+        block = out_snf.apply("V", [[0] * len(lifted)] * r + block)
+        hnf, pivots = row_hnf(zip(*d_in.entries))
+        for c, i in enumerate(lifted):
+            vec = reduce_mod_rows(hnf, pivots, [row[c] for row in block])
+            if next((x for x in vec if x), 0) < 0:
+                vec = [-x for x in vec]
+            gens.append((orders[i], tuple(vec)))
+    gens.sort(key=lambda g: (g[0] != 0, g[0]))  # free generators first
+    return Subquotient(FinAbGroup.from_factors(orders.count(0), orders), tuple(gens))
+
+
+def class_order(d_in, d_out, vector):
+    """Order of the class of ``vector`` in ``ker(d_out)/im(d_in)``; 0 means
+    infinite order.
+
+    Raises ``ValueError`` when the vector is not a cocycle.  Reduced
+    modulo the echelon basis of the columns of ``d_in``, ``v`` has a
+    multiple in the image only if its first nonzero column ``c`` is a pivot
+    column; then, for the pivot ``p`` there, the order is
+    ``f = p / gcd(p, v[c])`` times that of ``f v`` (Cohen, GTM 138, §2.4).
+    """
+    _check_cocycle(d_out, vector)
+    hnf, pivots = row_hnf(zip(*d_in.entries))
+    pivot_at = {pc: row[pc] for row, pc in zip(hnf, pivots)}
+    order = 1
+    v = reduce_mod_rows(hnf, pivots, vector)
+    while any(v):
+        c = next(j for j, x in enumerate(v) if x)
+        p = pivot_at.get(c)
+        if p is None:
+            return 0
+        f = p // math.gcd(p, v[c])
+        order *= f
+        v = reduce_mod_rows(hnf, pivots, [f * x for x in v])
+    return order
+
+
+def generates(d_in, d_out, vectors):
+    """True when the classes of ``vectors`` generate ``ker(d_out)/im(d_in)``:
+    every generator lift of :func:`subquotient_group` lies in the image
+    lattice plus their span.  Raises ``ValueError`` for a non-cocycle."""
+    for v in vectors:
+        _check_cocycle(d_out, v)
+    lifts = subquotient_group(d_in, d_out).generator_vectors
+    hnf, pivots = row_hnf([*zip(*d_in.entries), *vectors])
+    return not any(any(reduce_mod_rows(hnf, pivots, g)) for _, g in lifts)

@@ -4,8 +4,8 @@ from fglthh.exactalg import (ComplexViolationError, FinAbGroup, GenTable, Graded
                              DegreeGuardError, IntegralityError, ResourceGuardError,
                              subquotient_group)
 from fglthh.fgl import x_name, v_name
-from fglthh.algebroid import CoordFlavor
-from fglthh.thh import ExtElement
+from fglthh.algebroid import CoordFlavor, MuStructure
+from fglthh.thh import ExtElement, sigma_mu_moving, sigma_mu_split
 from fglthh.cohomology import (DeRhamDifferential, staircase,
                                cohomology_groups, localize_table,
                                bp_degree_range,
@@ -144,6 +144,48 @@ def test_split_table_matches(split_table, lazard10, sigma_split10):
     assert t.class_order(9, 1, e4pp) == 2
     assert t.generates(9, 1, [e4p, e4pp])
     assert t.class_order(10, 2, e(1) * e(3)) == 2
+
+
+@pytest.fixture(scope="module")
+def mu_tables16(lazard8):
+    return {"mu-moving": cohomology_groups(sigma_mu_moving(lazard8), 16),
+            "mu-split": cohomology_groups(sigma_mu_split(MuStructure(lazard8)), 16)}
+
+
+def printed_generators(table):
+    """``(d, q, order, element)`` for each printed generator, ``q`` its
+    exterior count, with one summand of ``by_q`` per generator."""
+    out = []
+    for d, gens in table.generators.items():
+        for order, elt in gens:
+            (q,) = {len(s) for s in elt.terms}
+            out.append((d, q, order, elt))
+    summands = sum(g.free_rank + len(g.invariant_factors) for g in table.by_q.values())
+    assert len(out) == summands
+    return out
+
+
+@pytest.mark.parametrize("flavor", ("mu-moving", "mu-split"))
+def test_printed_generators_have_their_orders_and_generate(mu_tables16, flavor):
+    # the read path from the staircase maps: each printed generator has its
+    # printed order, and each position's generators generate its group
+    table = mu_tables16[flavor]
+    by_position = {key: [] for key in table.by_q}
+    for d, q, order, elt in printed_generators(table):
+        assert table.class_order(d, q, elt) == order, (d, q)
+        by_position[(d, q)].append(elt)
+    for (d, q), elts in by_position.items():
+        assert table.generates(d, q, elts), (d, q)
+        if elts:
+            assert not table.generates(d, q, elts[1:]), (d, q)
+
+
+def test_printed_bp_generators_have_their_p_local_orders(bp_tables):
+    table = bp_tables[3]
+    assert table.d_max == 24
+    for d, q, order, elt in printed_generators(table):
+        got = table.class_order(d, q, elt)
+        assert (p_part(got, 3) if got else 0) == order, (d, q)
 
 
 def test_moving_split_isomorphic(moving_table, split_table):

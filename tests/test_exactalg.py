@@ -13,8 +13,8 @@ from fglthh.exactalg import (
     GenTable, GradedPoly, GradedWeightError, GeneratorTableError,
     UnderdeterminedSystemError, ComplexViolationError, IntMatrix, FinAbGroup,
     SmithDecomposition, smith_normal_form_full, invariant_factors,
-    solve_rational_linear, solve_integer, subquotient_group, row_hnf,
-    reduce_mod_rows, rational_rank, p_part, ext_gcd)
+    solve_rational_linear, solve_integer, subquotient_group, class_order,
+    generates, row_hnf, reduce_mod_rows, rational_rank, p_part, ext_gcd)
 from fglthh.verify import minor_gcd_invariants
 
 from test_derivations import de_rham_partials
@@ -586,17 +586,15 @@ Z2_PAIR = (IntMatrix.from_rows([[-2]]), IntMatrix.zero(0, 1))
 
 def test_subquotient_z2():
     d_in, d_out = Z2_PAIR
-    pres = subquotient_group(d_in, d_out)
-    assert pres.group == FinAbGroup(0, (2,))
-    assert pres.class_order([1]) == 2
-    assert pres.generates([[1]])
+    assert subquotient_group(d_in, d_out).group == FinAbGroup(0, (2,))
+    assert class_order(d_in, d_out, [1]) == 2
+    assert generates(d_in, d_out, [[1]])
 
 
 def test_subquotient_injective_out():
     d_in = IntMatrix.zero(2, 0)
     d_out = IntMatrix.from_rows([[1, 0], [0, 1], [0, 0]])
-    pres = subquotient_group(d_in, d_out)
-    assert pres.group.is_trivial()
+    assert subquotient_group(d_in, d_out).group.is_trivial()
 
 
 # a staircase pair of the degree-nine sigma cohomology: H = Z/16 + Z/6 + Z/5
@@ -611,17 +609,18 @@ DEGREE_NINE_PAIR = (
 
 def test_subquotient_degree_nine_pair():
     d_in, d_out = DEGREE_NINE_PAIR
-    pres = subquotient_group(d_in, d_out)
-    assert pres.group == FinAbGroup.from_factors(0, [16, 6, 5])
-    assert pres.group.primary() == (2, 3, 5, 16)
+    group = subquotient_group(d_in, d_out).group
+    assert group == FinAbGroup.from_factors(0, [16, 6, 5])
+    assert group.primary() == (2, 3, 5, 16)
     # stated summand generators: membership, order and joint generation
     g16 = [0, -2, 1, 0, 0, 1, 0]
     g6 = [0, 0, 0, 1, -1, 0, 0]
     g5 = [0, 0, 0, 0, 0, 0, 1]
-    assert pres.class_order(g16) == 16
-    assert pres.class_order(g6) == 6
-    assert pres.class_order(g5) == 5
-    assert pres.generates([g16, g6, g5])
+    assert class_order(d_in, d_out, g16) == 16
+    assert class_order(d_in, d_out, g6) == 6
+    assert class_order(d_in, d_out, g5) == 5
+    assert generates(d_in, d_out, [g16, g6, g5])
+    assert not generates(d_in, d_out, [g16, g6])
 
 
 def built_transforms(decomposition):
@@ -630,8 +629,8 @@ def built_transforms(decomposition):
 
 def test_subquotient_builds_only_read_transforms(monkeypatch):
     # the subquotient applies the Smith operation logs to the vectors it
-    # needs, and its class checks reduce modulo echelon bases; every
-    # outgoing map, the 0-row one included, takes the Smith-form route
+    # needs, and class orders reduce modulo echelon bases; every outgoing
+    # map, the 0-row one included, takes the Smith-form route
     made = []
 
     def recording(matrix):
@@ -642,12 +641,15 @@ def test_subquotient_builds_only_read_transforms(monkeypatch):
     for (d_in, d_out), cocycle in ((DEGREE_NINE_PAIR, [0, -2, 1, 0, 0, 1, 0]),
                                    (Z2_PAIR, [1])):
         made.clear()
-        pres = subquotient_group(d_in, d_out)
-        assert pres.class_order(cocycle) > 1
-        assert pres.generates([list(v) for _, v in pres.generator_vectors])
-        # the outgoing map and the relations, none for the class checks
+        sub = subquotient_group(d_in, d_out)
+        # the outgoing map and the relations
         assert len(made) == 2
-        assert [built_transforms(snf) for snf in made] == [set()] * 2
+        assert class_order(d_in, d_out, cocycle) > 1
+        assert len(made) == 2
+        # generation takes its lifts from a subquotient of its own
+        assert generates(d_in, d_out, [list(v) for _, v in sub.generator_vectors])
+        assert len(made) == 4
+        assert [built_transforms(snf) for snf in made] == [set()] * 4
     made.clear()
     d_in = DEGREE_NINE_PAIR[0]
     x = [1, -2, 0, 3, 1]
@@ -658,9 +660,10 @@ def test_subquotient_builds_only_read_transforms(monkeypatch):
     assert [built_transforms(snf) for snf in made] == [set(), set()]
 
 
-def test_subquotient_builds_the_image_echelon_basis_once(monkeypatch):
-    # the lifts and every class order read one echelon basis of the image
-    # lattice; generation seeds one more reduction with it
+def test_each_query_builds_its_own_echelon_basis(monkeypatch):
+    # nothing is cached between calls: the subquotient builds the image
+    # echelon basis only to reduce its lifts, each class order builds one,
+    # and generation builds one beside those of its subquotient
     calls = []
 
     def counting(rows):
@@ -668,12 +671,22 @@ def test_subquotient_builds_the_image_echelon_basis_once(monkeypatch):
         return row_hnf(rows)
 
     monkeypatch.setattr(exactalg, "row_hnf", counting)
-    pres = subquotient_group(*DEGREE_NINE_PAIR)
-    assert [order for order, _ in pres.generator_vectors] == [2, 240]
-    stated = ([0, -2, 1, 0, 0, 1, 0], [0, 0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 0, 0, 1])
-    assert [pres.class_order(v) for v in stated * 2] == [16, 6, 5] * 2
+    sub = subquotient_group(*DEGREE_NINE_PAIR)
+    assert [order for order, _ in sub.generator_vectors] == [2, 240]
     assert len(calls) == 1
-    assert pres.generates(list(stated))
+    # no lifts: an injective outgoing map leaves nothing to reduce
+    assert subquotient_group(IntMatrix.zero(2, 0),
+                             IntMatrix.from_rows([[1, 0], [0, 1]])).generator_vectors == ()
+    # ... and neither does a surjective incoming one
+    assert subquotient_group(IntMatrix.from_rows([[-1]]),
+                             IntMatrix.zero(0, 1)).generator_vectors == ()
+    assert len(calls) == 1
+    stated = ([0, -2, 1, 0, 0, 1, 0], [0, 0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 0, 0, 1])
+    calls.clear()
+    assert [class_order(*DEGREE_NINE_PAIR, v) for v in stated * 2] == [16, 6, 5] * 2
+    assert len(calls) == 6
+    calls.clear()
+    assert generates(*DEGREE_NINE_PAIR, list(stated))
     assert len(calls) == 2
 
 
@@ -692,12 +705,17 @@ def reachable(root):
 
 
 def test_presentation_keeps_no_smith_form():
-    for (d_in, d_out), cocycle in ((DEGREE_NINE_PAIR, [0, -2, 1, 0, 0, 1, 0]),
-                                   (Z2_PAIR, [1])):
-        pres = subquotient_group(d_in, d_out)
-        pres.class_order(cocycle)
-        pres.generates([cocycle])
-        assert not any(isinstance(obj, SmithDecomposition) for obj in reachable(pres))
+    # the subquotient is a value: its group and its lifts, with no Smith
+    # form or echelon basis behind them
+    for d_in, d_out in (DEGREE_NINE_PAIR, Z2_PAIR):
+        sub = subquotient_group(d_in, d_out)
+        assert sub._fields == ("group", "generator_vectors")
+        assert isinstance(sub.group, FinAbGroup)
+        assert all(type(order) is int and type(vec) is tuple and
+                   all(type(x) is int for x in vec)
+                   for order, vec in sub.generator_vectors)
+        assert not any(isinstance(obj, (SmithDecomposition, list))
+                       for obj in reachable(sub))
 
 
 def test_subquotient_complex_violation():
@@ -751,16 +769,16 @@ def test_generator_lifts_on_random_complexes(data):
     d_in = IntMatrix.from_rows(
         [[sum(c * v[i] for c, v in zip(combo, kernel)) for combo in combos]
          for i in range(m)], cols=a)
-    pres = subquotient_group(d_in, d_out)
+    sub = subquotient_group(d_in, d_out)
     hnf, pivots = row_hnf([[row[j] for row in d_in.entries] for j in range(a)])
-    lifts = [list(vec) for _, vec in pres.generator_vectors]
-    for (order, _), g in zip(pres.generator_vectors, lifts):
+    lifts = [list(vec) for _, vec in sub.generator_vectors]
+    for (order, _), g in zip(sub.generator_vectors, lifts):
         assert all(sum(a * x for a, x in zip(row, g)) == 0 for row in d_out.entries)
         neg = [-x for x in g]
         assert g == reduce_mod_rows(hnf, pivots, g) or \
             neg == reduce_mod_rows(hnf, pivots, neg)
-        assert pres.class_order(g) == order
-    assert pres.generates(lifts)
+        assert class_order(d_in, d_out, g) == order
+    assert generates(d_in, d_out, lifts)
 
 
 # The Smith-log queries that reduction modulo echelon bases replaced, kept
@@ -824,17 +842,16 @@ def reference_generates(d_in, d_out, vectors):
 def assert_queries_match_references(d_in, d_out, vectors):
     """Class orders of each vector and generation by all of them agree
     with the references, a non-cocycle raising ``ValueError`` in both."""
-    pres = subquotient_group(d_in, d_out)
     for query, reference, args in (
-            *((pres.class_order, reference_class_order, v) for v in vectors),
-            (pres.generates, reference_generates, vectors)):
+            *((class_order, reference_class_order, v) for v in vectors),
+            (generates, reference_generates, vectors)):
         try:
             expected = reference(d_in, d_out, args)
         except ValueError:
             with pytest.raises(ValueError, match="not a cocycle"):
-                query(args)
+                query(d_in, d_out, args)
         else:
-            assert query(args) == expected
+            assert query(d_in, d_out, args) == expected
 
 
 @pytest.mark.parametrize("d_in, d_out, vectors", [

@@ -9,7 +9,8 @@ The de Rham cohomology of Z[y_1..y_k] is the tensor product of the
 one-variable complexes d(y^n) = n c y^(n-1) dy, whose groups come from the
 Kunneth formula over Z (Weibel, *An Introduction to Homological Algebra*,
 3.6.3).  With c_n = -lazard_indecomposable_unit(n) the same product is the
-cohomology of the associated graded of sigma for the word-length filtration.
+cohomology of the associated graded of sigma for the word-length filtration,
+the E_1 page that bounds the mod-p cohomology of sigma from above.
 """
 
 import math
@@ -94,3 +95,27 @@ def test_kunneth_with_coefficients_is_the_graded_sigma():
     groups = cohomology_groups(graded, d_max).groups
     assert groups == kunneth_groups(range(1, n_max + 1), d_max, coeffs)
     assert groups[9] == FinAbGroup.from_factors(0, [2, 2, 120])
+
+
+def mod_p_dim(groups, d, p):
+    """dim H^d(C (x) F_p) from the integral groups of a complex of free
+    modules whose differential raises the degree by one: by universal
+    coefficients, H^d (x) F_p plus Tor(H^(d+1), F_p)."""
+    def t(g):
+        return sum(1 for a in g.invariant_factors if a % p == 0)
+    return groups[d].free_rank + t(groups[d]) + t(groups[d + 1])
+
+
+def test_sigma_mod_p_is_bounded_by_the_e1_page(sigma_moving10):
+    """The word-length filtration is finite on each staircase, so the
+    spectral sequence from gr sigma (the Koszul complex with coefficients
+    -c_n) bounds dim H(C (x) F_p) in every degree (Weibel, ch. 5)."""
+    groups = cohomology_groups(sigma_moving10, 20).groups
+    e1 = kunneth_groups(range(1, 11), 21,
+                        [-lazard_indecomposable_unit(n) for n in range(1, 11)])
+    primes = (2, 3, 5, 7, 11, 13, 17, 19)
+    pairs = [(mod_p_dim(groups, d, p), mod_p_dim(e1, d, p))
+             for d in range(20) for p in primes]
+    assert all(h <= bound for h, bound in pairs)
+    # the bound is sharp at 144 of the 160 (degree, prime) pairs
+    assert sum(h == bound for h, bound in pairs) == 144
