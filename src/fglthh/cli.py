@@ -10,12 +10,12 @@ the failing identity, 2 is a usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from functools import partial
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from .exactalg import ExactAlgError, ResourceGuardError, Style
@@ -194,27 +194,89 @@ def _value(value, fmt):
 
 
 def _rows(rows, fmt):
+    """A section's rendered rows; in JSON each row is deferred, so that
+    ``write_json`` renders it only when it writes it."""
     if not isinstance(rows, dict):
+        if fmt == "json":
+            return [partial(row.render, fmt) for row in rows]
         return [row.render(fmt) for row in rows]
     if fmt == "json":
-        return {_label(label, fmt): _value(v, fmt) for label, v in rows.items()}
+        return {_label(label, fmt): partial(_value, v, fmt) for label, v in rows.items()}
     eq = " = " if fmt == "text" else " &= "
     return [f"{_label(label, fmt)}{eq}{_value(v, fmt)}" for label, v in rows.items()]
 
 
+def write_json(obj, out):
+    """Write the bytes of ``json.dump(obj, out, indent=2)`` and a newline.
+
+    A callable value is called when the walk reaches it, and its result is
+    written in its place.  Strings, ints, bools, ``None``, dicts, lists and
+    tuples are written as the library writes them; anything else, a float
+    or a non-``str`` key included, raises ``TypeError``.  Parts are flushed
+    to ``out`` in batches of about 4,096.
+    """
+    parts = []
+    append = parts.append
+
+    def flush():
+        out.write("".join(parts))
+        parts.clear()
+
+    def walk(o, nl):
+        # ``nl`` is a newline and the indent of the line that holds ``o``
+        if isinstance(o, str):
+            append(_quote(o))
+        elif o is None:
+            append("null")
+        elif o is True or o is False:
+            append("true" if o else "false")
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        elif isinstance(o, dict):
+            if not o:
+                append("{}")
+                return
+            inner, sep = nl + "  ", "{"
+            for key, value in o.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+                append(f"{sep}{inner}{_quote(key)}: ")
+                walk(value, inner)
+                sep = ","
+                if len(parts) > 4096:
+                    flush()
+            append(nl + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                append("[]")
+                return
+            inner, sep = nl + "  ", "["
+            for value in o:
+                append(sep + inner)
+                walk(value, inner)
+                sep = ","
+                if len(parts) > 4096:
+                    flush()
+            append(nl + "]")
+        elif callable(o):
+            walk(o(), nl)
+        else:
+            raise TypeError(f"{type(o).__name__} is not written as exact JSON")
+
+    walk(obj, "\n")
+    append("\n")
+    flush()
+
+
 def emit_report(report, fmt, config, out):
     """Serialize a command's report deterministically in ``fmt`` alone,
-    writing it to the text stream ``out``."""
+    writing it to the text stream ``out``.  JSON comes from one walk of
+    ``write_json``, which renders each row as it writes it, so only one
+    row's tree is alive at a time."""
     if fmt == "json":
         results = {key: _rows(rows, fmt) for _title, key, rows in report.sections}
         results.update(report.flags)
-        doc = {"schema": SCHEMA, "config": config, "results": results}
-        # the bytes of json.dump, which writes each encoder chunk on its own
-        # (a system call each when unbuffered); small batches keep memory low
-        chunks = json.JSONEncoder(indent=2).iterencode(doc)
-        while batch := "".join(islice(chunks, 1024)):
-            out.write(batch)
-        out.write("\n")
+        write_json({"schema": SCHEMA, "config": config, "results": results}, out)
         return
     lines = []
     for title, _key, rows in report.sections:

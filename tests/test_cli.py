@@ -6,15 +6,17 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fglthh
 import fglthh.cli
 import fglthh.fgl
-from fglthh.cli import main
+from fglthh.cli import Report, emit_report, main, write_json
 from fglthh.exactalg import GradedPoly
 from fglthh.fgl import TYPICAL_MAX_N
 from fglthh.series import SeriesError
@@ -144,6 +146,87 @@ def test_json_is_written_in_batches_of_json_dump_bytes(monkeypatch):
     chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(doc))
     assert chunks > 2048
     assert out.writes <= chunks // 1024 + 2
+
+
+json_leaves = (st.integers(-2 ** 100, 2 ** 100) | st.booleans() | st.none()
+               | st.text())
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300)
+@given(tree=json_trees)
+@example(tree={"\x00\n\"\\": ["\u00e9\u2603\U0001f600", {}, [], ()],
+               "": {"a": [[{}], True, None]}, "big": 2 ** 64 + 1})
+def test_write_json_matches_json_dumps(tree):
+    out = io.StringIO()
+    write_json(tree, out)
+    assert out.getvalue() == json.dumps(tree, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("tree", [1.5, {"a": [Fraction(1, 2)]}, {1: 2}],
+                         ids=["float", "fraction", "int-key"])
+def test_write_json_refuses_inexact_values_and_non_str_keys(tree):
+    with pytest.raises(TypeError):
+        write_json(tree, io.StringIO())
+
+
+class LiveDict(dict):
+    """A dict that counts its live instances and their peak."""
+    live = peak = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        LiveDict.live += 1
+        LiveDict.peak = max(LiveDict.peak, LiveDict.live)
+
+    def __del__(self):
+        LiveDict.live -= 1
+
+
+class LiveRow(NamedTuple):
+    n: int
+
+    def render(self, fmt):
+        return LiveDict(n=self.n, terms=list(range(self.n)))
+
+
+def test_json_rows_are_rendered_one_at_a_time(monkeypatch):
+    monkeypatch.setattr(LiveDict, "live", 0)
+    monkeypatch.setattr(LiveDict, "peak", 0)
+    monkeypatch.setattr(fglthh.cli, "_value", lambda n, fmt: LiveDict(n=n))
+    report = Report([("rows", "rows", [LiveRow(n) for n in range(20)]),
+                     ("equations", "equations", {f"e_{n}": n for n in range(20)})],
+                    {"all_ok": True})
+    out = io.StringIO()
+    emit_report(report, "json", {"command": "test"}, out)
+    assert (LiveDict.peak, LiveDict.live) == (1, 0)
+    doc = json.loads(out.getvalue())
+    assert doc["results"]["rows"][19] == {"n": 19, "terms": list(range(19))}
+    assert doc["results"]["equations"]["e_7"] == {"n": 7}
+    assert doc["results"]["all_ok"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    *(f"{command} --flavor {flavor} --max-n 3 -N 3"
+      for command in ("structure-maps", "sigma")
+      for flavor in ("mu-moving", "mu-split", "bp --prime 2")),
+    "cohomology --flavor mu-moving --max-degree 6 -N 3",
+    "cohomology --flavor mu-split --max-degree 6 -N 3",
+    "cohomology --flavor bp --prime 2 --max-degree 10",
+    "bar-tor --max-weight 5 --max-q 2",
+    "de-rham --max-degree 6 -N 3",
+    "de-rham --weights 1,2 --max-degree 8",
+    "verify --max-degree 6 -N 3",
+])
+def test_every_command_writes_json_dump_bytes(capsys, argv):
+    code, out, _ = run(capsys, *argv.split(), "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_structure_maps_empty_table_is_valid_json(capsys):
