@@ -1128,21 +1128,69 @@ def _check_cocycle(d_out, vector):
         raise ValueError("vector is not a cocycle")
 
 
+# Columns independent over Q are dependent modulo this prime only when it
+# divides every maximal minor, so the test below rarely declines a map.
+_RANK_PRIME = 2**31 - 1
+
+
+def _injective(matrix):
+    """True when the columns of ``matrix`` are independent modulo
+    ``_RANK_PRIME``, which makes it injective over Z; False otherwise,
+    including when they are independent over Q alone.
+
+    The columns are eliminated as sparse dict rows in echelon form by their
+    last nonzero position, each pivot scaled to 1; a column stops the test
+    as soon as it reduces to zero.
+    """
+    if matrix.rows < matrix.cols:
+        return False
+    p = _RANK_PRIME
+    pivots = {}  # last nonzero position -> reduced column with a 1 there
+    for col in zip(*matrix.entries):
+        v = {i: x % p for i, x in enumerate(col) if x % p}
+        while v:
+            i = max(v)
+            w = pivots.get(i)
+            if w is None:
+                break
+            c = v[i]
+            for j, y in w.items():
+                x = (v.get(j, 0) - c * y) % p
+                if x:
+                    v[j] = x
+                else:
+                    del v[j]
+        if not v:
+            return False
+        inv = pow(v[i], -1, p)
+        pivots[i] = {j: x * inv % p for j, x in v.items()}
+    return True
+
+
 def subquotient_group(d_in, d_out):
     """``Subquotient`` of ``ker(d_out)/im(d_in)`` for composable maps.
 
     ``d_in`` maps into the middle module (its rows), ``d_out`` maps out of it
-    (its columns).  For ``d_out`` of rank ``r``, the columns of its ``V``
-    past ``r`` span the (saturated) kernel and the rows of ``V^-1`` past
-    ``r`` give kernel coordinates, so ``d_in`` is rejected when the first
-    ``r`` rows of ``V^-1 d_in`` do not vanish; the rest are the relations,
-    whose Smith form gives the group.  Both Smith forms are read through
-    :meth:`SmithDecomposition.apply` on the vectors at hand, so no
-    transform is built or kept.  Each lift is reduced modulo the echelon
-    basis of the columns of ``d_in`` and has a positive leading entry.
+    (its columns).  When the columns of ``d_out`` are independent modulo
+    ``_RANK_PRIME``, ``d_out`` is injective over Z: an integer kernel vector
+    divided by its content is nonzero modulo p and would be a kernel vector
+    there.  Then the group is trivial, ``d_in`` must be zero, and no Smith
+    form is taken.  Otherwise, for ``d_out`` of rank ``r``, the columns of
+    its ``V`` past ``r`` span the (saturated) kernel and the rows of
+    ``V^-1`` past ``r`` give kernel coordinates, so ``d_in`` is rejected
+    when the first ``r`` rows of ``V^-1 d_in`` do not vanish; the rest are
+    the relations, whose Smith form gives the group.  Both Smith forms are
+    read through :meth:`SmithDecomposition.apply` on the vectors at hand,
+    so no transform is built or kept.  Each lift is reduced modulo the
+    echelon basis of the columns of ``d_in`` and has a positive leading
+    entry.
     """
     if d_in.rows != d_out.cols:
         raise ValueError("differentials do not compose through a common module")
+    if _injective(d_out):
+        if not d_in.is_zero():
+            raise ComplexViolationError("image does not lie in the kernel")
+        return Subquotient(FinAbGroup.trivial(), ())
     out_snf = smith_normal_form_full(d_out)
     r = out_snf.rank
     y = out_snf.apply("V_inv", d_in.entries)

@@ -495,3 +495,26 @@ def test_each_staircase_is_assembled_once(monkeypatch, structure10, sigma_moving
         keys = [(table_id, root) for table_id, root, _ in built]
         assert keys
         assert len(keys) == len(set(keys))
+
+
+def test_injective_position_zero_maps_take_no_smith_form(monkeypatch, sigma_moving10):
+    # sigma is injective on the base ring in positive degree, so position 0
+    # of each positive root has trivial cohomology; its outgoing map is
+    # certified injective modulo a prime and never reaches the Smith form
+    from fglthh import exactalg
+
+    made = []
+
+    def recording(matrix):
+        made.append(matrix)
+        return real(matrix)
+
+    real = exactalg.smith_normal_form_full
+    monkeypatch.setattr(exactalg, "smith_normal_form_full", recording)
+    table = cohomology_groups(sigma_moving10, 12)
+    assert made
+    for root in range(2, 13, 2):
+        d_out = table.stairs[root].diffs[0]
+        assert d_out.cols and table.by_q[(root, 0)].is_trivial()
+        # by identity: a relations matrix may equal a small outgoing map
+        assert not any(m is d_out for m in made)

@@ -629,8 +629,9 @@ def built_transforms(decomposition):
 
 def test_subquotient_builds_only_read_transforms(monkeypatch):
     # the subquotient applies the Smith operation logs to the vectors it
-    # needs, and class orders reduce modulo echelon bases; every outgoing
-    # map, the 0-row one included, takes the Smith-form route
+    # needs, and class orders reduce modulo echelon bases; both outgoing
+    # maps here, the 0-row one included, have fewer rows than columns, so
+    # the injectivity test declines them and they take the Smith-form route
     made = []
 
     def recording(matrix):
@@ -734,8 +735,10 @@ def kernel_columns(d_out):
 
 @given(st.data())
 def test_subquotient_rejects_exactly_nonzero_composites(data):
-    # the Smith-form kernel test inside subquotient_group must agree with
-    # the naive product (staircase checks d∘d = 0 by its own product)
+    # the kernel test inside subquotient_group, by the injectivity test
+    # when it certifies d_out and by the Smith form of d_out otherwise, must
+    # agree with the naive product (staircase checks d∘d = 0 by its own
+    # product)
     m, a, b = (data.draw(st.integers(0, 4)) for _ in range(3))
     entry = st.integers(-3, 3)
     d_out = IntMatrix.from_rows(
@@ -753,6 +756,112 @@ def test_subquotient_rejects_exactly_nonzero_composites(data):
     else:
         with pytest.raises(ComplexViolationError):
             subquotient_group(d_in, d_out)
+
+
+def smith_route(d_in, d_out):
+    """``subquotient_group`` with the injectivity test declining every map,
+    so each outgoing map takes the Smith form: the group, the lifts, or the
+    message of the ``ComplexViolationError``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactalg, "_injective", lambda matrix: False)
+        return subquotient_outcome(d_in, d_out)
+
+
+def subquotient_outcome(d_in, d_out):
+    try:
+        return subquotient_group(d_in, d_out)
+    except ComplexViolationError as err:
+        return str(err)
+
+
+@given(st.data())
+def test_injectivity_shortcut_matches_the_smith_route(data):
+    # outgoing maps with at least as many rows as columns, so the test runs;
+    # the incoming map is zero, drawn freely or drawn from the kernel
+    m = data.draw(st.integers(0, 6))
+    b, a = data.draw(st.integers(m, 6)), data.draw(st.integers(0, 6))
+    entry = st.integers(-3, 3)
+    d_out = IntMatrix.from_rows(
+        [[data.draw(entry) for _ in range(m)] for _ in range(b)], cols=m)
+    kind = data.draw(st.sampled_from(("zero", "free", "kernel")))
+    if kind == "zero":
+        d_in = IntMatrix.zero(m, a)
+    elif kind == "free":
+        d_in = IntMatrix.from_rows(
+            [[data.draw(entry) for _ in range(a)] for _ in range(m)], cols=a)
+    else:
+        kernel = kernel_columns(d_out)
+        combos = [[data.draw(entry) for _ in kernel] for _ in range(a)]
+        d_in = IntMatrix.from_rows(
+            [[sum(c * v[i] for c, v in zip(combo, kernel)) for combo in combos]
+             for i in range(m)], cols=a)
+    got = subquotient_outcome(d_in, d_out)
+    assert got == smith_route(d_in, d_out)
+    if exactalg._injective(d_out):
+        assert got in ((FinAbGroup.trivial(), ()), "image does not lie in the kernel")
+
+
+def test_injective_outgoing_map_rejects_a_nonzero_incoming_map():
+    d_out = IntMatrix.from_rows([[1, 0], [0, 1], [0, 0]])
+    d_in = IntMatrix.from_rows([[1], [0]])
+    assert exactalg._injective(d_out)
+    with pytest.raises(ComplexViolationError, match="image does not lie in the kernel"):
+        subquotient_group(d_in, d_out)
+    assert smith_route(d_in, d_out) == "image does not lie in the kernel"
+
+
+P = exactalg._RANK_PRIME
+
+
+@pytest.mark.parametrize("rows", [
+    [[P], [0]],                          # zero modulo the prime
+    [[P, 0], [0, 1], [2 * P, 0]],        # a column of multiples of the prime
+    [[1, 1], [1, 1 + P]],                # determinant P: singular modulo it
+    [[1, 0, 1], [0, 1, 1], [1, 1, P + 2], [0, 0, 0]],  # c3 = c1 + c2 mod P
+])
+def test_injective_over_z_but_not_modulo_the_prime(monkeypatch, rows):
+    # a miss of the test falls back to the Smith form, which finds the map
+    # injective over Z all the same
+    d_out = IntMatrix.from_rows(rows)
+    assert rational_rank(d_out.entries) == d_out.cols
+    assert not exactalg._injective(d_out)
+    made = []
+
+    def recording(matrix):
+        made.append(matrix)
+        return smith_normal_form_full(matrix)
+
+    monkeypatch.setattr(exactalg, "smith_normal_form_full", recording)
+    sub = subquotient_group(IntMatrix.zero(d_out.cols, 2), d_out)
+    assert sub == (FinAbGroup.trivial(), ())
+    assert made == [d_out]
+
+
+@st.composite
+def column_matrices(draw, entry):
+    """Matrices with at least as many rows as columns, half of them with a
+    last column that is an integer combination of the others."""
+    m = draw(st.integers(0, 6))
+    b = draw(st.integers(m, 6))
+    cols = [[draw(entry) for _ in range(b)] for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        coeffs = [draw(st.integers(-3, 3)) for _ in range(m - 1)]
+        cols[-1] = [sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(b)]
+    return IntMatrix.from_rows(list(zip(*cols)) if m else [()] * b, cols=m)
+
+
+@given(column_matrices(st.integers(-3, 3)))
+def test_injective_is_the_rational_rank_on_small_entries(M):
+    # every maximal minor is below the prime in size (Hadamard: at most
+    # (3 * sqrt(6))^6 < 2^31 - 1), so independence over Q holds modulo it
+    assert exactalg._injective(M) == (rational_rank(M.entries) == M.cols)
+
+
+@given(column_matrices(st.integers(-3, 3).map(lambda x: x * P)
+                       | st.integers(-3, 3) | st.integers(-2**40, 2**40)))
+def test_injective_is_never_true_for_dependent_columns(M):
+    if rational_rank(M.entries) < M.cols:
+        assert not exactalg._injective(M)
 
 
 @given(st.data())
