@@ -141,10 +141,13 @@ class CohomologyTable:
     generators: dict
     stairs: dict
 
-    def class_order(self, d, q, elt):
+    def class_orders(self, d, q, elts):
         stair = self.stairs[d - q]
         index = {bm: k for k, bm in enumerate(stair.bases[q])}
-        return exactalg.class_order(*stair.maps(q), _element_vector(index, elt))
+        return exactalg.class_orders(*stair.maps(q), [_element_vector(index, e) for e in elts])
+
+    def class_order(self, d, q, elt):
+        return self.class_orders(d, q, (elt,))[0]
 
     def generates(self, d, q, elts):
         stair = self.stairs[d - q]
@@ -273,8 +276,7 @@ def bar_tor_check(coord_flavor: CoordFlavor, weight_max, q_max):
     while coord_flavor.coord_weight(n) <= weight_max:
         weights.append(coord_flavor.coord_weight(n))
         n += 1
-    table = coord_flavor.coord_table(max(n - 1, 1), weight_max) if weights else GenTable(
-        [(coord_flavor.coord_name(1), coord_flavor.coord_weight(1))], weight_max)
+    table = coord_flavor.coord_table(max(n - 1, 1), weight_max)
 
     # position q, weight w: the q-tuples of positive monomials of total
     # weight w, each a tuple at position q-1 extended by one monomial
@@ -351,18 +353,17 @@ def _commutes(stair, d_max, source, d_source, d_target, include):
 def _induced_orders(label, d, generators, include, target):
     """``(label, order, order of the image class)`` for each generator in
     degree ``d``; where ``target`` has no group at ``(d, q)``, the image
-    order is 1 for a zero image and None otherwise."""
-    entries = []
-    for order, gen in generators:
+    order is 1 for a zero image and None otherwise.  The images with the
+    same exterior count ``q`` are answered together."""
+    qs, images = [], {}
+    for _, gen in generators:
         subset_counts = {len(s) for s in gen.terms}
-        q = subset_counts.pop() if subset_counts else 0
-        image = include(gen)
-        if (d, q) in target.by_q:
-            target_order = target.class_order(d, q, image)
-        else:
-            target_order = 1 if image.is_zero() else None
-        entries.append((label, order, target_order))
-    return tuple(entries)
+        qs.append(subset_counts.pop() if subset_counts else 0)
+        images.setdefault(qs[-1], []).append(include(gen))
+    orders = {q: iter(target.class_orders(d, q, at_q) if (d, q) in target.by_q
+                      else [1 if image.is_zero() else None for image in at_q])
+              for q, at_q in images.items()}
+    return tuple((label, order, next(orders[q])) for (order, _), q in zip(generators, qs))
 
 
 def de_rham_comparison(structure, sigma_moving, thh_table, d_max):

@@ -1225,30 +1225,34 @@ def subquotient_group(d_in, d_out):
     return Subquotient(FinAbGroup.from_factors(orders.count(0), orders), tuple(gens))
 
 
-def class_order(d_in, d_out, vector):
-    """Order of the class of ``vector`` in ``ker(d_out)/im(d_in)``; 0 means
-    infinite order.
+def class_orders(d_in, d_out, vectors):
+    """Orders of the classes of ``vectors`` in ``ker(d_out)/im(d_in)``, all
+    read off one echelon basis of the columns of ``d_in``; 0 means infinite
+    order.
 
-    Raises ``ValueError`` when the vector is not a cocycle.  Reduced
-    modulo the echelon basis of the columns of ``d_in``, ``v`` has a
-    multiple in the image only if its first nonzero column ``c`` is a pivot
-    column; then, for the pivot ``p`` there, the order is
-    ``f = p / gcd(p, v[c])`` times that of ``f v`` (Cohen, GTM 138, §2.4).
+    Raises ``ValueError`` when a vector is not a cocycle.  Reduced modulo
+    that basis, ``v`` has a multiple in the image only if its first nonzero
+    column ``c`` is a pivot column; then, for the pivot ``p`` there, the
+    order is ``f = p / gcd(p, v[c])`` times that of ``f v`` (Cohen, GTM 138,
+    §2.4).
     """
-    _check_cocycle(d_out, vector)
     hnf, pivots = row_hnf(zip(*d_in.entries))
     pivot_at = {pc: row[pc] for row, pc in zip(hnf, pivots)}
-    order = 1
-    v = reduce_mod_rows(hnf, pivots, vector)
-    while any(v):
-        c = next(j for j, x in enumerate(v) if x)
-        p = pivot_at.get(c)
-        if p is None:
-            return 0
-        f = p // math.gcd(p, v[c])
-        order *= f
-        v = reduce_mod_rows(hnf, pivots, [f * x for x in v])
-    return order
+
+    def order(vector):
+        _check_cocycle(d_out, vector)
+        out = 1
+        v = reduce_mod_rows(hnf, pivots, vector)
+        while any(v):
+            c = next(j for j, x in enumerate(v) if x)
+            p = pivot_at.get(c)
+            if p is None:
+                return 0
+            f = p // math.gcd(p, v[c])
+            out *= f
+            v = reduce_mod_rows(hnf, pivots, [f * x for x in v])
+        return out
+    return tuple(map(order, vectors))
 
 
 def generates(d_in, d_out, vectors):

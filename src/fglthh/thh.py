@@ -6,7 +6,7 @@ integral Lazard basis, and the p-typical case (lambda) over Hazewinkel
 generators.  The sigma operator is a degree +1 right derivation vanishing
 on the lambda generators; in the split flavor its exterior values are
 forced by the vanishing of its square.  The p-typical table comes from the
-defining recursion alone; ``verify`` checks it against the rational route.
+defining recursion alone; ``verify`` checks it forward, in the ell basis.
 The de Rham differential is a table of the same kind, and every map between
 these rings is one ``ring_map``, fixed by its values on generators.
 """
@@ -338,36 +338,23 @@ def ring_map(elt, target, ext, base=None):
 # builders
 # ---------------------------------------------------------------------------
 
-def _log_derivative(flavor, expr, rewrite, error):
-    """Sigma of a generator given by its logarithm expansion ``expr``: the
-    rational derivation sending each logarithm generator to its exterior
-    partner, each exterior coefficient rewritten by ``rewrite`` (which
-    returns ``(poly, integral)``).  ``error(idx)`` is the message raised
-    when the coefficient of exterior generator ``idx`` is not integral.
-    The partials of ``expr`` are its de Rham differential's coefficients."""
-    derham = DeRhamDifferential(expr.table)
-    d_expr = derham.sigma(ExtElement.from_base(derham.flavor, expr))
-    terms = {}
-    for (k,), poly in sorted(d_expr.terms.items()):
-        idx = int(expr.table.name(k - 1).split("_")[1])
-        rewritten, integral = rewrite(poly)
-        if not integral:
-            raise IntegralityError(error(idx))
-        if not rewritten.is_zero():
-            terms[(idx,)] = rewritten
-    return ExtElement(flavor, terms)
-
-
 def sigma_mu_moving(basis: LazardBasis):
-    """Moving-coordinate sigma: the rational derivation sending the
-    logarithm coefficients to the exterior generators, rewritten integrally
-    on the integral basis."""
+    """Moving-coordinate sigma: the de Rham differential of each ``x_n`` in
+    the logarithm coefficients (``d(m_k) = lambda'_k``), its coefficients
+    rewritten integrally on the integral basis."""
     flavor = mu_moving_flavor(basis)
+    derham = DeRhamDifferential(basis.m_table)
     on_base = {}
     for n in range(1, basis.N + 1):
-        on_base[x_name(n)] = _log_derivative(
-            flavor, basis.x_in_m[n], basis.rewrite_m_to_x,
-            lambda idx: f"sigma(x_{n}) has a non-integral lambda'_{idx} coefficient")
+        d_x = derham.sigma(ExtElement.from_base(derham.flavor, basis.x_in_m[n]))
+        terms = {}
+        for (k,), poly in sorted(d_x.terms.items()):
+            rewritten, integral = basis.rewrite_m_to_x(poly)
+            if not integral:
+                raise IntegralityError(
+                    f"sigma(x_{n}) has a non-integral lambda'_{k} coefficient")
+            terms[(k,)] = rewritten
+        on_base[x_name(n)] = ExtElement(flavor, terms)
     return SigmaTable(flavor, on_base)
 
 
@@ -422,9 +409,9 @@ def sigma_bp(tbasis: TypicalBasis):
     """p-typical sigma from its defining recursion
     ``sigma(v_n) = p*lambda_n - sum_{0<i<n} (v_{n-i}^(p^i) lambda_i
     + sigma(v_{n-i}) p^i ell_i v_{n-i}^(p^i - 1))`` (Ravenel, *Complex
-    Cobordism*, A2.2).  ``verify --flavor bp`` checks the table against the
-    rational route, the logarithm derivative rewritten into the Hazewinkel
-    basis."""
+    Cobordism*, A2.2).  ``verify --flavor bp`` maps the table forward by
+    ``v_k -> v_in_ell(k)`` and compares it with the de Rham differential of
+    ``v_in_ell(n)``; nothing is rewritten from ell back into v."""
     flavor = bp_flavor(tbasis)
     p = tbasis.p
     on_base = {}

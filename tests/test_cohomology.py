@@ -1,11 +1,13 @@
+from collections import Counter
+
 import pytest
 
 from fglthh.exactalg import (ComplexViolationError, FinAbGroup, GenTable, GradedPoly,
                              DegreeGuardError, IntegralityError, ResourceGuardError,
                              subquotient_group)
-from fglthh.fgl import x_name, v_name
+from fglthh.fgl import LazardBasis, TypicalBasis, x_name, v_name
 from fglthh.algebroid import CoordFlavor, MuStructure
-from fglthh.thh import ExtElement, sigma_mu_moving, sigma_mu_split
+from fglthh.thh import ExtElement, sigma_bp, sigma_mu_moving, sigma_mu_split
 from fglthh.cohomology import (DeRhamDifferential, staircase,
                                cohomology_groups, localize_table,
                                bp_degree_range,
@@ -263,6 +265,28 @@ def test_bp_odd_concentration(bp_tables):
         assert not table.groups[edge].is_trivial()
 
 
+def test_bp_is_a_summand_of_mu_at_each_prime():
+    # Quillen's idempotent splits the sigma complex of MU, localized at p,
+    # with that of BP as a summand (Ravenel, *Complex Cobordism*, 4.1 and
+    # A2.1).  So each H^d(sigma_BP)_(p) is a summand of H^d(sigma_MU)_(p):
+    # its p-primary factors form a sub-multiset and its free rank is no larger.
+    d_max = 24
+    mu = cohomology_groups(sigma_mu_moving(LazardBasis(d_max // 2)), d_max).groups
+    larger = {}
+    for p in (2, 3, 5, 7, 11, 13):
+        n = 1
+        while p ** (n + 1) - 2 < d_max // 2:
+            n += 1
+        bp = cohomology_groups(sigma_bp(TypicalBasis(p, n)), d_max).groups
+        for d in range(d_max + 1):
+            small, big = bp[d].localize(p), mu[d].localize(p)
+            assert small.free_rank <= big.free_rank, (p, d)
+            assert not Counter(small.primary()) - Counter(big.primary()), (p, d)
+        larger[p] = sum(bp[d].localize(p) != mu[d].localize(p) for d in range(d_max + 1))
+    # the degrees where MU_(p) is strictly larger, so the check has teeth
+    assert larger == {2: 15, 3: 14, 5: 4, 7: 1, 11: 1, 13: 0}
+
+
 # ---------------------------------------------------------------------------
 # rational collapse
 # ---------------------------------------------------------------------------
@@ -468,6 +492,28 @@ def test_de_rham_comparison_maps_each_coefficient_once(monkeypatch, structure10,
                         lambda structure, poly: (real(structure, poly)[0], False))
     with pytest.raises(IntegralityError):
         de_rham_comparison(structure10, sigma_moving10, moving_table, 10)
+
+
+def test_de_rham_comparison_asks_each_position_once(monkeypatch, structure10,
+                                                    sigma_moving10, moving_table):
+    # the induced orders of one target position share one echelon basis,
+    # and they match the orders asked one class at a time
+    from fglthh.cohomology import CohomologyTable
+
+    asked = []
+
+    def counting(table, d, q, elts):
+        asked.append((id(table), d, q))
+        orders = real(table, d, q, elts)
+        assert orders == tuple(real(table, d, q, [elt])[0] for elt in elts)
+        return orders
+
+    real = CohomologyTable.class_orders
+    monkeypatch.setattr(CohomologyTable, "class_orders", counting)
+    rep = de_rham_comparison(structure10, sigma_moving10, moving_table, 10)
+    assert asked and len(asked) == len(set(asked))
+    assert rep.induced[9] == (("forms->thh", 2, 2), ("forms->thh", 4, 4),
+                              ("thh->forms", 2, 2), ("thh->forms", 240, 1))
 
 
 def test_each_staircase_is_assembled_once(monkeypatch, structure10, sigma_moving10):

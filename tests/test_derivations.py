@@ -51,7 +51,7 @@ def partial_oracle(poly, name):
 def de_rham_partials(poly):
     """Every nonzero first partial of ``poly``, keyed by generator index in
     ascending order: the coefficients of its de Rham differential, read as
-    ``thh._log_derivative`` reads them."""
+    ``thh.sigma_mu_moving`` reads them."""
     diff = DeRhamDifferential(poly.table)
     d_poly = diff.sigma(ExtElement.from_base(diff.flavor, poly))
     return {k - 1: part for (k,), part in sorted(d_poly.terms.items())}

@@ -13,11 +13,16 @@ from fglthh.exactalg import (
     GenTable, GradedPoly, GradedWeightError, GeneratorTableError,
     UnderdeterminedSystemError, ComplexViolationError, IntMatrix, FinAbGroup,
     SmithDecomposition, smith_normal_form_full, invariant_factors,
-    solve_rational_linear, solve_integer, subquotient_group, class_order,
+    solve_rational_linear, solve_integer, subquotient_group, class_orders,
     generates, row_hnf, reduce_mod_rows, rational_rank, p_part, ext_gcd)
 from fglthh.verify import minor_gcd_invariants
 
 from test_derivations import de_rham_partials
+
+
+def class_order(d_in, d_out, vector):
+    """The order of one class: ``class_orders`` of one vector."""
+    return class_orders(d_in, d_out, (vector,))[0]
 
 
 # the bound holds the product of two of the monomials drawn below
@@ -691,6 +696,20 @@ def test_each_query_builds_its_own_echelon_basis(monkeypatch):
     assert len(calls) == 2
 
 
+def test_class_orders_share_one_echelon_basis(monkeypatch):
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return row_hnf(rows)
+
+    monkeypatch.setattr(exactalg, "row_hnf", counting)
+    stated = ([0, -2, 1, 0, 0, 1, 0], [0, 0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 0, 0, 1])
+    assert class_orders(*DEGREE_NINE_PAIR, stated * 2) == (16, 6, 5) * 2
+    assert len(calls) == 1
+    assert class_orders(*DEGREE_NINE_PAIR, ()) == ()
+
+
 def reachable(root):
     """Every object reachable from ``root`` through references, without
     entering classes, modules or functions."""
@@ -951,8 +970,12 @@ def reference_generates(d_in, d_out, vectors):
 def assert_queries_match_references(d_in, d_out, vectors):
     """Class orders of each vector and generation by all of them agree
     with the references, a non-cocycle raising ``ValueError`` in both."""
+    def reference_class_orders(d_in, d_out, vectors):
+        return tuple(reference_class_order(d_in, d_out, v) for v in vectors)
+
     for query, reference, args in (
             *((class_order, reference_class_order, v) for v in vectors),
+            (class_orders, reference_class_orders, vectors),
             (generates, reference_generates, vectors)):
         try:
             expected = reference(d_in, d_out, args)

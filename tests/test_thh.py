@@ -431,11 +431,35 @@ def test_sigma_bp_recursion_oracle(typical_bases):
         assert acc == sig.on_base["v_3"]
 
 
+def rational_sigma_bp(tbasis, flavor):
+    """The backward route, the reference for ``verify``'s forward check: the
+    de Rham differential ``d(ell_k) = lambda_k`` of each ``v_in_ell(n)``,
+    every coefficient rewritten into the Hazewinkel basis, where it must be
+    p-locally integral."""
+    derham = DeRhamDifferential(tbasis.ell_table)
+    out = {}
+    for n in range(1, tbasis.max_n + 1):
+        d_v = derham.sigma(ExtElement.from_base(derham.flavor, tbasis.v_in_ell(n)))
+        terms = {}
+        for subset, poly in d_v.terms.items():
+            terms[subset], integral = tbasis.rewrite_ell_to_v(poly)
+            assert integral, (n, subset)
+        out[v_name(n)] = ExtElement(flavor, terms)
+    return out
+
+
 @pytest.mark.parametrize("p, n", [(2, 6), (3, 5), (5, 4)])
 def test_sigma_bp_recursion_equals_the_rational_route(p, n):
     tb = TypicalBasis(p, n)
     sig = sigma_bp(tb)
-    assert verify.rational_sigma_bp(tb, sig.flavor) == sig.on_base
+    assert rational_sigma_bp(tb, sig.flavor) == sig.on_base
+    assert verify.sigma_bp_disagreement(tb, sig) is None
+
+
+def with_added_term(sig, n, term):
+    on_base = dict(sig.on_base)
+    on_base[v_name(n)] = on_base[v_name(n)] + term
+    return SigmaTable(sig.flavor, on_base, sig.on_ext)
 
 
 def test_sigma_tables_make_no_rational_rewrite(monkeypatch, capsys):
@@ -449,6 +473,8 @@ def test_sigma_tables_make_no_rational_rewrite(monkeypatch, capsys):
     monkeypatch.setattr(TypicalBasis, "rewrite_ell_to_v", counting)
     assert main(["sigma", "--flavor", "bp", "--prime", "2", "--max-n", "5"]) == 0
     assert main(["cohomology", "--flavor", "bp", "--prime", "3", "--max-degree", "24"]) == 0
+    for p in ("2", "3", "5"):
+        assert main(["verify", "--flavor", "bp", "--prime", p]) == 0
     capsys.readouterr()
     assert calls == []
 
@@ -465,6 +491,55 @@ def test_verify_sees_a_perturbed_recursion(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert ("[FAIL] recursive and rational sigma routes agree"
             "  [recursive and rational sigma disagree on v_2]") in out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_verify_sees_one_added_term(monkeypatch, capsys, p):
+    # lambda_1 v_1^p added to sigma(v_2)
+    def perturbed(tbasis):
+        sig = sigma_bp(tbasis)
+        v1 = GradedPoly.gen(tbasis.v_table, v_name(1))
+        return with_added_term(sig, 2, lam(sig, 1, v1 ** p))
+
+    monkeypatch.setattr(verify, "sigma_bp", perturbed)
+    assert main(["verify", "--flavor", "bp", "--prime", str(p)]) == 1
+    out = capsys.readouterr().out
+    assert out.rstrip().endswith("[FAIL] recursive and rational sigma routes agree"
+                                 "  [recursive and rational sigma disagree on v_2]")
+
+
+def reduced_mod_invariant_ideal(elt, p, n):
+    """``elt`` modulo ``I_{n-1} = (p, v_1, ..., v_{n-2})``: its terms free of
+    v_1..v_{n-2} (generator indices below n - 2) whose coefficients p does
+    not divide, keyed by (exterior subset, monomial), coefficients mod p."""
+    base = elt.flavor.base
+    return {(s, m): c % p for s, poly in elt.terms.items() for m, c in poly.terms.items()
+            if c % p and all(i >= n - 2 for i, _ in base.exponents(m))}
+
+
+def closed_form_failures(sig, p):
+    """The n in 2..max_n where ``sigma(v_n)`` is not ``-v_{n-1}^p lambda_1``
+    modulo ``I_{n-1}`` (Ravenel, *Complex Cobordism*, 4.3.21: only t_1
+    enters eta_R(v_n) linearly there)."""
+    out = []
+    for n in range(2, len(sig.on_base) + 1):
+        vpow = GradedPoly.gen(sig.flavor.base, v_name(n - 1)) ** p
+        expected = lam(sig, 1, -vpow)
+        if (reduced_mod_invariant_ideal(sig.on_base[v_name(n)], p, n)
+                != reduced_mod_invariant_ideal(expected, p, n)):
+            out.append(n)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sigma_bp_closed_form_modulo_the_invariant_ideal(p):
+    # max_n 12 is the largest table ``sigma --flavor bp`` prints
+    tb = TypicalBasis(p, 12)
+    sig = sigma_bp(tb)
+    assert closed_form_failures(sig, p) == []
+    v1 = GradedPoly.gen(tb.v_table, v_name(1))
+    bad = with_added_term(with_added_term(sig, 2, lam(sig, 1, v1 ** p)), 12, lam(sig, 12))
+    assert closed_form_failures(bad, p) == [2, 12]
 
 
 def test_sigma_bp_squares(sigma_bp_tables):
