@@ -321,6 +321,12 @@ def _bp_max_n(p, d_max):
     return max(n, 1)
 
 
+def _require_truncation(N, d_max):
+    if N < (d_max + 1) // 2:
+        raise UsageError(f"truncation {N} is too small for degree {d_max}; "
+                         f"need at least {(d_max + 1) // 2}")
+
+
 def _config(args):
     cfg = {"command": args.command, "flavor": getattr(args, "flavor", None),
            "prime": getattr(args, "prime", None),
@@ -401,12 +407,8 @@ def cmd_cohomology(args):
         table = localize_table(cohomology_groups(sig, d_max), p)
         title = f"sigma cohomology of the p-typical ring, p={p}"
     else:
-        N = args.truncation
-        if N < (d_max + 1) // 2:
-            raise UsageError(
-                f"truncation {N} is too small for degree {d_max}; "
-                f"need at least {(d_max + 1) // 2}")
-        basis = LazardBasis(N)
+        _require_truncation(args.truncation, d_max)
+        basis = LazardBasis(args.truncation)
         if args.flavor == "mu-moving":
             sig = sigma_mu_moving(basis)
         else:
@@ -453,11 +455,8 @@ def cmd_de_rham(args):
         table = de_rham_cohomology(gens, d_max)
         title = f"de Rham cohomology for generator weights {weights}"
         return Report([(title, "de_rham", [Degree(table, d) for d in range(d_max + 1)])])
-    N = args.truncation
-    if N < (d_max + 1) // 2:
-        raise UsageError(
-            f"truncation {N} is too small for degree {d_max}")
-    basis = LazardBasis(N)
+    _require_truncation(args.truncation, d_max)
+    basis = LazardBasis(args.truncation)
     structure = MuStructure(basis)
     sig = sigma_mu_moving(basis)
     cmp = de_rham_comparison(structure, sig,

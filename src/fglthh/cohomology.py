@@ -102,9 +102,9 @@ def staircase(diff, root):
     flavor = diff.flavor
     if root < 0 or root % 2:
         raise ValueError("staircase roots are nonnegative even degrees")
-    if flavor.truncation_weight is not None and root > 2 * flavor.truncation_weight:
+    if root > 2 * flavor.base.bound:
         raise DegreeGuardError(
-            f"degree {root} exceeds the truncation (weight {flavor.truncation_weight})")
+            f"degree {root} exceeds the truncation (weight {flavor.base.bound})")
     ext_degrees = sorted(flavor.ext_degree(n) for n in flavor.ext_indices())
     bases = []
     q = 0
@@ -161,12 +161,13 @@ def cohomology_groups(diff, d_max):
     ``d_max``, direct-summed over exterior counts.
 
     Each staircase rooted at an even degree up to ``d_max`` is assembled
-    once and kept on the table as ``stairs``.
+    once and kept on the table as ``stairs``.  Through ``2b + 1``, for the
+    base table's bound b, no group needs a base weight above b.
     """
     flavor = diff.flavor
-    if flavor.truncation_weight is not None and d_max > 2 * flavor.truncation_weight:
+    if d_max > 2 * flavor.base.bound + 1:
         raise DegreeGuardError(
-            f"d_max {d_max} exceeds the truncation (weight {flavor.truncation_weight})")
+            f"d_max {d_max} exceeds the truncation (weight {flavor.base.bound})")
     stairs = {root: staircase(diff, root) for root in range(0, d_max + 1, 2)}
 
     groups, by_q, generators = {}, {}, {}
@@ -374,13 +375,10 @@ def de_rham_comparison(structure, sigma_moving, thh_table, d_max):
     ``thh_table`` is the cohomology table of ``sigma_moving`` through at
     least ``d_max``; the caller builds it once and may read it elsewhere.
     """
-    basis = structure.basis
-    if d_max > 2 * basis.N:
-        raise DegreeGuardError("comparison range exceeds the truncation")
     if thh_table.d_max < d_max:
         raise ValueError("the sigma table stops below the comparison range")
-    derham_l = DeRhamDifferential(basis.x_table, truncation_weight=basis.N)
-    derham_c = DeRhamDifferential(structure.c_table, truncation_weight=basis.N)
+    derham_l = DeRhamDifferential(structure.basis.x_table)
+    derham_c = DeRhamDifferential(structure.c_table)
 
     forms_l = cohomology_groups(derham_l, d_max)
     forms_c = cohomology_groups(derham_c, d_max)

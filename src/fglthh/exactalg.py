@@ -490,9 +490,8 @@ class GradedPoly:
 
         Terms are grouped by their mapped part, the sub-monomial over the
         generators with an image.  Each group costs one product of image
-        powers, and groups whose mapped parts share leading
-        ``(index, exponent)`` pairs share the product of those factors; the
-        rest of each term is read across to ``target`` as a cofactor.  Every
+        powers, each power computed once per ``(index, exponent)``; the rest
+        of each term is read across to ``target`` as a cofactor.  Every
         image is scaled by the lcm d of its denominators, so these products
         are integral, and so is each coefficient ``c / prod d^e`` over the
         common denominator of them all.
@@ -523,20 +522,16 @@ class GradedPoly:
                 c if den == 1 else _norm_coeff(Fraction(c, den)))
         common = math.lcm(*(s.denominator for rest in groups.values()
                             for s in rest.values() if type(s) is not int))
-        pow_cache, prefixes, out = {}, {}, {}
+        pow_cache, out = {}, {}
         get = out.get
         one = GradedPoly.one(target)
         for mapped, rest in groups.items():
-            acc, prefix = one, 0
+            acc = one
             for i, e in source.exponents(mapped):
-                prefix += e * source.units[i]
-                known = prefixes.get(prefix)
-                if known is None:
-                    factor = pow_cache.get((i, e))
-                    if factor is None:
-                        factor = pow_cache[(i, e)] = scaled[i] ** e
-                    known = prefixes[prefix] = acc * factor
-                acc = known
+                factor = pow_cache.get((i, e))
+                if factor is None:
+                    factor = pow_cache[(i, e)] = scaled[i] ** e
+                acc = acc * factor
                 if not acc.terms:
                     break
             if not acc.terms:

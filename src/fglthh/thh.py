@@ -25,41 +25,23 @@ from .algebroid import MuStructure, TypicalStructure, b_name, t_name
 
 @dataclass(frozen=True)
 class ThhFlavor:
-    """Base ring plus exterior alphabet for one homotopy ring."""
+    """Base ring plus exterior alphabet for one homotopy ring.  Exterior
+    generator n belongs to the n-th generator of the base table and sits one
+    degree above it; the truncation is the table's weight bound."""
 
     tag: str
     base: GenTable
     ext_prefix: str
-    ext_weights: tuple  # ((index, weight), ...)
-    truncation_weight: int | None = None
-
-    def ext_weight(self, n):
-        return dict(self.ext_weights)[n]
 
     def ext_degree(self, n):
-        return 2 * self.ext_weight(n) + 1
+        return 2 * self.base.gens[n - 1][1] + 1
 
     def ext_indices(self):
-        return tuple(n for n, _ in self.ext_weights)
-
-
-def mu_moving_flavor(basis: LazardBasis):
-    return ThhFlavor("mu-moving", basis.x_table, "lambda'",
-                     tuple((n, n) for n in range(1, basis.N + 1)),
-                     truncation_weight=basis.N)
+        return tuple(range(1, len(self.base) + 1))
 
 
 def mu_split_flavor(basis: LazardBasis):
-    return ThhFlavor("mu-split", basis.x_table, "e",
-                     tuple((n, n) for n in range(1, basis.N + 1)),
-                     truncation_weight=basis.N)
-
-
-def bp_flavor(tbasis: TypicalBasis):
-    p = tbasis.p
-    return ThhFlavor("bp", tbasis.v_table, "lambda",
-                     tuple((n, p ** n - 1) for n in range(1, tbasis.max_n + 1)),
-                     truncation_weight=tbasis.truncation_weight)
+    return ThhFlavor("mu-split", basis.x_table, "e")
 
 
 def merge_sign(left, right):
@@ -307,11 +289,8 @@ class DeRhamDifferential(SigmaTable):
     generator to its exterior partner and the exterior generators to zero,
     and it is applied as the left derivation ``sigma_prime``."""
 
-    def __init__(self, base_table, truncation_weight=None):
-        flavor = ThhFlavor(
-            "de-rham", base_table, "d",
-            tuple((k + 1, w) for k, (_, w) in enumerate(base_table.gens)),
-            truncation_weight=truncation_weight)
+    def __init__(self, base_table):
+        flavor = ThhFlavor("de-rham", base_table, "d")
         super().__init__(flavor, {name: ExtElement.ext_gen(flavor, k + 1)
                                   for k, name in enumerate(base_table.names)})
 
@@ -342,7 +321,7 @@ def sigma_mu_moving(basis: LazardBasis):
     """Moving-coordinate sigma: the de Rham differential of each ``x_n`` in
     the logarithm coefficients (``d(m_k) = lambda'_k``), its coefficients
     rewritten integrally on the integral basis."""
-    flavor = mu_moving_flavor(basis)
+    flavor = ThhFlavor("mu-moving", basis.x_table, "lambda'")
     derham = DeRhamDifferential(basis.m_table)
     on_base = {}
     for n in range(1, basis.N + 1):
@@ -412,7 +391,7 @@ def sigma_bp(tbasis: TypicalBasis):
     Cobordism*, A2.2).  ``verify --flavor bp`` maps the table forward by
     ``v_k -> v_in_ell(k)`` and compares it with the de Rham differential of
     ``v_in_ell(n)``; nothing is rewritten from ell back into v."""
-    flavor = bp_flavor(tbasis)
+    flavor = ThhFlavor("bp", tbasis.v_table, "lambda")
     p = tbasis.p
     on_base = {}
     for n in range(1, tbasis.max_n + 1):

@@ -147,36 +147,35 @@ def verify_mu(flavor_tag, N, d_max):
                         ok = False
     _check(results, "right unit is a ring map (all pairs, weight <= 5)", ok)
 
-    small = min(N, 5)
-    _check(results, "coproduct counit axiom (n <= 5)",
+    _check(results, f"coproduct counit axiom (n <= {small})",
            all(structure.counit_residual(n).is_zero() for n in range(1, small + 1)))
-    _check(results, "coproduct coassociativity (n <= 5)",
+    _check(results, f"coproduct coassociativity (n <= {small})",
            all(structure.coassociativity_residual(n).is_zero()
                for n in range(1, small + 1)))
-    _check(results, "antipode identity (n <= 5)",
+    _check(results, f"antipode identity (n <= {small})",
            all(structure.antipode_residual(n).is_zero() for n in range(1, small + 1)))
 
     # conjugation is an involution
-    ok = True
-    for n in range(1, min(N, 6) + 1):
+    ok, top = True, min(N, 6)
+    for n in range(1, top + 1):
         chi2 = structure.chi[n].substitute(
             {b_name(k): structure.chi[k] for k in range(1, N + 1)},
             structure.b_table)
         if chi2 != GradedPoly.gen(structure.b_table, b_name(n)):
             ok = False
-    _check(results, "conjugation is an involution (n <= 6)", ok)
+    _check(results, f"conjugation is an involution (n <= {top})", ok)
 
     # the moving coordinates are solved from the right unit, so check them
     # against their definition: x +_F c_1 x^2 +_F ... +_F c_n x^(n+1) is the
     # conjugate series x + sum chi(b_k) x^(k+1)
-    top, mb = min(N, 6), structure.mb_table
+    mb = structure.mb_table
     law = fgl_from_log([GradedPoly.gen(mb, m_name(k)) for k in range(1, top + 1)], top + 1)
     terms = [TruncatedSeries.variable(mb, top + 1)] + [
         TruncatedSeries.monomial(mb, top + 1, structure.c_in_mb(k), k + 1)
         for k in range(1, top + 1)]
     fbar = series_from_coefficient_table(
         mb, top + 1, {k: structure.chi[k].extend_to(mb) for k in range(1, top + 1)})
-    _check(results, "moving and absolute right units agree (n <= 6)",
+    _check(results, f"moving and absolute right units agree (n <= {top})",
            fgl_formal_sum(law, terms) == fbar)
 
     # sigma tables; construction already enforces integral rewrites
@@ -207,7 +206,7 @@ def verify_mu(flavor_tag, N, d_max):
     _check(results, "split exterior sigma vanishes in the first two slots", ok)
 
     sig, other = (mov, spl) if flavor_tag == "mu-moving" else (spl, mov)
-    table = cohomology_groups(sig, min(d_max, 2 * N))
+    table = cohomology_groups(sig, d_max)
     _sigma_squared(results, sig, table, d_max, flavor_tag)
     _snf_minor_check(results, table, min(d_max, 10), flavor_tag)
 
@@ -233,11 +232,11 @@ def verify_mu(flavor_tag, N, d_max):
     _check(results, f"de Rham inclusions are chain maps (degree <= {cmp_range})",
            cmp.chain_map_residuals_zero)
 
-    ok = True
-    for n in range(1, min(N, 4) + 1):
+    ok, top = True, min(N, 4)
+    for n in range(1, top + 1):
         _, integral = hurewicz_mu(structure, GradedPoly.gen(basis.x_table, x_name(n)))
         ok = ok and integral
-    _check(results, "homology images of the generators are integral (n <= 4)", ok)
+    _check(results, f"homology images of the generators are integral (n <= {top})", ok)
     return results
 
 

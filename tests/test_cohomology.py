@@ -1,6 +1,9 @@
+import os
 from collections import Counter
 
 import pytest
+
+from fglthh import cohomology
 
 from fglthh.exactalg import (ComplexViolationError, FinAbGroup, GenTable, GradedPoly,
                              DegreeGuardError, IntegralityError, ResourceGuardError,
@@ -73,9 +76,46 @@ def test_degree_zero_complex(sigma_moving10):
     assert st.diffs[0].is_zero()
 
 
-def test_degree_guard(sigma_moving10):
+def test_degree_guard(monkeypatch, sigma_moving10):
+    # the truncation is the base bound 10: roots stop at 20, degrees at 21
+    built = []
+    monkeypatch.setattr(cohomology, "staircase",
+                        lambda diff, root: built.append(root))
     with pytest.raises(DegreeGuardError):
-        cohomology_groups(sigma_moving10, 21)
+        cohomology_groups(sigma_moving10, 22)
+    assert built == []
+    monkeypatch.undo()
+    with pytest.raises(DegreeGuardError):
+        staircase(sigma_moving10, 22)
+
+
+def printed_table(table):
+    return ({d: table.groups[d] for d in range(table.d_max + 1)},
+            {d: [(order, str(elt)) for order, elt in table.generators[d]]
+             for d in range(table.d_max + 1)})
+
+
+@pytest.mark.parametrize("build, small, large", [
+    (lambda N: sigma_mu_moving(LazardBasis(N)), 3, 4),
+    (lambda N: sigma_mu_moving(LazardBasis(N)), 7, 8),
+    (lambda N: sigma_mu_split(MuStructure(LazardBasis(N))), 6, 7),
+    (lambda n: sigma_bp(TypicalBasis(2, n)), 1, 2),
+    (lambda n: sigma_bp(TypicalBasis(2, n)), 2, 3),
+], ids=["mu-moving-3", "mu-moving-7", "mu-split-6", "bp-2-1", "bp-2-2"])
+def test_the_degree_limit_is_exact(build, small, large):
+    """Through 2b + 1 for the base bound b, the groups and printed
+    generators are those of the next larger truncation."""
+    sig = build(small)
+    d_max = 2 * sig.flavor.base.bound + 1
+    assert (printed_table(cohomology_groups(sig, d_max))
+            == printed_table(cohomology_groups(build(large), d_max)))
+
+
+def test_de_rham_cohomology_answers_an_odd_degree():
+    # its table has bound d_max // 2 = 4, so degree 9 is at the limit
+    gens = [("y_1", 1), ("y_2", 2), ("y_3", 3)]
+    assert (printed_table(de_rham_cohomology(gens, 9))
+            == printed_table(cohomology_groups(DeRhamDifferential(GenTable(gens, 5)), 9)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +305,12 @@ def test_bp_odd_concentration(bp_tables):
         assert not table.groups[edge].is_trivial()
 
 
-def test_bp_is_a_summand_of_mu_at_each_prime():
+def bp_summand_counts(d_max):
     # Quillen's idempotent splits the sigma complex of MU, localized at p,
     # with that of BP as a summand (Ravenel, *Complex Cobordism*, 4.1 and
     # A2.1).  So each H^d(sigma_BP)_(p) is a summand of H^d(sigma_MU)_(p):
     # its p-primary factors form a sub-multiset and its free rank is no larger.
-    d_max = 24
+    # Returns the number of degrees where MU_(p) is strictly larger, per p.
     mu = cohomology_groups(sigma_mu_moving(LazardBasis(d_max // 2)), d_max).groups
     larger = {}
     for p in (2, 3, 5, 7, 11, 13):
@@ -283,8 +323,20 @@ def test_bp_is_a_summand_of_mu_at_each_prime():
             assert small.free_rank <= big.free_rank, (p, d)
             assert not Counter(small.primary()) - Counter(big.primary()), (p, d)
         larger[p] = sum(bp[d].localize(p) != mu[d].localize(p) for d in range(d_max + 1))
-    # the degrees where MU_(p) is strictly larger, so the check has teeth
-    assert larger == {2: 15, 3: 14, 5: 4, 7: 1, 11: 1, 13: 0}
+    return larger
+
+
+def test_bp_is_a_summand_of_mu_at_each_prime():
+    # the counts give the check teeth
+    assert bp_summand_counts(24) == {2: 15, 3: 14, 5: 4, 7: 1, 11: 1, 13: 0}
+
+
+# the MU table at d=32 takes about half a minute
+@pytest.mark.frontier
+@pytest.mark.skipif(os.environ.get("FGLTHH_FRONTIER") != "1",
+                    reason="set FGLTHH_FRONTIER=1 to run the d >= 28 checks")
+def test_bp_is_a_summand_of_mu_through_degree_32():
+    assert bp_summand_counts(32) == {2: 23, 3: 22, 5: 10, 7: 4, 11: 1, 13: 1}
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ def test_kunneth_with_coefficients_is_the_graded_sigma():
     sigma mu-moving, has the Kunneth groups with coefficients -c_n."""
     n_max, d_max = 6, 12
     base = GenTable([(x_name(n), n) for n in range(1, n_max + 1)], d_max // 2)
-    flavor = ThhFlavor("koszul", base, "lambda'", tuple((n, n) for n in range(1, n_max + 1)))
+    flavor = ThhFlavor("koszul", base, "lambda'")
     coeffs = [-lazard_indecomposable_unit(n) for n in range(1, n_max + 1)]
     graded = SigmaTable(flavor, {
         x_name(n): ExtElement.ext_gen(flavor, n, GradedPoly.const(base, c))

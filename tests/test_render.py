@@ -18,8 +18,7 @@ from fglthh.exactalg import TEXT, GenTable, GradedPoly, coeff_text, signed_sum
 from fglthh.thh import ExtElement, ThhFlavor
 
 BASE = GenTable([("x_1", 1), ("x_2", 2), ("x_10", 3)], 8)
-FLAVORS = {prefix: ThhFlavor("toy", BASE, prefix, ((1, 1), (2, 2), (12, 3)))
-           for prefix in ("lambda'", "e", "lambda")}
+FLAVORS = {prefix: ThhFlavor("toy", BASE, prefix) for prefix in ("lambda'", "e", "lambda")}
 
 
 # -- the former renderers ---------------------------------------------------

@@ -149,7 +149,7 @@ def outcome(f, *args):
 def kernel_tables(structure10, sigma_moving10, sigma_split10, sigma_bp_tables):
     return {"mu-moving": sigma_moving10, "mu-split": sigma_split10,
             "bp-2": sigma_bp_tables[2], "bp-3": sigma_bp_tables[3],
-            "de-rham": DeRhamDifferential(structure10.c_table, truncation_weight=10)}
+            "de-rham": DeRhamDifferential(structure10.c_table)}
 
 
 def draw_element(data, table):
@@ -215,7 +215,7 @@ def test_prefix_tables_match_the_reference(structure6):
 
 def toy_table(on_base, on_ext=None, bound=3):
     base = GenTable([("x", 1), ("y", 1)], bound)
-    flavor = ThhFlavor("toy", base, "l", ((1, 1), (2, 2)))
+    flavor = ThhFlavor("toy", base, "l")
     return SigmaTable(flavor, on_base(flavor, base), on_ext and on_ext(flavor, base))
 
 
@@ -363,8 +363,8 @@ def staircase_elements(diff, d_max):
 def test_ring_map_matches_the_three_cochain_maps(structure10, sigma_moving10):
     conv = lambda_in_e(structure10)
     split = mu_split_flavor(structure10.basis)
-    derham_l = DeRhamDifferential(structure10.basis.x_table, truncation_weight=10)
-    derham_c = DeRhamDifferential(structure10.c_table, truncation_weight=10)
+    derham_l = DeRhamDifferential(structure10.basis.x_table)
+    derham_c = DeRhamDifferential(structure10.c_table)
     sigma_x = {n: sigma_moving10.on_base[x_name(n)] for n in range(1, 11)}
     dc = {n: ExtElement.ext_gen(derham_c.flavor, n) for n in range(1, 11)}
 
