@@ -139,11 +139,11 @@ GOLDEN = {
         "json": "40b7a7f7e9c0b44437cd87df3945833c00898246a983a2acf2902e8c66953ee8",
     },
     "verify --flavor mu-moving --max-degree 10 -N 5": {
-        "json": "f2302ace3c1a60e66c6ad0e08689cfe8fcda7c60c36bb55a481a874ba54a3182",
+        "json": "b8c6351a313966e132d20d576d568529bfac483dabe2d084548ba864e5f694f6",
     },
     "verify --flavor mu-split --max-degree 10 -N 5": {
-        "json": "c78d70ed4458b4f15c20573a837fb9f807be21a253630be1e0574bcb63939bd2",
-        "text": "1cbab8a47e28e6c86bd38aa47478e10aab47b6dee0908f0c8708eb200c3be2eb",
+        "json": "2c35c4f2bf9f25366b2e217dd9188ab523914607338b01009b8b8b2567ca6e78",
+        "text": "ad9b4a709d93955c6cb6c26b2ba66d500b279e470e1c548eb4c77d70764e1adf",
     },
 }
 
