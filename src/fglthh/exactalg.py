@@ -386,9 +386,6 @@ class GradedPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, GradedPoly):
             if isinstance(other, (int, Fraction)):

@@ -98,13 +98,6 @@ class TruncatedSeries:
                 out[exp] = s
         return TruncatedSeries(self.table, self.nvars, self.bound, out)
 
-    def __neg__(self):
-        return TruncatedSeries(self.table, self.nvars, self.bound,
-                               {e: -p for e, p in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         self._check_compatible(other)
         out = {}

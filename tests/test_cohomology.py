@@ -4,7 +4,6 @@ from collections import Counter
 import pytest
 
 from fglthh import cohomology
-
 from fglthh.exactalg import (ComplexViolationError, FinAbGroup, GenTable, GradedPoly,
                              DegreeGuardError, IntegralityError, ResourceGuardError,
                              subquotient_group)
