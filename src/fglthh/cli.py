@@ -322,9 +322,21 @@ def _bp_max_n(p, d_max):
 
 
 def _require_truncation(N, d_max):
-    if N < (d_max + 1) // 2:
+    """The highest generator weight a table through degree ``d_max`` reads,
+    ⌈d_max/2⌉; a truncation ``N`` below it is refused."""
+    weight = (d_max + 1) // 2
+    if N < weight:
         raise UsageError(f"truncation {N} is too small for degree {d_max}; "
-                         f"need at least {(d_max + 1) // 2}")
+                         f"need at least {weight}")
+    return weight
+
+
+def _lazard_basis(weight):
+    """The MU base ring through ``weight``, the highest generator weight the
+    answer reads: x_n sits in degree 2n and lambda'_n in 2n + 1, so no
+    generator past it moves a byte.  ``-N`` is only the ceiling a request
+    is checked against, and it is echoed in the config."""
+    return LazardBasis(max(weight, 1))
 
 
 def _config(args):
@@ -352,7 +364,7 @@ def cmd_structure_maps(args):
             rows[pn_label] = tbasis.pn_ell(n)
             rows[f"eta_R(ell_{n})"] = tstruct.eta_ell(n)
         return Report([(f"p-typical structure maps at p={p}", "typical", rows)])
-    basis = LazardBasis(max(args.truncation, args.max_n))
+    basis = _lazard_basis(args.max_n)
     structure = MuStructure(basis)
     sections = [("integral generators in the logarithmic basis", "x_in_m",
                  {f"x_{n}": basis.x_in_m[n] for n in ns})]
@@ -374,7 +386,7 @@ def cmd_structure_maps(args):
 def cmd_sigma(args):
     ns = range(1, args.max_n + 1)
     if args.flavor == "mu-split":
-        structure = MuStructure(LazardBasis(max(args.truncation, args.max_n)))
+        structure = MuStructure(_lazard_basis(args.max_n))
         sig = sigma_mu_split(structure)
         conv = lambda_in_e(structure)
         rows = {f"sigma(x_{n})": sig.on_base[x_name(n)] for n in ns}
@@ -386,7 +398,7 @@ def cmd_sigma(args):
         sig, name = sigma_bp(TypicalBasis(p, max(args.max_n, 1))), v_name
         title = f"sigma on the p-typical ring at p={p}"
     else:
-        sig = sigma_mu_moving(LazardBasis(max(args.truncation, args.max_n)))
+        sig = sigma_mu_moving(_lazard_basis(args.max_n))
         name, title = x_name, "sigma in moving coordinates"
     rows = {f"sigma({name(n)})": sig.on_base[name(n)] for n in ns}
     zero = ExtElement.zero(sig.flavor)
@@ -407,8 +419,7 @@ def cmd_cohomology(args):
         table = localize_table(cohomology_groups(sig, d_max), p)
         title = f"sigma cohomology of the p-typical ring, p={p}"
     else:
-        _require_truncation(args.truncation, d_max)
-        basis = LazardBasis(args.truncation)
+        basis = _lazard_basis(_require_truncation(args.truncation, d_max))
         if args.flavor == "mu-moving":
             sig = sigma_mu_moving(basis)
         else:
@@ -455,8 +466,7 @@ def cmd_de_rham(args):
         table = de_rham_cohomology(gens, d_max)
         title = f"de Rham cohomology for generator weights {weights}"
         return Report([(title, "de_rham", [Degree(table, d) for d in range(d_max + 1)])])
-    _require_truncation(args.truncation, d_max)
-    basis = LazardBasis(args.truncation)
+    basis = _lazard_basis(_require_truncation(args.truncation, d_max))
     structure = MuStructure(basis)
     sig = sigma_mu_moving(basis)
     cmp = de_rham_comparison(structure, sig,
@@ -485,8 +495,8 @@ def cmd_verify(args):
         d_max = min(d_max, limit)
         results = verify_bp(p, max(_bp_max_n(p, d_max), 3), d_max)
     else:
-        N = max(args.truncation, (d_max + 1) // 2)
-        results = verify_mu(args.flavor, N, d_max)
+        _require_truncation(args.truncation, d_max)
+        results = verify_mu(args.flavor, args.truncation, d_max)
     rows = []
     for r in results:
         detail = f"  [{r.detail}]" if r.detail else ""

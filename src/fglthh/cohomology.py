@@ -18,7 +18,8 @@ from itertools import combinations
 
 from .exactalg import (GenTable, GradedPoly, FinAbGroup, IntMatrix,
                        ComplexViolationError, IntegralityError, DegreeGuardError,
-                       ResourceGuardError, subquotient_group, rational_rank, p_part)
+                       ResourceGuardError, subquotient_group, group_from_diagonals,
+                       invariant_factors, rational_rank, p_part)
 from . import exactalg
 from .thh import DeRhamDifferential, ExtElement, hurewicz_mu, ring_map
 from .algebroid import CoordFlavor
@@ -304,12 +305,17 @@ def bar_tor_check(coord_flavor: CoordFlavor, weight_max, q_max):
 
     results, expected, ok = {}, {}, True
     for w in range(weight_max + 1):
-        d_out = IntMatrix.zero(0, len(bases[(0, w)]))
+        # the maps out of positions 1 .. q_max + 1
+        maps = [differential(q, w) for q in range(1, q_max + 2)]
+        for d_out, d_in in zip(maps, maps[1:]):
+            if not d_out.mul(d_in).is_zero():
+                raise ComplexViolationError("consecutive bar differentials do not "
+                                            "compose to zero")
+        # the Smith diagonal of the map out of position q, read on both sides
+        diagonals = [(), *map(invariant_factors, maps)]
         for q in range(q_max + 1):
-            # each bar map is the incoming map at q and the outgoing one at q + 1
-            d_in = differential(q + 1, w)
-            group = subquotient_group(d_in, d_out).group
-            d_out = d_in
+            group = group_from_diagonals(len(bases[(q, w)]), diagonals[q + 1],
+                                         diagonals[q])
             results[(q, w)] = group
             expected[(q, w)] = sum(1 for c in combinations(weights, q) if sum(c) == w)
             if group.invariant_factors or group.free_rank != expected[(q, w)]:

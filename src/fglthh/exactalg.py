@@ -1217,6 +1217,20 @@ def subquotient_group(d_in, d_out):
     return Subquotient(FinAbGroup.from_factors(orders.count(0), orders), tuple(gens))
 
 
+def group_from_diagonals(size, in_diagonal, out_diagonal):
+    """The group of ``ker(d_out)/im(d_in)`` on ``Z^size`` for composable
+    maps, from the nonzero Smith diagonals of ``d_in`` and ``d_out`` alone.
+
+    The free rank is ``size`` less both ranks.  ``Z^size / ker(d_out)``
+    embeds in the codomain of ``d_out`` and so is torsion-free; the
+    torsion of ``Z^size / im(d_in)`` therefore lies in ``ker(d_out)``, and
+    it is the diagonal of ``d_in`` above 1.  The caller vouches that the
+    maps compose to zero.
+    """
+    return FinAbGroup(size - len(in_diagonal) - len(out_diagonal),
+                      tuple(d for d in in_diagonal if d > 1))
+
+
 def class_orders(d_in, d_out, vectors):
     """Orders of the classes of ``vectors`` in ``ker(d_out)/im(d_in)``, all
     read off one echelon basis of the columns of ``d_in``; 0 means infinite

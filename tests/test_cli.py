@@ -288,6 +288,74 @@ def test_truncation_guard(capsys):
     assert "truncation" in err
 
 
+def test_verify_refuses_a_small_truncation_at_once():
+    # the guard answers before any table is built, as cohomology's does
+    env = dict(os.environ, PYTHONPATH=str(Path(fglthh.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "fglthh.cli", "verify", "--max-degree", "60"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("usage error: truncation 12 is too small for degree 60; "
+                           "need at least 30\n")
+
+
+def _json_without_truncation(out):
+    doc = json.loads(out)
+    del doc["config"]["truncation"]
+    return doc
+
+
+# (argv, the highest generator weight the answer reads)
+_READ_WEIGHT_RUNS = [
+    *((f"cohomology --flavor {flavor} --max-degree {d}", max(1, (d + 1) // 2))
+      for flavor in ("mu-moving", "mu-split") for d in (0, 1, 9, 14)),
+    *((f"de-rham --max-degree {d}", max(1, (d + 1) // 2)) for d in (0, 1, 9, 14)),
+    *((f"{command} --flavor {flavor} --max-n {n}", max(n, 1))
+      for command in ("structure-maps", "sigma")
+      for flavor in ("mu-moving", "mu-split") for n in (0, 1, 4)),
+]
+
+
+@pytest.mark.parametrize("argv, weight", _READ_WEIGHT_RUNS)
+def test_the_read_weight_gives_the_bytes_of_the_full_truncation(
+        capsys, monkeypatch, argv, weight):
+    # at the read weight as the command builds it, and at -N 12 with the
+    # base ring built through the whole truncation
+    read = [run(capsys, *argv.split(), "-N", str(weight), "--format", fmt)
+            for fmt in ("json", "text")]
+    monkeypatch.setattr(fglthh.cli, "_lazard_basis", lambda w: fglthh.fgl.LazardBasis(12))
+    full = [run(capsys, *argv.split(), "-N", "12", "--format", fmt)
+            for fmt in ("json", "text")]
+    assert [code for code, _, _ in read + full] == [0] * 4
+    assert _json_without_truncation(read[0][1]) == _json_without_truncation(full[0][1])
+    assert read[1][1] == full[1][1]
+    assert json.loads(read[0][1])["config"]["truncation"] == weight
+    assert json.loads(full[0][1])["config"]["truncation"] == 12
+
+
+@pytest.mark.parametrize("argv, built", [
+    ("de-rham --max-degree 14 -N 12", [7]),
+    ("cohomology --flavor mu-split --max-degree 9 -N 12", [5]),
+    ("structure-maps --max-n 0 -N 12", [1]),
+    ("sigma --flavor mu-split --max-n 4 -N 3", [4]),
+    ("verify --max-degree 6 -N 3", [3]),
+])
+def test_each_command_builds_the_lazard_basis_it_reads(capsys, monkeypatch, argv, built):
+    sizes = []
+    init = fglthh.fgl.LazardBasis.__init__
+
+    def recording(self, N):
+        sizes.append(N)
+        init(self, N)
+
+    monkeypatch.setattr(fglthh.fgl.LazardBasis, "__init__", recording)
+    code, _, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert sizes == built
+
+
 @pytest.mark.parametrize("argv", [
     ("de-rham", "--weights", "1,a"),
     ("cohomology", "--max-degree", "0", "-N", "0"),

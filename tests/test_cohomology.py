@@ -5,8 +5,8 @@ import pytest
 
 from fglthh import cohomology
 from fglthh.exactalg import (ComplexViolationError, FinAbGroup, GenTable, GradedPoly,
-                             DegreeGuardError, IntegralityError, ResourceGuardError,
-                             subquotient_group)
+                             IntMatrix, DegreeGuardError, IntegralityError, ResourceGuardError,
+                             invariant_factors)
 from fglthh.fgl import LazardBasis, TypicalBasis, x_name, v_name
 from fglthh.algebroid import CoordFlavor, MuStructure
 from fglthh.thh import ExtElement, sigma_bp, sigma_mu_moving, sigma_mu_split
@@ -435,11 +435,12 @@ def test_bar_bases_match_the_recursive_enumeration(flavor, monkeypatch):
     import fglthh.cohomology
     seen = []
 
-    def spy(d_in, d_out):
-        seen.append(d_in.entries)
-        return subquotient_group(d_in, d_out)
+    def spy(matrix):
+        seen.append(matrix.entries)
+        return invariant_factors(matrix)
 
-    monkeypatch.setattr(fglthh.cohomology, "subquotient_group", spy)
+    # each bar map's Smith diagonal is taken once, in order of weight, then q
+    monkeypatch.setattr(fglthh.cohomology, "invariant_factors", spy)
     rep = bar_tor_check(flavor, 8, 3)
     weights = [w for w in (flavor.coord_weight(n) for n in range(1, 9)) if w <= 8]
     bases = bar_bases_oracle(flavor.coord_table(len(weights), 8), 8, 3)
@@ -464,6 +465,19 @@ def test_bar_tor_guard():
         bar_tor_check(CoordFlavor.moving(), 9, 3)
     with pytest.raises(ResourceGuardError):
         bar_tor_check(CoordFlavor.moving(), 8, 4)
+
+
+def test_a_perturbed_bar_map_is_a_complex_violation(monkeypatch):
+    # one more at the corner of every bar map: the groups alone would not
+    # notice, so the check on each consecutive pair must
+    def perturbed(rows, cols, entries):
+        if rows and cols:
+            entries = ((entries[0][0] + 1, *entries[0][1:]), *entries[1:])
+        return IntMatrix(rows, cols, entries)
+
+    monkeypatch.setattr(cohomology, "IntMatrix", perturbed)
+    with pytest.raises(ComplexViolationError, match="do not compose to zero"):
+        bar_tor_check(CoordFlavor.moving(), 4, 2)
 
 
 class SquareNonzero:

@@ -13,8 +13,8 @@ from fglthh.exactalg import (
     GenTable, GradedPoly, GradedWeightError, GeneratorTableError,
     UnderdeterminedSystemError, ComplexViolationError, IntMatrix, FinAbGroup,
     SmithDecomposition, smith_normal_form_full, invariant_factors,
-    solve_rational_linear, solve_integer, subquotient_group, class_orders,
-    generates, row_hnf, reduce_mod_rows, rational_rank, p_part, ext_gcd)
+    solve_rational_linear, solve_integer, subquotient_group, group_from_diagonals,
+    class_orders, generates, row_hnf, reduce_mod_rows, rational_rank, p_part, ext_gcd)
 from fglthh.verify import minor_gcd_invariants
 
 from test_derivations import de_rham_partials
@@ -775,6 +775,23 @@ def test_subquotient_rejects_exactly_nonzero_composites(data):
     else:
         with pytest.raises(ComplexViolationError):
             subquotient_group(d_in, d_out)
+
+
+@given(st.data())
+def test_group_from_diagonals_matches_the_subquotient(data):
+    # composable pairs: the incoming map's columns are drawn from the kernel
+    # of the outgoing map, with small multiples that leave torsion
+    m, a, b = (data.draw(st.integers(0, 5)) for _ in range(3))
+    entry = st.integers(-3, 3)
+    d_out = IntMatrix.from_rows(
+        [[data.draw(entry) for _ in range(m)] for _ in range(b)], cols=m)
+    kernel = kernel_columns(d_out)
+    combos = [[data.draw(entry) for _ in kernel] for _ in range(a)]
+    d_in = IntMatrix.from_rows(
+        [[sum(c * v[i] for c, v in zip(combo, kernel)) for combo in combos]
+         for i in range(m)], cols=a)
+    got = group_from_diagonals(m, invariant_factors(d_in), invariant_factors(d_out))
+    assert got == subquotient_group(d_in, d_out).group
 
 
 def smith_route(d_in, d_out):

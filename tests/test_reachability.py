@@ -17,7 +17,8 @@ from fglthh import algebroid, cli, cohomology, exactalg, fgl, series, thh, verif
 MODULES = (algebroid, cli, cohomology, exactalg, fgl, series, thh, verify)
 
 RUNS = [
-    "structure-maps --max-n 3 --format tex",
+    # weight 5 is the first Lazard generator chosen automatically
+    "structure-maps --max-n 5 --format tex",
     "structure-maps --flavor mu-split --max-n 3 -N 3",
     "structure-maps --flavor bp --prime 2 --max-n 2 --format json",
     "sigma --max-n 3 --format json",
