@@ -321,12 +321,16 @@ def _bp_max_n(p, d_max):
     return max(n, 1)
 
 
-def _require_truncation(N, d_max):
-    """The highest generator weight a table through degree ``d_max`` reads,
-    ⌈d_max/2⌉; a truncation ``N`` below it is refused."""
-    weight = (d_max + 1) // 2
+def _require_truncation(N, d_max=None, max_n=None):
+    """The highest generator weight a request reads: ⌈d_max/2⌉ for a table
+    through degree ``d_max``, ``max_n`` for one through generator ``max_n``.
+    A truncation ``N`` below it is refused."""
+    if max_n is None:
+        weight, request = (d_max + 1) // 2, f"degree {d_max}"
+    else:
+        weight, request = max_n, f"--max-n {max_n}"
     if N < weight:
-        raise UsageError(f"truncation {N} is too small for degree {d_max}; "
+        raise UsageError(f"truncation {N} is too small for {request}; "
                          f"need at least {weight}")
     return weight
 
@@ -364,7 +368,7 @@ def cmd_structure_maps(args):
             rows[pn_label] = tbasis.pn_ell(n)
             rows[f"eta_R(ell_{n})"] = tstruct.eta_ell(n)
         return Report([(f"p-typical structure maps at p={p}", "typical", rows)])
-    basis = _lazard_basis(args.max_n)
+    basis = _lazard_basis(_require_truncation(args.truncation, max_n=args.max_n))
     structure = MuStructure(basis)
     sections = [("integral generators in the logarithmic basis", "x_in_m",
                  {f"x_{n}": basis.x_in_m[n] for n in ns})]
@@ -385,21 +389,19 @@ def cmd_structure_maps(args):
 
 def cmd_sigma(args):
     ns = range(1, args.max_n + 1)
-    if args.flavor == "mu-split":
-        structure = MuStructure(_lazard_basis(args.max_n))
-        sig = sigma_mu_split(structure)
-        conv = lambda_in_e(structure)
-        rows = {f"sigma(x_{n})": sig.on_base[x_name(n)] for n in ns}
-        rows.update({f"sigma(e_{n})": sig.on_ext[n] for n in ns})
-        rows.update({f"lambda'_{n}": conv[n] for n in ns})
-        return Report([("sigma in split coordinates", "sigma", rows)])
     if args.flavor == "bp":
         p = _require_prime(args)
         sig, name = sigma_bp(TypicalBasis(p, max(args.max_n, 1))), v_name
         title = f"sigma on the p-typical ring at p={p}"
     else:
-        sig = sigma_mu_moving(_lazard_basis(args.max_n))
-        name, title = x_name, "sigma in moving coordinates"
+        basis = _lazard_basis(_require_truncation(args.truncation, max_n=args.max_n))
+        if args.flavor == "mu-split":
+            sig, conv = sigma_mu_split(basis), lambda_in_e(basis)
+            rows = {f"sigma(x_{n})": sig.on_base[x_name(n)] for n in ns}
+            rows.update({f"sigma(e_{n})": sig.on_ext[n] for n in ns})
+            rows.update({f"lambda'_{n}": conv[n] for n in ns})
+            return Report([("sigma in split coordinates", "sigma", rows)])
+        sig, name, title = sigma_mu_moving(basis), x_name, "sigma in moving coordinates"
     rows = {f"sigma({name(n)})": sig.on_base[name(n)] for n in ns}
     zero = ExtElement.zero(sig.flavor)
     rows.update({f"sigma({sig.flavor.ext_prefix}_{n})": zero for n in ns})
@@ -423,7 +425,7 @@ def cmd_cohomology(args):
         if args.flavor == "mu-moving":
             sig = sigma_mu_moving(basis)
         else:
-            sig = sigma_mu_split(MuStructure(basis))
+            sig = sigma_mu_split(basis)
         table = cohomology_groups(sig, d_max)
         title = f"sigma cohomology, {args.flavor} coordinates"
     return Report([(title, "cohomology", [Degree(table, d) for d in range(d_max + 1)])])

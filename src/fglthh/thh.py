@@ -20,7 +20,7 @@ from types import MappingProxyType
 from .exactalg import (GenTable, GeneratorTableError, GradedPoly, IntegralityError,
                        TEXT, signed_sum)
 from .fgl import LazardBasis, TypicalBasis, x_name, ell_name, v_name
-from .algebroid import MuStructure, TypicalStructure, b_name, t_name
+from .algebroid import MuStructure, TypicalStructure, t_name
 
 
 @dataclass(frozen=True)
@@ -337,32 +337,12 @@ def sigma_mu_moving(basis: LazardBasis):
     return SigmaTable(flavor, on_base)
 
 
-def _linear_split_part(structure: MuStructure, flavor, poly):
-    """The part of ``poly`` (over the integral and split alphabets) linear in
-    the b's, with each ``b_k`` read as the exterior generator ``e_k``."""
-    table = structure.xb_table
-    b_index = {table.index(b_name(k)): k for k in range(1, structure.N + 1)}
-    parts = {}
-    for mono, c in poly.terms.items():
-        b_part = [(i, e) for i, e in table.exponents(mono) if i in b_index]
-        if len(b_part) == 1 and b_part[0][1] == 1:
-            i = b_part[0][0]
-            parts.setdefault((b_index[i],), {})[mono - table.units[i]] = c
-    return ExtElement(flavor, {idx: GradedPoly(table, part).extend_to(structure.basis.x_table)
-                               for idx, part in parts.items()})
-
-
-def sigma_mu_split(structure: MuStructure):
-    """Split-coordinate sigma: base values are the linear split part of the
-    right unit; exterior values are solved inductively from the vanishing
-    of sigma squared, with exact division."""
-    basis = structure.basis
-    flavor = mu_split_flavor(basis)
-    on_base = {x_name(n): _linear_split_part(structure, flavor, structure.eta_x(n))
-               for n in range(1, basis.N + 1)}
-
+def split_sigma_table(flavor, on_base):
+    """The split-coordinate table with base values ``on_base``: the exterior
+    values are solved inductively from the vanishing of sigma squared, with
+    exact division."""
     on_ext = {}
-    for n in range(1, basis.N + 1):
+    for n in flavor.ext_indices():
         sx = on_base[x_name(n)]
         lead = sx.coefficient((n,), ())
         if lead == 0:
@@ -376,12 +356,40 @@ def sigma_mu_split(structure: MuStructure):
     return SigmaTable(flavor, on_base, on_ext)
 
 
-def lambda_in_e(structure: MuStructure):
+def sigma_mu_split(basis: LazardBasis):
+    """Split-coordinate sigma: ``sigma(x_n)`` is the part of the right unit
+    ``eta_R(x_n)`` linear in the b's, with each ``b_k`` read as ``e_k``.  By
+    the chain rule that is the moving table carried across by
+    ``lambda_in_e``: the ``lambda'_k`` coefficient of ``sigma(x_n)`` in
+    moving coordinates is ``dx_n/dm_k``.  ``verify`` compares it with the
+    b-linear part of the full right unit."""
+    flavor = mu_split_flavor(basis)
+    moving = sigma_mu_moving(basis)
+    conv = lambda_in_e(basis)
+    return split_sigma_table(flavor, {
+        x_name(n): ring_map(moving.on_base[x_name(n)], flavor, conv)
+        for n in range(1, basis.N + 1)})
+
+
+def lambda_in_e(basis: LazardBasis):
     """Conversion of the moving exterior generators into the split flavor:
-    the linear split part of each moving coordinate."""
-    flavor = mu_split_flavor(structure.basis)
-    return {n: _linear_split_part(structure, flavor, structure.c_in_xb(n))
-            for n in range(1, structure.N + 1)}
+    the part of each moving coordinate ``c_k`` linear in the b's.  Modulo
+    ``(b)^2`` the conjugate series is ``x - sum_i b_i x^(i+1)``, so
+    ``eta_R(m_k) = m_k - sum_{i=1..k} (k-i+1) m_{k-i} b_i`` with ``m_0 = 1``,
+    and only the ``i = 0`` and ``j = 0`` terms of the divisor sum survive:
+    ``c_k`` is that sum alone, which sends ``lambda'_k`` to
+    ``-sum_i (k-i+1) m_{k-i} e_i`` in the integral basis."""
+    flavor = mu_split_flavor(basis)
+    one = GradedPoly.one(basis.x_table)
+    conv = {}
+    for k in range(1, basis.N + 1):
+        value = ExtElement(flavor, {
+            (i,): (one if i == k else basis.m_in_x(k - i)).scale(i - k - 1)
+            for i in range(1, k + 1)})
+        if not value.is_integral():
+            raise IntegralityError(f"moving coordinate {k} is not integral")
+        conv[k] = value
+    return conv
 
 
 def sigma_bp(tbasis: TypicalBasis):

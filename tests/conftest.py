@@ -42,8 +42,8 @@ def sigma_moving10(lazard10):
 
 
 @pytest.fixture(scope="session")
-def sigma_split10(structure10):
-    return sigma_mu_split(structure10)
+def sigma_split10(lazard10):
+    return sigma_mu_split(lazard10)
 
 
 @pytest.fixture(scope="session", params=(2, 3, 5))

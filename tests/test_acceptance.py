@@ -170,8 +170,7 @@ def _sigma_squared_holds(sig, d_max):
     return True
 
 
-def test_criterion_3_sigma(lazard10, structure10, sigma_moving10, sigma_split10,
-                           sigma_bp_tables):
+def test_criterion_3_sigma(lazard10, sigma_moving10, sigma_split10, sigma_bp_tables):
     checks = []
     b = lazard10
     x1, x2, x3 = xg(b, 1), xg(b, 2), xg(b, 3)
@@ -209,7 +208,7 @@ def test_criterion_3_sigma(lazard10, structure10, sigma_moving10, sigma_split10,
     checks.append(("sigma(e_4) = 2 e_1 e_3",
                    sigma_split10.on_ext[4] == (e(1) * e(3)).scale(2)))
 
-    conv = lambda_in_e(structure10)
+    conv = lambda_in_e(lazard10)
     expected_conv = {
         1: e(1).scale(-1),
         2: e(1, x1) - e(2),

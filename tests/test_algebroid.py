@@ -417,7 +417,7 @@ def test_structure_maps_make_no_formal_sum(monkeypatch, capsys, lazard6):
     ms = MuStructure(lazard6)
     for n in range(1, 7):
         ms.c_in_xb(n)
-    lambda_in_e(ms)
+    lambda_in_e(lazard6)
     assert main(["sigma", "--flavor", "mu-split", "--max-n", "6", "-N", "6"]) == 0
     capsys.readouterr()
     assert calls == []

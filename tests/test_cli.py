@@ -339,7 +339,7 @@ def test_the_read_weight_gives_the_bytes_of_the_full_truncation(
     ("de-rham --max-degree 14 -N 12", [7]),
     ("cohomology --flavor mu-split --max-degree 9 -N 12", [5]),
     ("structure-maps --max-n 0 -N 12", [1]),
-    ("sigma --flavor mu-split --max-n 4 -N 3", [4]),
+    ("sigma --flavor mu-split --max-n 3 -N 12", [3]),
     ("verify --max-degree 6 -N 3", [3]),
 ])
 def test_each_command_builds_the_lazard_basis_it_reads(capsys, monkeypatch, argv, built):
@@ -354,6 +354,24 @@ def test_each_command_builds_the_lazard_basis_it_reads(capsys, monkeypatch, argv
     code, _, _ = run(capsys, *argv.split())
     assert code == 0
     assert sizes == built
+
+
+@pytest.mark.parametrize("argv", [
+    "sigma --flavor mu-split --max-n 4 -N 3",
+    "sigma --flavor mu-moving --max-n 6 -N 2",
+    "structure-maps --flavor mu-split --max-n 4 -N 3",
+    "structure-maps --flavor mu-moving --max-n 13",
+])
+def test_max_n_above_the_truncation_is_refused(capsys, monkeypatch, argv):
+    # -N is the ceiling of the MU tables; nothing is built past it
+    built = []
+    monkeypatch.setattr(fglthh.fgl.LazardBasis, "__init__",
+                        lambda self, N: built.append(N))
+    max_n, N = re.search(r"--max-n (\d+)(?: -N (\d+))?", argv).groups(default="12")
+    assert run(capsys, *argv.split()) == (
+        2, "", f"usage error: truncation {N} is too small for --max-n {max_n}; "
+               f"need at least {max_n}\n")
+    assert built == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,7 @@ from fglthh.exactalg import (ComplexViolationError, FinAbGroup, GenTable, Graded
                              IntMatrix, DegreeGuardError, IntegralityError, ResourceGuardError,
                              invariant_factors)
 from fglthh.fgl import LazardBasis, TypicalBasis, x_name, v_name
-from fglthh.algebroid import CoordFlavor, MuStructure
+from fglthh.algebroid import CoordFlavor
 from fglthh.thh import ExtElement, sigma_bp, sigma_mu_moving, sigma_mu_split
 from fglthh.cohomology import (DeRhamDifferential, staircase,
                                cohomology_groups, localize_table,
@@ -97,7 +97,7 @@ def printed_table(table):
 @pytest.mark.parametrize("build, small, large", [
     (lambda N: sigma_mu_moving(LazardBasis(N)), 3, 4),
     (lambda N: sigma_mu_moving(LazardBasis(N)), 7, 8),
-    (lambda N: sigma_mu_split(MuStructure(LazardBasis(N))), 6, 7),
+    (lambda N: sigma_mu_split(LazardBasis(N)), 6, 7),
     (lambda n: sigma_bp(TypicalBasis(2, n)), 1, 2),
     (lambda n: sigma_bp(TypicalBasis(2, n)), 2, 3),
 ], ids=["mu-moving-3", "mu-moving-7", "mu-split-6", "bp-2-1", "bp-2-2"])
@@ -190,7 +190,7 @@ def test_split_table_matches(split_table, lazard10, sigma_split10):
 @pytest.fixture(scope="module")
 def mu_tables16(lazard8):
     return {"mu-moving": cohomology_groups(sigma_mu_moving(lazard8), 16),
-            "mu-split": cohomology_groups(sigma_mu_split(MuStructure(lazard8)), 16)}
+            "mu-split": cohomology_groups(sigma_mu_split(lazard8), 16)}
 
 
 def printed_generators(table):

@@ -11,6 +11,11 @@ Kunneth formula over Z (Weibel, *An Introduction to Homological Algebra*,
 3.6.3).  With c_n = -lazard_indecomposable_unit(n) the same product is the
 cohomology of the associated graded of sigma for the word-length filtration,
 the E_1 page that bounds the mod-p cohomology of sigma from above.
+
+Modulo (b)^2 the conjugate series is x - sum b_i x^(i+1), so the right unit
+on the logarithm is eta_R(m_k) = m_k - sum_i (k-i+1) m_(k-i) b_i with
+m_0 = 1, and the moving coordinate c_k is the sum alone (Ravenel, *Complex
+Cobordism*, A2.1).
 """
 
 import math
@@ -18,10 +23,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from fglthh.algebroid import MuStructure
+from fglthh.algebroid import b_name
 from fglthh.cohomology import cohomology_groups, de_rham_cohomology
 from fglthh.exactalg import FinAbGroup, GenTable, GradedPoly
-from fglthh.fgl import LazardBasis, TypicalBasis, lazard_indecomposable_unit, v_name, x_name
+from fglthh.fgl import (LazardBasis, TypicalBasis, lazard_indecomposable_unit, m_name,
+                        v_name, x_name)
 from fglthh.thh import (ExtElement, SigmaTable, ThhFlavor, sigma_bp, sigma_mu_moving,
                         sigma_mu_split)
 
@@ -38,9 +44,29 @@ def test_constant_part_of_sigma_mu_moving():
 
 
 def test_constant_part_of_sigma_mu_split():
-    sig = sigma_mu_split(MuStructure(LazardBasis(12)))
+    sig = sigma_mu_split(LazardBasis(12))
     for n in range(1, 13):
         assert constant_part(sig.on_base[x_name(n)]) == {(n,): lazard_indecomposable_unit(n)}, n
+
+
+def b_degree_part(poly, degrees):
+    """The terms of ``poly`` whose total degree in the b's is in ``degrees``."""
+    table = poly.table
+    b = {table.index(name) for name in table.names if name.startswith("b_")}
+    return GradedPoly(table, {mono: c for mono, c in poly.terms.items()
+                              if sum(e for i, e in table.exponents(mono) if i in b) in degrees})
+
+
+def test_right_unit_modulo_b_squared(structure10):
+    ms = structure10
+    mb = ms.mb_table
+    m = [GradedPoly.one(mb)] + [GradedPoly.gen(mb, m_name(j)) for j in range(1, 11)]
+    for k in range(1, 11):
+        correction = GradedPoly.zero(mb)
+        for i in range(1, k + 1):
+            correction = correction - (k - i + 1) * m[k - i] * GradedPoly.gen(mb, b_name(i))
+        assert b_degree_part(ms.eta_m(k), (0, 1)) == m[k] + correction, k
+        assert b_degree_part(ms.c_in_mb(k), (1,)) == correction, k
 
 
 @pytest.mark.parametrize("p, max_n", [(2, 7), (3, 5), (5, 4)])

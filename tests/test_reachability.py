@@ -50,6 +50,7 @@ USAGE_ERRORS = [
     "sigma --max-n -1",
     "sigma -N 0",
     "sigma --flavor bp --prime 2 --max-n 13",
+    "structure-maps --max-n 4 -N 3",
 ]
 
 TRACED = "a span target of perfbench's tracer, and a test reference"

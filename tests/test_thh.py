@@ -10,7 +10,7 @@ from fglthh.fgl import TypicalBasis, x_name, v_name
 from fglthh.exactalg import IntegralityError
 from fglthh.thh import (DeRhamDifferential, ExtElement, SigmaTable, ThhFlavor, sigma_bp,
                         sigma_mu_split, lambda_in_e, ring_map, hurewicz_mu,
-                        hurewicz_bp, merge_sign, mu_split_flavor, _linear_split_part)
+                        hurewicz_bp, merge_sign, mu_split_flavor)
 from fglthh.cohomology import basis_element, staircase
 from fglthh import verify
 
@@ -191,10 +191,10 @@ def test_sigma_kernel_matches_the_reference(kernel_tables, which, data):
                 == outcome(reference_sigma_prime, table, elt))
 
 
-def test_prefix_tables_match_the_reference(structure6):
+def test_prefix_tables_match_the_reference(lazard6):
     # sigma_mu_split solves sigma(e_n) on the table of the values below n;
     # each such table is built whole, and its values cannot be edited after
-    full = sigma_mu_split(structure6)
+    full = sigma_mu_split(lazard6)
     flavor = full.flavor
     x1 = GradedPoly.gen(flavor.base, x_name(1))
     differs = []
@@ -286,8 +286,8 @@ def test_sigma_split_exterior_values(sigma_split10):
     assert sig.on_ext[4] == (lam(sig, 1) * lam(sig, 3)).scale(2)
 
 
-def test_lambda_in_e_identities(lazard10, structure10, sigma_split10):
-    conv = lambda_in_e(structure10)
+def test_lambda_in_e_identities(lazard10, sigma_split10):
+    conv = lambda_in_e(lazard10)
     b = lazard10
     sig = sigma_split10
     x1, x2, x3 = xg(b, 1), xg(b, 2), xg(b, 3)
@@ -298,20 +298,8 @@ def test_lambda_in_e_identities(lazard10, structure10, sigma_split10):
                        + lam(sig, 2, x2 - x1 ** 2) + lam(sig, 3, x1) - lam(sig, 4))
 
 
-def test_linear_split_part_keeps_single_b_terms(structure6):
-    ms = structure6
-    x1, x2, x3, b1, b2, b3 = (GradedPoly.gen(ms.xb_table, n)
-                              for n in ("x_1", "x_2", "x_3", "b_1", "b_2", "b_3"))
-    poly = (x2 * b1 - 2 * x1 ** 2 * b1 + 3 * x1 * b2 + b3
-            + b1 * b2 + b1 ** 3 + x1 * b1 ** 2 + x3)
-    flavor = mu_split_flavor(ms.basis)
-    y1, y2 = xg(ms.basis, 1), xg(ms.basis, 2)
-    assert _linear_split_part(ms, flavor, poly) == ExtElement(flavor, {
-        (1,): y2 - 2 * y1 ** 2, (2,): 3 * y1, (3,): GradedPoly.one(ms.basis.x_table)})
-
-
-def test_flavor_coherence(structure10, sigma_moving10, sigma_split10):
-    conv = lambda_in_e(structure10)
+def test_flavor_coherence(lazard10, sigma_moving10, sigma_split10):
+    conv = lambda_in_e(lazard10)
     for n in range(1, 5):
         assert (ring_map(sigma_moving10.on_base[x_name(n)], sigma_split10.flavor, conv)
                 == sigma_split10.on_base[x_name(n)])
@@ -361,7 +349,7 @@ def staircase_elements(diff, d_max):
 
 
 def test_ring_map_matches_the_three_cochain_maps(structure10, sigma_moving10):
-    conv = lambda_in_e(structure10)
+    conv = lambda_in_e(structure10.basis)
     split = mu_split_flavor(structure10.basis)
     derham_l = DeRhamDifferential(structure10.basis.x_table)
     derham_c = DeRhamDifferential(structure10.c_table)
