@@ -10,7 +10,6 @@ the failing identity, 2 is a usage error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -302,16 +301,21 @@ def write_output(report, fmt, config, path):
 # ---------------------------------------------------------------------------
 
 def _require_prime(args):
+    """A p-typical request's prime, one of ``SMALL_PRIMES``, where the oracle holds."""
     p = args.prime
     if p is None:
         raise UsageError("the p-typical flavor requires --prime")
-    if p < 2 or any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
-        raise UsageError(f"--prime must be prime, got {p}")
-    if p not in SMALL_PRIMES and not args.unsafe_large_prime:
-        raise UsageError(
-            f"prime {p} is outside the supported range {SMALL_PRIMES}; "
-            "pass --unsafe-large-prime to override")
+    if p not in SMALL_PRIMES:
+        raise UsageError(f"--prime must be one of {SMALL_PRIMES}, got {p}")
     return p
+
+
+def _require_bp_degree(p, d_max):
+    """Refuse a p-typical table past the degree its oracle establishes."""
+    limit = bp_degree_range(p)
+    if d_max > limit:
+        raise UsageError(
+            f"the p-typical table is established only through degree {limit}")
 
 
 def _bp_max_n(p, d_max):
@@ -412,10 +416,7 @@ def cmd_cohomology(args):
     d_max = args.max_degree
     if args.flavor == "bp":
         p = _require_prime(args)
-        limit = bp_degree_range(p)
-        if d_max > limit:
-            raise UsageError(
-                f"the p-typical table is established only through degree {limit}")
+        _require_bp_degree(p, d_max)
         tbasis = TypicalBasis(p, _bp_max_n(p, d_max))
         sig = sigma_bp(tbasis)
         table = localize_table(cohomology_groups(sig, d_max), p)
@@ -456,6 +457,8 @@ def cmd_bar_tor(args):
 
 def cmd_de_rham(args):
     d_max = args.max_degree
+    if args.flavor != "mu-moving":
+        raise UsageError(f"de-rham reads only --flavor mu-moving, got {args.flavor}")
     if args.weights:
         try:
             weights = [int(w) for w in args.weights.split(",")]
@@ -493,8 +496,7 @@ def cmd_verify(args):
     d_max = args.max_degree
     if args.flavor == "bp":
         p = _require_prime(args)
-        limit = bp_degree_range(p)
-        d_max = min(d_max, limit)
+        _require_bp_degree(p, d_max)
         results = verify_bp(p, max(_bp_max_n(p, d_max), 3), d_max)
     else:
         _require_truncation(args.truncation, d_max)
@@ -525,7 +527,6 @@ def build_parser():
         p.add_argument("--truncation", "-N", type=int, default=12)
         p.add_argument("--format", choices=FORMATS, default="text")
         p.add_argument("--output", default=None)
-        p.add_argument("--unsafe-large-prime", action="store_true")
         if degree_default is not None:
             p.add_argument("--max-degree", type=int, default=degree_default)
 
@@ -573,6 +574,8 @@ def main(argv=None):
     try:
         if args.truncation < 1:
             raise UsageError(f"truncation must be at least 1, got {args.truncation}")
+        if args.prime is not None and args.flavor != "bp":
+            raise UsageError(f"--prime applies only to --flavor bp, not {args.flavor}")
         for flag in ("max_degree", "max_n", "max_weight", "max_q"):
             value = getattr(args, flag, None)
             if value is not None and value < 0:

@@ -120,12 +120,15 @@ def staircase(diff, root):
 
     diffs = [_map_matrix(diff, dom, bases[q + 1] if q + 1 < len(bases) else ())
              for q, dom in enumerate(bases)]
-    for q in range(len(diffs) - 1):
-        if diffs[q + 1].rows and diffs[q].cols:
-            comp = diffs[q + 1].mul(diffs[q])
-            if not comp.is_zero():
-                raise ComplexViolationError("consecutive differentials do not compose to zero")
+    _require_complex(zip(diffs[1:], diffs))
     return DegreeComplex(root, tuple(bases), tuple(diffs))
+
+
+def _require_complex(pairs):
+    """Raise unless ``later · earlier`` is zero for each pair of consecutive maps."""
+    for later, earlier in pairs:
+        if not later.mul(earlier).is_zero():
+            raise ComplexViolationError("consecutive differentials do not compose to zero")
 
 
 @dataclass
@@ -307,10 +310,7 @@ def bar_tor_check(coord_flavor: CoordFlavor, weight_max, q_max):
     for w in range(weight_max + 1):
         # the maps out of positions 1 .. q_max + 1
         maps = [differential(q, w) for q in range(1, q_max + 2)]
-        for d_out, d_in in zip(maps, maps[1:]):
-            if not d_out.mul(d_in).is_zero():
-                raise ComplexViolationError("consecutive bar differentials do not "
-                                            "compose to zero")
+        _require_complex(zip(maps, maps[1:]))
         # the Smith diagonal of the map out of position q, read on both sides
         diagonals = [(), *map(invariant_factors, maps)]
         for q in range(q_max + 1):

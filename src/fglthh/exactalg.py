@@ -742,9 +742,15 @@ class SmithDecomposition:
         return self._transform("V_inv", self.D.cols)
 
     @property
+    def diagonal(self):
+        """``D[i][i]`` for ``i < min(rows, cols)``: the nonzero invariant
+        factors in their divisibility chain, then zeros."""
+        D = self.D
+        return [D.entries[i][i] for i in range(min(D.rows, D.cols))]
+
+    @property
     def rank(self):
-        return sum(1 for i in range(min(self.D.rows, self.D.cols))
-                   if self.D.entries[i][i])
+        return sum(map(bool, self.diagonal))
 
 
 def smith_normal_form_full(matrix):
@@ -873,32 +879,21 @@ def smith_normal_form_full(matrix):
 
 def invariant_factors(matrix):
     """Nonzero diagonal of the Smith form, as a divisibility chain."""
-    D = smith_normal_form_full(matrix).D
-    out = []
-    for i in range(min(D.rows, D.cols)):
-        d = D.entries[i][i]
-        if d:
-            out.append(d)
-    return tuple(out)
+    return tuple(filter(None, smith_normal_form_full(matrix).diagonal))
 
 
 def solve_integer(matrix, rhs):
     """Solve ``A x = rhs`` over the integers; ``None`` if no integral solution."""
     M = matrix if isinstance(matrix, IntMatrix) else IntMatrix.from_rows(matrix)
-    n, m = M.rows, M.cols
     full = smith_normal_form_full(M)
-    D = full.D
+    diagonal = full.diagonal
     urhs = [row[0] for row in full.apply("U", [[x] for x in rhs])]
-    y = [0] * m
-    r = min(n, m)
-    for i in range(n):
-        d = D.entries[i][i] if i < r else 0
-        if d:
-            if urhs[i] % d:
-                return None
-            y[i] = urhs[i] // d
-        elif urhs[i]:
-            return None
+    # D y = U rhs row by row; a row past the diagonal or with a zero on it
+    # needs a zero right side
+    if any(urhs[len(diagonal):]) or any(u % d if d else u for u, d in zip(urhs, diagonal)):
+        return None
+    y = [u // d if d else 0 for u, d in zip(urhs, diagonal)]
+    y += [0] * (M.cols - len(y))
     return [row[0] for row in full.apply("V", [[x] for x in y])]
 
 
@@ -1189,15 +1184,13 @@ def subquotient_group(d_in, d_out):
     if any(any(row) for row in y[:r]):
         raise ComplexViolationError("image does not lie in the kernel")
     k = len(y) - r  # the kernel rank
+    rel_snf = None  # no relations: the kernel is free on its basis
+    relations = []  # the nonzero Smith diagonal of the relations
     if k and d_in.cols:
         rel_snf = smith_normal_form_full(
             IntMatrix(k, d_in.cols, tuple(map(tuple, y[r:]))))
-        D = rel_snf.D
-        orders = [D.entries[i][i] if i < D.cols else 0 for i in range(k)]
-    else:
-        # no relations: the kernel is free on its basis
-        rel_snf = None
-        orders = [0] * k
+        relations = list(filter(None, rel_snf.diagonal))
+    orders = relations + [0] * (k - len(relations))
     gens = []
     lifted = [i for i, d in enumerate(orders) if d != 1]
     if lifted:
@@ -1214,7 +1207,7 @@ def subquotient_group(d_in, d_out):
                 vec = [-x for x in vec]
             gens.append((orders[i], tuple(vec)))
     gens.sort(key=lambda g: (g[0] != 0, g[0]))  # free generators first
-    return Subquotient(FinAbGroup.from_factors(orders.count(0), orders), tuple(gens))
+    return Subquotient(group_from_diagonals(k, relations, ()), tuple(gens))
 
 
 def group_from_diagonals(size, in_diagonal, out_diagonal):

@@ -278,7 +278,41 @@ def test_large_prime_guard(capsys):
     code, _, err = run(capsys, "cohomology", "--flavor", "bp", "--prime", "7",
                        "--max-degree", "10")
     assert code == 2
-    assert "unsafe-large-prime" in err
+    assert "--prime must be one of (2, 3, 5), got 7" in err
+
+
+# Each flag a command accepts changes its answer or is refused before any
+# table is built: a prime outside the established set (the 19-digit one is
+# prime, so only a membership test answers it at once), a p-typical degree
+# past the oracle, a prime with an MU flavor, and a de-rham flavor the
+# comparison does not read.
+REFUSED_ARGVS = [
+    "cohomology --flavor bp --prime 1000000000000000003",
+    "cohomology --flavor bp --prime 7",
+    "verify --flavor bp --prime 2 --max-degree 12",
+    "bar-tor --prime 3",
+    "de-rham --flavor bp --prime 2",
+    "de-rham --flavor mu-split",
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED_ARGVS)
+def test_a_flag_that_changes_nothing_is_refused_at_once(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(fglthh.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "fglthh.cli", *argv.split()],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage error: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_verify_refuses_a_bp_degree_with_the_cohomology_message(capsys):
+    tail = ("--flavor", "bp", "--prime", "2", "--max-degree", "12")
+    refusals = [run(capsys, command, *tail) for command in ("cohomology", "verify")]
+    assert refusals[0] == refusals[1] == (
+        2, "", "usage error: the p-typical table is established only through degree 10\n")
 
 
 def test_truncation_guard(capsys):

@@ -1081,6 +1081,30 @@ def test_finab_direct_sum_and_order():
     assert str(s) == "Z + Z/2 + Z/4"
 
 
+@given(st.data())
+def test_smith_diagonal_is_the_chain_then_zeros(data):
+    n, m = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    rows = data.draw(st.lists(st.lists(st.integers(-5, 5), min_size=m, max_size=m),
+                              min_size=n, max_size=n))
+    M = IntMatrix.from_rows(rows, cols=m)
+    snf = smith_normal_form_full(M)
+    diagonal = snf.diagonal
+    assert len(diagonal) == min(n, m)
+    r = snf.rank
+    assert all(diagonal[:r]) and not any(diagonal[r:])
+    assert all(b % a == 0 for a, b in zip(diagonal[:r], diagonal[1:r]))
+    assert invariant_factors(M) == tuple(diagonal[:r])
+    # every rhs in the image is solved, on either side of a square shape
+    v = data.draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m))
+    rhs = [sum(a * x for a, x in zip(row, v)) for row in rows]
+    x = solve_integer(M, rhs)
+    assert [sum(a * y for a, y in zip(row, x)) for row in rows] == rhs
+    if n > r:
+        # a rhs off the rank's rows is refused
+        off = snf.apply("U_inv", [[int(i == n - 1)] for i in range(n)])
+        assert solve_integer(M, [row[0] for row in off]) is None
+
+
 def test_solve_integer_and_hnf():
     A = [[2, 0], [0, 3]]
     assert solve_integer(A, [4, 9]) == [2, 3]

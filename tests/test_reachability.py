@@ -51,6 +51,11 @@ USAGE_ERRORS = [
     "sigma -N 0",
     "sigma --flavor bp --prime 2 --max-n 13",
     "structure-maps --max-n 4 -N 3",
+    "cohomology --flavor bp --prime 1000000000000000003",
+    "verify --flavor bp --prime 2 --max-degree 12",
+    "bar-tor --prime 3",
+    "de-rham --flavor bp --prime 2",
+    "de-rham --flavor mu-split",
 ]
 
 TRACED = "a span target of perfbench's tracer, and a test reference"
