@@ -6,7 +6,7 @@ from .exactalg import (GenTable, GradedPoly, IntMatrix, FinAbGroup,
                        solve_rational_linear, subquotient_group)
 from .series import TruncatedSeries, FGLaw, compose, comp_inverse, fgl_from_log, fgl_formal_sum
 from .fgl import LazardBasis, TypicalBasis
-from .algebroid import MuStructure, TypicalStructure, CoordFlavor
+from .algebroid import MuStructure, TypicalStructure
 from .thh import (ExtElement, SigmaTable, sigma_mu_moving, sigma_mu_split,
                   sigma_bp, lambda_in_e, hurewicz_mu, hurewicz_bp)
 from .cohomology import (DegreeComplex, cohomology_groups,
@@ -22,7 +22,7 @@ __all__ = [
     "TruncatedSeries", "FGLaw", "compose", "comp_inverse", "fgl_from_log",
     "fgl_formal_sum",
     "LazardBasis", "TypicalBasis",
-    "MuStructure", "TypicalStructure", "CoordFlavor",
+    "MuStructure", "TypicalStructure",
     "ExtElement", "SigmaTable", "sigma_mu_moving", "sigma_mu_split",
     "sigma_bp", "lambda_in_e", "hurewicz_mu", "hurewicz_bp",
     "DegreeComplex", "cohomology_groups", "rational_collapse_check",

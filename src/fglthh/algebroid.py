@@ -13,14 +13,13 @@ produced for them here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .exactalg import (GenTable, GradedPoly, IntegralityError,
                        DegreeGuardError, poly_sum)
 from .series import (compose, comp_inverse, power_table,
                      series_from_coefficient_table)
-from .fgl import LazardBasis, TypicalBasis, m_name, x_name, ell_name
+from .fgl import LazardBasis, TypicalBasis, m_name, ell_name
 
 
 def b_name(n):
@@ -33,42 +32,6 @@ def c_name(n):
 
 def t_name(n):
     return f"t_{n}"
-
-
-@dataclass(frozen=True)
-class CoordFlavor:
-    """Choice of coordinate coalgebra: split (b), moving (c) or p-typical (t).
-
-    The flavor fixes the coefficient alphabet; the sigma tables built on it
-    name their exterior generators e, lambda' and lambda respectively.
-    """
-
-    tag: str
-    prime: int | None = None
-
-    @classmethod
-    def absolute(cls):
-        return cls("absolute-b")
-
-    @classmethod
-    def moving(cls):
-        return cls("moving-c")
-
-    @classmethod
-    def typical(cls, p):
-        return cls("typical-t", p)
-
-    def coord_name(self, n):
-        return {"absolute-b": b_name, "moving-c": c_name, "typical-t": t_name}[self.tag](n)
-
-    def coord_weight(self, n):
-        if self.tag == "typical-t":
-            return self.prime ** n - 1
-        return n
-
-    def coord_table(self, max_n, bound):
-        return GenTable([(self.coord_name(n), self.coord_weight(n))
-                         for n in range(1, max_n + 1)], bound)
 
 
 def generic_strict_series(table, names_by_degree, bound):
@@ -99,10 +62,10 @@ class MuStructure:
     """Structure-map tables over one Lazard basis.
 
     Only the conjugates are built up front.  Each derived table (the right
-    unit on the logarithm, the moving coordinates, the homology images of
-    the integral generators and the powers of the split series, which give
-    the coproduct) is a cached property built on first read; the per-index
-    accessors rewrite from those tables on every call.
+    unit on the logarithm, the moving coordinates and the powers of the
+    split series, which give the coproduct) is a cached property built on
+    first read; the per-index accessors rewrite from those tables on every
+    call.
     """
 
     def __init__(self, basis: LazardBasis):
@@ -199,15 +162,6 @@ class MuStructure:
         if not out.is_integral():
             raise IntegralityError(f"moving coordinate {n} is not integral")
         return out
-
-    @cached_property
-    def x_in_c(self):
-        """Images of the integral generators in the homology ring: each
-        logarithm coefficient read as the moving coordinate of its weight."""
-        c_gens = {m_name(k): GradedPoly.gen(self.c_table, c_name(k))
-                  for k in range(1, self.N + 1)}
-        return {x_name(n): self.basis.x_in_m[n].substitute(c_gens, self.c_table)
-                for n in range(1, self.N + 1)}
 
     # -- coproduct --------------------------------------------------------------
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .exactalg import ExactAlgError, ResourceGuardError, Style
 from .fgl import LazardBasis, TypicalBasis, x_name, v_name
-from .algebroid import MuStructure, TypicalStructure, CoordFlavor
+from .algebroid import MuStructure, TypicalStructure
 from .thh import (ExtElement, sigma_mu_moving, sigma_mu_split, sigma_bp,
                   lambda_in_e)
 from .cohomology import (SMALL_PRIMES, cohomology_groups, localize_table,
@@ -432,15 +432,13 @@ def cmd_cohomology(args):
     return Report([(title, "cohomology", [Degree(table, d) for d in range(d_max + 1)])])
 
 
+# the coordinate coalgebra each flavor's bar check stands for
+_BAR_TAGS = {"mu-moving": "moving-c", "mu-split": "absolute-b", "bp": "typical-t"}
+
+
 def cmd_bar_tor(args):
-    if args.flavor == "bp":
-        p = _require_prime(args)
-        flavor = CoordFlavor.typical(p)
-    elif args.flavor == "mu-split":
-        flavor = CoordFlavor.absolute()
-    else:
-        flavor = CoordFlavor.moving()
-    rep = bar_tor_check(flavor, args.max_weight, args.max_q)
+    p = _require_prime(args) if args.flavor == "bp" else None
+    rep = bar_tor_check(p, args.max_weight, args.max_q)
     if not rep.all_ok:
         raise ContractFailure("bar homology does not match the exterior algebra")
     rows = []
@@ -451,7 +449,7 @@ def cmd_bar_tor(args):
                          f" torsion {torsion} -> ok",
                          {"q": q, "weight": w, "rank": g.free_rank, "expected": exp,
                           "torsion": torsion}))
-    title = f"bar homology vs exterior algebra ({flavor.tag})"
+    title = f"bar homology vs exterior algebra ({_BAR_TAGS[args.flavor]})"
     return Report([(title, "bar_tor", rows)], {"all_ok": True})
 
 
@@ -472,21 +470,20 @@ def cmd_de_rham(args):
         title = f"de Rham cohomology for generator weights {weights}"
         return Report([(title, "de_rham", [Degree(table, d) for d in range(d_max + 1)])])
     basis = _lazard_basis(_require_truncation(args.truncation, d_max))
-    structure = MuStructure(basis)
     sig = sigma_mu_moving(basis)
-    cmp = de_rham_comparison(structure, sig,
-                             cohomology_groups(sig, d_max), d_max)
+    thh = cohomology_groups(sig, d_max)
+    cmp = de_rham_comparison(basis, sig, thh, d_max)
     if not cmp.chain_map_residuals_zero:
         raise ContractFailure("a de Rham inclusion fails to be a chain map")
     rows = []
     for d in range(d_max + 1):
-        base, mid = cmp.forms_base.groups[d], cmp.thh.groups[d]
-        coords = cmp.forms_coords.groups[d]
+        # the base and homology rings have the same de Rham groups
+        forms, mid = cmp.forms.groups[d], thh.groups[d]
         rows.append(Line(
-            f"degree {d}: H_dR(base) = {base.describe()} | H(sigma) = {mid.describe()}"
-            f" | H_dR(coords) = {coords.describe()}  induced: {list(cmp.induced[d])}",
-            {"degree": d, "H_dR_base": group_json(base), "H_sigma": group_json(mid),
-             "H_dR_coords": group_json(coords),
+            f"degree {d}: H_dR(base) = {forms.describe()} | H(sigma) = {mid.describe()}"
+            f" | H_dR(coords) = {forms.describe()}  induced: {list(cmp.induced[d])}",
+            {"degree": d, "H_dR_base": group_json(forms), "H_sigma": group_json(mid),
+             "H_dR_coords": group_json(forms),
              "induced": [list(t) for t in cmp.induced[d]]}))
     title = "de Rham complexes bracketing the sigma cohomology"
     return Report([(title, "comparison", rows)], {"chain_maps_ok": True})

@@ -22,7 +22,6 @@ from .exactalg import (GenTable, GradedPoly, FinAbGroup, IntMatrix,
                        invariant_factors, rational_rank, p_part)
 from . import exactalg
 from .thh import DeRhamDifferential, ExtElement, hurewicz_mu, ring_map
-from .algebroid import CoordFlavor
 
 # A cochain differential is any object with a ``flavor`` and an ``apply``
 # method: a ``SigmaTable``, of which ``DeRhamDifferential`` is one.
@@ -270,18 +269,18 @@ class BarTorReport:
     all_ok: bool
 
 
-def bar_tor_check(coord_flavor: CoordFlavor, weight_max, q_max):
-    """Homology of the normalized bar complex of the augmented coordinate
-    algebra; the ranks must match the exterior algebra on one class per
+def bar_tor_check(prime, weight_max, q_max):
+    """Homology of the normalized bar complex of a coordinate algebra,
+    which the bar check reads only through its generator weights: one in
+    each weight n with ``prime=None`` (both MU coalgebras), p^n - 1 at a
+    prime p.  The ranks must match the exterior algebra on one class per
     generator and all torsion must vanish."""
     if q_max > 3 or weight_max > 8:
         raise ResourceGuardError("bar homology is supported for q <= 3, weight <= 8")
-    weights = []
-    n = 1
-    while coord_flavor.coord_weight(n) <= weight_max:
-        weights.append(coord_flavor.coord_weight(n))
-        n += 1
-    table = coord_flavor.coord_table(max(n - 1, 1), weight_max)
+    # p^n - 1 >= n, so no generator past n = weight_max is in range
+    weights = [w for w in (n if prime is None else prime ** n - 1
+                           for n in range(1, weight_max + 1)) if w <= weight_max]
+    table = GenTable([(f"y_{k}", w) for k, w in enumerate(weights, 1)], weight_max)
 
     # position q, weight w: the q-tuples of positive monomials of total
     # weight w, each a tuple at position q-1 extended by one monomial
@@ -336,9 +335,7 @@ def de_rham_cohomology(gens, d_max):
 
 @dataclass
 class DeRhamComparison:
-    forms_base: CohomologyTable
-    thh: CohomologyTable
-    forms_coords: CohomologyTable
+    forms: CohomologyTable
     chain_map_residuals_zero: bool
     induced: dict
 
@@ -373,31 +370,30 @@ def _induced_orders(label, d, generators, include, target):
     return tuple((label, order, next(orders[q])) for (order, _), q in zip(generators, qs))
 
 
-def de_rham_comparison(structure, sigma_moving, thh_table, d_max):
-    """de Rham cohomology of the base and coordinate rings bracketing the
-    sigma cohomology, with both inclusions verified as chain maps and the
-    induced maps on cohomology reported.
+def de_rham_comparison(basis, sigma_moving, thh_table, d_max):
+    """de Rham cohomology bracketing the sigma cohomology, with both
+    inclusions verified as chain maps and the induced maps on cohomology
+    reported.  The base ring Z[x_n] and the homology ring Z[c_n] have one
+    generator in each weight, so one de Rham table over the integral
+    alphabet serves both ends, x_k standing for c_k in the second.
 
     ``thh_table`` is the cohomology table of ``sigma_moving`` through at
     least ``d_max``; the caller builds it once and may read it elsewhere.
     """
     if thh_table.d_max < d_max:
         raise ValueError("the sigma table stops below the comparison range")
-    derham_l = DeRhamDifferential(structure.basis.x_table)
-    derham_c = DeRhamDifferential(structure.c_table)
-
-    forms_l = cohomology_groups(derham_l, d_max)
-    forms_c = cohomology_groups(derham_c, d_max)
+    derham = DeRhamDifferential(basis.x_table)
+    forms = cohomology_groups(derham, d_max)
 
     # dx_n goes to sigma(x_n), the base carried across
     sigma_x = {n: sigma_moving.on_base[name]
-               for n, name in enumerate(derham_l.flavor.base.names, 1)}
+               for n, name in enumerate(derham.flavor.base.names, 1)}
 
     def to_thh(elt):
         return ring_map(elt, sigma_moving.flavor, sigma_x)
 
-    # the base goes through the homology image, lambda'_n to dc_n
-    dc = {n: ExtElement.ext_gen(derham_c.flavor, n) for n in derham_c.flavor.ext_indices()}
+    # the base goes through the homology image, lambda'_n to dx_n
+    dx = {n: ExtElement.ext_gen(derham.flavor, n) for n in derham.flavor.ext_indices()}
 
     # the chain-map check and the induced orders meet the same coefficients
     images = {}
@@ -406,25 +402,25 @@ def de_rham_comparison(structure, sigma_moving, thh_table, d_max):
         key = frozenset(coeff.terms.items())
         image = images.get(key)
         if image is None:
-            image, integral = hurewicz_mu(structure, coeff)
+            image, integral = hurewicz_mu(basis, coeff)
             if not integral:
                 raise IntegralityError("homology image is not integral")
             images[key] = image
         return image
 
     def to_forms(elt):
-        return ring_map(elt, derham_c.flavor, dc, integral_image)
+        return ring_map(elt, derham.flavor, dx, integral_image)
 
     residual_ok = True
     for root in range(0, d_max + 1, 2):
-        residual_ok &= _commutes(forms_l.stairs[root], d_max, derham_l,
-                                 derham_l.apply, sigma_moving.sigma_prime, to_thh)
+        residual_ok &= _commutes(forms.stairs[root], d_max, derham,
+                                 derham.apply, sigma_moving.sigma_prime, to_thh)
         residual_ok &= _commutes(thh_table.stairs[root], d_max, sigma_moving,
-                                 sigma_moving.sigma_prime, derham_c.apply, to_forms)
+                                 sigma_moving.sigma_prime, derham.apply, to_forms)
 
-    induced = {d: (_induced_orders("forms->thh", d, forms_l.generators[d], to_thh, thh_table)
+    induced = {d: (_induced_orders("forms->thh", d, forms.generators[d], to_thh, thh_table)
                    + _induced_orders("thh->forms", d, thh_table.generators[d], to_forms,
-                                     forms_c))
+                                     forms))
                for d in range(d_max + 1)}
 
-    return DeRhamComparison(forms_l, thh_table, forms_c, residual_ok, induced)
+    return DeRhamComparison(forms, residual_ok, induced)

@@ -8,6 +8,7 @@ its logarithmic (ell) and Hazewinkel (v) bases at a concrete prime.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .exactalg import (GenTable, GradedPoly, DegreeGuardError,
                        IntegralityError, ResourceGuardError, ext_gcd, row_hnf,
@@ -180,6 +181,16 @@ class LazardBasis:
             self._m_in_x[n] = (GradedPoly.gen(self.x_table, x_name(n))
                                - lower).scale(Fraction(1, c))
         return self._m_in_x[n]
+
+    @cached_property
+    def hurewicz_images(self):
+        """Images of the integral generators in the homology ring, on the
+        integral alphabet: ``x_in_m[n]`` with each ``m_k`` read as ``x_k``,
+        the weight-k generator standing for the moving coordinate ``c_k``."""
+        m_as_x = {m_name(k): GradedPoly.gen(self.x_table, x_name(k))
+                  for k in range(1, self.N + 1)}
+        return {x_name(n): self.x_in_m[n].substitute(m_as_x, self.x_table)
+                for n in range(1, self.N + 1)}
 
     def m_images(self, target):
         """Images of every logarithm generator in the integral basis,

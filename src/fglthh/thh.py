@@ -20,7 +20,7 @@ from types import MappingProxyType
 from .exactalg import (GenTable, GeneratorTableError, GradedPoly, IntegralityError,
                        TEXT, signed_sum)
 from .fgl import LazardBasis, TypicalBasis, x_name, ell_name, v_name
-from .algebroid import MuStructure, TypicalStructure, t_name
+from .algebroid import TypicalStructure, t_name
 
 
 @dataclass(frozen=True)
@@ -418,11 +418,11 @@ def sigma_bp(tbasis: TypicalBasis):
 # Hurewicz images
 # ---------------------------------------------------------------------------
 
-def hurewicz_mu(structure: MuStructure, poly):
-    """Image of an integral-basis polynomial in the split homology ring:
-    expand over the logarithm coefficients and read them as moving
-    coordinates.  Returns ``(image, integral)``."""
-    out = poly.substitute(structure.x_in_c, structure.c_table)
+def hurewicz_mu(basis: LazardBasis, poly):
+    """Image of an integral-basis polynomial in the homology ring, on the
+    same alphabet with x_k standing for the moving coordinate c_k.
+    Returns ``(image, integral)``."""
+    out = poly.substitute(basis.hurewicz_images, basis.x_table)
     return out, out.is_integral()
 
 

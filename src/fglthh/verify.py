@@ -18,8 +18,8 @@ from .exactalg import (GenTable, GradedPoly, invariant_factors, row_hnf,
 from .series import (TruncatedSeries, fgl_from_log, fgl_formal_sum,
                      series_from_coefficient_table)
 from .fgl import LazardBasis, TypicalBasis, m_name, x_name, ell_name, v_name
-from .algebroid import (MuStructure, TypicalStructure, CoordFlavor,
-                        typicality_filter, b_name, c_name)
+from .algebroid import (MuStructure, TypicalStructure, typicality_filter,
+                        b_name, c_name)
 from .thh import (DeRhamDifferential, ExtElement, sigma_mu_moving, sigma_mu_split,
                   sigma_bp, lambda_in_e, mu_split_flavor, ring_map, hurewicz_mu,
                   hurewicz_bp)
@@ -253,20 +253,19 @@ def verify_mu(flavor_tag, N, d_max):
              for d in range(table.d_max + 1))
     _check(results, "moving and split cohomology tables are isomorphic", ok)
 
-    rep_bar = bar_tor_check(CoordFlavor.moving() if flavor_tag == "mu-moving"
-                            else CoordFlavor.absolute(), 8, 3)
+    rep_bar = bar_tor_check(None, 8, 3)
     _check(results, "bar homology matches the exterior algebra (weight <= 8, q <= 3)",
            rep_bar.all_ok)
 
     cmp_range = min(d_max, 10)
     mov_table = table if flavor_tag == "mu-moving" else other_table
-    cmp = de_rham_comparison(structure, mov, mov_table, cmp_range)
+    cmp = de_rham_comparison(basis, mov, mov_table, cmp_range)
     _check(results, f"de Rham inclusions are chain maps (degree <= {cmp_range})",
            cmp.chain_map_residuals_zero)
 
     ok, top = True, min(N, 4)
     for n in range(1, top + 1):
-        _, integral = hurewicz_mu(structure, GradedPoly.gen(basis.x_table, x_name(n)))
+        _, integral = hurewicz_mu(basis, GradedPoly.gen(basis.x_table, x_name(n)))
         ok = ok and integral
     _check(results, f"homology images of the generators are integral (n <= {top})", ok)
     return results
@@ -341,7 +340,7 @@ def verify_bp(p, max_n, d_max):
     _check(results, "rational injectivity in the logarithmic basis",
            all(rep.injective_weights.values()))
 
-    rep_bar = bar_tor_check(CoordFlavor.typical(p), 8, 3)
+    rep_bar = bar_tor_check(p, 8, 3)
     _check(results, "bar homology matches the exterior algebra (weight <= 8, q <= 3)",
            rep_bar.all_ok)
 

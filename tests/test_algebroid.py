@@ -11,7 +11,7 @@ from fglthh.exactalg import GenTable, GradedPoly, IntegralityError
 from fglthh.fgl import LazardBasis, m_name, x_name, ell_name
 from fglthh.series import (TruncatedSeries, compose, comp_inverse, fgl_formal_sum,
                            fgl_from_log, series_from_coefficient_table)
-from fglthh.algebroid import (CoordFlavor, MuStructure, generic_strict_series,
+from fglthh.algebroid import (MuStructure, generic_strict_series,
                               moving_right_unit, typicality_filter, b_name, c_name)
 from fglthh.thh import lambda_in_e
 from fglthh.verify import verify_mu
@@ -483,13 +483,6 @@ def test_typicality_filter(typical_structures):
     for p, ts in typical_structures.items():
         for k in (1, 2):
             assert typicality_filter(ts, p ** k - 1) == ts.eta_ell(k)
-
-
-def test_coord_flavor_tables():
-    fl = CoordFlavor.typical(3)
-    table = fl.coord_table(2, 8)
-    assert table.weight_of("t_1") == 2
-    assert table.weight_of("t_2") == 8
 
 
 def test_truncation_shortfall(structure6):

@@ -14,9 +14,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fglthh
+import fglthh.algebroid
 import fglthh.cli
 import fglthh.fgl
 from fglthh.cli import Report, emit_report, main, write_json
+from fglthh.cohomology import SMALL_PRIMES
 from fglthh.exactalg import GradedPoly
 from fglthh.fgl import TYPICAL_MAX_N
 from fglthh.series import SeriesError
@@ -390,6 +392,36 @@ def test_each_command_builds_the_lazard_basis_it_reads(capsys, monkeypatch, argv
     assert sizes == built
 
 
+@pytest.mark.parametrize("argv, built", [
+    ("de-rham --max-degree 14 -N 12", 0),
+    *((f"{command} --flavor {flavor} {rest}", built)
+      for flavor in ("mu-moving", "mu-split")
+      for command, rest, built in (("cohomology", "--max-degree 9", 0),
+                                   ("sigma", "--max-n 3", 0),
+                                   ("structure-maps", "--max-n 3", 1),
+                                   ("verify", "--max-degree 6 -N 3", 1))),
+])
+def test_each_command_builds_the_structure_maps_it_reads(capsys, monkeypatch, argv, built):
+    # the structure-map tables are read only by structure-maps and verify
+    made = []
+    init = fglthh.algebroid.MuStructure.__init__
+
+    def recording(self, basis):
+        made.append(basis)
+        init(self, basis)
+
+    monkeypatch.setattr(fglthh.algebroid.MuStructure, "__init__", recording)
+    code, _, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert len(made) == built
+
+
+def test_bar_tor_reads_the_same_weights_for_both_mu_flavors(capsys):
+    rows = [json.loads(run(capsys, "bar-tor", "--flavor", flavor, "--format", "json")[1])
+            ["results"]["bar_tor"] for flavor in ("mu-moving", "mu-split")]
+    assert rows[0] and rows[0] == rows[1]
+
+
 @pytest.mark.parametrize("argv", [
     "sigma --flavor mu-split --max-n 4 -N 3",
     "sigma --flavor mu-moving --max-n 6 -N 2",
@@ -505,15 +537,25 @@ _COMMAND_FLAGS = {
 
 @st.composite
 def small_argvs(draw):
+    """A small argv that mostly computes: ``--prime`` only with bp, a
+    refused or missing prime about one draw in eight, and ``-N`` from the
+    highest generator weight the request reads."""
     command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
-    argv = [command, "--flavor", draw(st.sampled_from(fglthh.cli.FLAVORS)),
-            "-N", str(draw(st.integers(0, 3))),
+    flavor = draw(st.sampled_from(fglthh.cli.FLAVORS))
+    flags = {flag: draw(st.integers(lo, hi))
+             for flag, (lo, hi) in _COMMAND_FLAGS[command].items()}
+    if "--max-degree" in flags:
+        read = max((flags["--max-degree"] + 1) // 2, 1)
+    else:
+        read = max(flags.get("--max-n", 0), 1)
+    argv = [command, "--flavor", flavor, "-N", str(draw(st.integers(read, read + 2))),
             "--format", draw(st.sampled_from(fglthh.cli.FORMATS))]
-    prime = draw(st.sampled_from([None, 2, 3, 4, 5, 7]))
-    if prime is not None:
-        argv += ["--prime", str(prime)]
-    for flag, (lo, hi) in _COMMAND_FLAGS[command].items():
-        argv += [flag, str(draw(st.integers(lo, hi)))]
+    if flavor == "bp":
+        prime = draw(st.sampled_from((*SMALL_PRIMES * 5, None, 7)))
+        if prime is not None:
+            argv += ["--prime", str(prime)]
+    for flag, value in flags.items():
+        argv += [flag, str(value)]
     return argv
 
 

@@ -8,7 +8,6 @@ from fglthh.exactalg import (ComplexViolationError, FinAbGroup, GenTable, Graded
                              IntMatrix, DegreeGuardError, IntegralityError, ResourceGuardError,
                              invariant_factors)
 from fglthh.fgl import LazardBasis, TypicalBasis, x_name, v_name
-from fglthh.algebroid import CoordFlavor
 from fglthh.thh import ExtElement, sigma_bp, sigma_mu_moving, sigma_mu_split
 from fglthh.cohomology import (DeRhamDifferential, staircase,
                                cohomology_groups, localize_table,
@@ -363,7 +362,7 @@ def test_rational_collapse_bp(sigma_bp_tables):
 # ---------------------------------------------------------------------------
 
 def test_bar_tor_moving_full():
-    rep = bar_tor_check(CoordFlavor.moving(), 8, 3)
+    rep = bar_tor_check(None, 8, 3)
     assert rep.all_ok
     for w in range(1, 9):
         assert rep.table[(1, w)] == FinAbGroup(1), w
@@ -375,12 +374,24 @@ def test_bar_tor_moving_full():
 
 def test_bar_tor_typical():
     for p in (2, 3, 5):
-        rep = bar_tor_check(CoordFlavor.typical(p), 8, 3)
+        rep = bar_tor_check(p, 8, 3)
         assert rep.all_ok
         # rank one exactly at the generator weights
         for w in range(1, 9):
             expected = 1 if w in {p ** k - 1 for k in (1, 2, 3)} else 0
             assert rep.table[(1, w)].free_rank == expected
+
+
+def test_bar_generator_weights():
+    # at p = 3 the generators sit in weights 2 and 8; at p = 5 none is in
+    # range through weight 3, so only the unit survives
+    rep = bar_tor_check(3, 8, 1)
+    assert [w for w in range(9) if rep.expected[(1, w)]] == [2, 8]
+    rep = bar_tor_check(5, 3, 3)
+    assert rep.all_ok
+    assert rep.table[(0, 0)] == FinAbGroup(1)
+    assert all(g.is_trivial() for k, g in rep.table.items() if k != (0, 0))
+    assert sum(rep.expected.values()) == 1
 
 
 def bar_bases_oracle(table, weight_max, q_max):
@@ -429,9 +440,8 @@ def expected_rank_oracle(weights, q, w):
     return count
 
 
-@pytest.mark.parametrize("flavor", (CoordFlavor.absolute(), CoordFlavor.moving(),
-                                    CoordFlavor.typical(2)), ids=lambda f: f.tag)
-def test_bar_bases_match_the_recursive_enumeration(flavor, monkeypatch):
+@pytest.mark.parametrize("prime", (None, 2, 3), ids=("one-per-weight", "p2", "p3"))
+def test_bar_bases_match_the_recursive_enumeration(prime, monkeypatch):
     import fglthh.cohomology
     seen = []
 
@@ -441,9 +451,11 @@ def test_bar_bases_match_the_recursive_enumeration(flavor, monkeypatch):
 
     # each bar map's Smith diagonal is taken once, in order of weight, then q
     monkeypatch.setattr(fglthh.cohomology, "invariant_factors", spy)
-    rep = bar_tor_check(flavor, 8, 3)
-    weights = [w for w in (flavor.coord_weight(n) for n in range(1, 9)) if w <= 8]
-    bases = bar_bases_oracle(flavor.coord_table(len(weights), 8), 8, 3)
+    rep = bar_tor_check(prime, 8, 3)
+    weights = (list(range(1, 9)) if prime is None
+               else [w for w in (prime - 1, prime ** 2 - 1, prime ** 3 - 1) if w <= 8])
+    bases = bar_bases_oracle(GenTable([(f"g_{k}", w) for k, w in enumerate(weights, 1)], 8),
+                             8, 3)
     want = []
     for w in range(9):
         for q in range(4):
@@ -462,9 +474,9 @@ def test_bar_bases_match_the_recursive_enumeration(flavor, monkeypatch):
 
 def test_bar_tor_guard():
     with pytest.raises(ResourceGuardError):
-        bar_tor_check(CoordFlavor.moving(), 9, 3)
+        bar_tor_check(None, 9, 3)
     with pytest.raises(ResourceGuardError):
-        bar_tor_check(CoordFlavor.moving(), 8, 4)
+        bar_tor_check(None, 8, 4)
 
 
 def test_a_perturbed_bar_map_is_a_complex_violation(monkeypatch):
@@ -477,7 +489,7 @@ def test_a_perturbed_bar_map_is_a_complex_violation(monkeypatch):
 
     monkeypatch.setattr(cohomology, "IntMatrix", perturbed)
     with pytest.raises(ComplexViolationError, match="do not compose to zero"):
-        bar_tor_check(CoordFlavor.moving(), 4, 2)
+        bar_tor_check(None, 4, 2)
 
 
 class SquareNonzero:
@@ -526,40 +538,40 @@ def test_de_rham_h0_polynomial_ring():
     assert table.groups[0] == FinAbGroup(1)
 
 
-def test_de_rham_comparison(structure10, sigma_moving10, moving_table):
-    rep = de_rham_comparison(structure10, sigma_moving10, moving_table, 10)
+def test_de_rham_comparison(lazard10, sigma_moving10, moving_table):
+    rep = de_rham_comparison(lazard10, sigma_moving10, moving_table, 10)
     assert rep.chain_map_residuals_zero
     # the bracketing maps are rational isomorphisms only: integrally the
-    # middle groups are strictly bigger in several degrees
-    assert rep.thh.groups[5] == FinAbGroup.from_factors(0, [12])
-    assert rep.forms_base.groups[5] == FinAbGroup.from_factors(0, [2])
-    assert rep.forms_coords.groups[5] == FinAbGroup.from_factors(0, [2])
+    # middle groups are strictly bigger in several degrees; one de Rham
+    # table stands for both the base and the homology ring
+    assert moving_table.groups[5] == FinAbGroup.from_factors(0, [12])
+    assert rep.forms.groups[5] == FinAbGroup.from_factors(0, [2])
 
 
-def test_de_rham_comparison_maps_each_coefficient_once(monkeypatch, structure10,
+def test_de_rham_comparison_maps_each_coefficient_once(monkeypatch, lazard10,
                                                       sigma_moving10, moving_table):
     from fglthh import cohomology
 
     seen = []
 
-    def counting(structure, poly):
+    def counting(basis, poly):
         seen.append(frozenset(poly.terms.items()))
-        return real(structure, poly)
+        return real(basis, poly)
 
     real = cohomology.hurewicz_mu
     monkeypatch.setattr(cohomology, "hurewicz_mu", counting)
-    rep = de_rham_comparison(structure10, sigma_moving10, moving_table, 10)
+    rep = de_rham_comparison(lazard10, sigma_moving10, moving_table, 10)
     assert rep.chain_map_residuals_zero
     assert seen and len(seen) == len(set(seen))
 
     # a non-integral image still stops the comparison
     monkeypatch.setattr(cohomology, "hurewicz_mu",
-                        lambda structure, poly: (real(structure, poly)[0], False))
+                        lambda basis, poly: (real(basis, poly)[0], False))
     with pytest.raises(IntegralityError):
-        de_rham_comparison(structure10, sigma_moving10, moving_table, 10)
+        de_rham_comparison(lazard10, sigma_moving10, moving_table, 10)
 
 
-def test_de_rham_comparison_asks_each_position_once(monkeypatch, structure10,
+def test_de_rham_comparison_asks_each_position_once(monkeypatch, lazard10,
                                                     sigma_moving10, moving_table):
     # the induced orders of one target position share one echelon basis,
     # and they match the orders asked one class at a time
@@ -575,13 +587,13 @@ def test_de_rham_comparison_asks_each_position_once(monkeypatch, structure10,
 
     real = CohomologyTable.class_orders
     monkeypatch.setattr(CohomologyTable, "class_orders", counting)
-    rep = de_rham_comparison(structure10, sigma_moving10, moving_table, 10)
+    rep = de_rham_comparison(lazard10, sigma_moving10, moving_table, 10)
     assert asked and len(asked) == len(set(asked))
     assert rep.induced[9] == (("forms->thh", 2, 2), ("forms->thh", 4, 4),
                               ("thh->forms", 2, 2), ("thh->forms", 240, 1))
 
 
-def test_each_staircase_is_assembled_once(monkeypatch, structure10, sigma_moving10):
+def test_each_staircase_is_assembled_once(monkeypatch, lazard10, sigma_moving10):
     from fglthh import cohomology, verify
 
     built = []
@@ -598,7 +610,7 @@ def test_each_staircase_is_assembled_once(monkeypatch, structure10, sigma_moving
     for run in (lambda: verify.verify_bp(2, 3, 10),
                 lambda: verify.verify_mu("mu-split", 5, 10),
                 lambda: cohomology.de_rham_comparison(
-                    structure10, sigma_moving10,
+                    lazard10, sigma_moving10,
                     cohomology.cohomology_groups(sigma_moving10, 10),
                     10)):
         built.clear()

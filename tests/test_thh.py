@@ -329,13 +329,13 @@ def include_forms_to_thh_oracle(sigma_table, source_flavor, elt):
     return out
 
 
-def include_thh_to_forms_oracle(structure, derham_c, elt):
-    out = ExtElement.zero(derham_c.flavor)
+def include_thh_to_forms_oracle(basis, derham, elt):
+    out = ExtElement.zero(derham.flavor)
     for subset, coeff in elt.terms.items():
-        image, integral = hurewicz_mu(structure, coeff)
+        image, integral = hurewicz_mu(basis, coeff)
         if not integral:
             raise IntegralityError("homology image is not integral")
-        out = out + ExtElement(derham_c.flavor, {subset: image})
+        out = out + ExtElement(derham.flavor, {subset: image})
     return out
 
 
@@ -348,16 +348,16 @@ def staircase_elements(diff, d_max):
                     yield basis_element(diff, subset, mono)
 
 
-def test_ring_map_matches_the_three_cochain_maps(structure10, sigma_moving10):
-    conv = lambda_in_e(structure10.basis)
-    split = mu_split_flavor(structure10.basis)
-    derham_l = DeRhamDifferential(structure10.basis.x_table)
-    derham_c = DeRhamDifferential(structure10.c_table)
+def test_ring_map_matches_the_three_cochain_maps(lazard10, sigma_moving10):
+    conv = lambda_in_e(lazard10)
+    split = mu_split_flavor(lazard10)
+    # one de Rham complex is both the base's and the homology ring's
+    derham = DeRhamDifferential(lazard10.x_table)
     sigma_x = {n: sigma_moving10.on_base[x_name(n)] for n in range(1, 11)}
-    dc = {n: ExtElement.ext_gen(derham_c.flavor, n) for n in range(1, 11)}
+    dx = {n: ExtElement.ext_gen(derham.flavor, n) for n in range(1, 11)}
 
     def integral_image(coeff):
-        image, integral = hurewicz_mu(structure10, coeff)
+        image, integral = hurewicz_mu(lazard10, coeff)
         assert integral
         return image
 
@@ -365,12 +365,12 @@ def test_ring_map_matches_the_three_cochain_maps(structure10, sigma_moving10):
     for elt in staircase_elements(sigma_moving10, 10):
         count += 1
         assert ring_map(elt, split, conv) == convert_moving_to_split_oracle(conv, elt)
-        assert (ring_map(elt, derham_c.flavor, dc, integral_image)
-                == include_thh_to_forms_oracle(structure10, derham_c, elt))
-    for elt in staircase_elements(derham_l, 10):
+        assert (ring_map(elt, derham.flavor, dx, integral_image)
+                == include_thh_to_forms_oracle(lazard10, derham, elt))
+    for elt in staircase_elements(derham, 10):
         count += 1
         assert (ring_map(elt, sigma_moving10.flavor, sigma_x)
-                == include_forms_to_thh_oracle(sigma_moving10, derham_l.flavor, elt))
+                == include_forms_to_thh_oracle(sigma_moving10, derham.flavor, elt))
     assert count == 72  # basis elements of both staircase families through d = 10
 
 
@@ -542,15 +542,15 @@ def test_sigma_bp_squares(sigma_bp_tables):
 # homology images
 # ---------------------------------------------------------------------------
 
-def test_hurewicz_mu(structure10, lazard10):
-    c = structure10.c_table
-    c1, c2 = GradedPoly.gen(c, "c_1"), GradedPoly.gen(c, "c_2")
-    img, integral = hurewicz_mu(structure10, xg(lazard10, 1))
+def test_hurewicz_mu(lazard10):
+    # the image is on the integral alphabet, x_k standing for c_k
+    c1, c2 = xg(lazard10, 1), xg(lazard10, 2)
+    img, integral = hurewicz_mu(lazard10, xg(lazard10, 1))
     assert img == -2 * c1 and integral
-    img, integral = hurewicz_mu(structure10, xg(lazard10, 2))
+    img, integral = hurewicz_mu(lazard10, xg(lazard10, 2))
     assert img == 4 * c1 ** 2 - 3 * c2 and integral
     for n in (3, 4):
-        _, integral = hurewicz_mu(structure10, xg(lazard10, n))
+        _, integral = hurewicz_mu(lazard10, xg(lazard10, n))
         assert integral
 
 
