@@ -148,10 +148,11 @@ GOLDEN = {
 }
 
 
-# the integral generators x_1..x_16 in the m basis, each rendered by
-# poly_json and the list dumped with sort_keys; x_n for n > 4 is the
+# the integral generators x_1..x_N in the m basis for N = 16 and 18, each
+# rendered by poly_json and the list dumped with sort_keys; x_n for n > 4 is the
 # representative of the indecomposable modulo the decomposable lattice
 LAZARD_16_X_IN_M = "6c9075cce214a569587ea746d5cdd895859b34fa49ad2878a986d3744ebf82b2"
+LAZARD_18_X_IN_M = "6f82356541d4c6210f3a885ee7a3b15b957163a063d9a6307d9c12ec2972cbc4"
 
 
 # The frontier corpus: mu-moving and mu-split cohomology at the degrees where
@@ -211,11 +212,19 @@ def test_golden_tex_bytes(capsys, command):
     _check(capsys, command, "tex")
 
 
-def test_golden_lazard_16_generators():
-    basis = LazardBasis(16)
-    doc = json.dumps([poly_json(basis.x_in_m[n]) for n in range(1, 17)],
+def _lazard_digest(N):
+    basis = LazardBasis(N)
+    doc = json.dumps([poly_json(basis.x_in_m[n]) for n in range(1, N + 1)],
                      sort_keys=True)
-    assert hashlib.sha256(doc.encode()).hexdigest() == LAZARD_16_X_IN_M
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+def test_golden_lazard_16_generators():
+    assert _lazard_digest(16) == LAZARD_16_X_IN_M
+
+
+def test_golden_lazard_18_generators():
+    assert _lazard_digest(18) == LAZARD_18_X_IN_M
 
 
 def groups_only(doc):
