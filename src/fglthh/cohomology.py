@@ -14,7 +14,7 @@ independent check on the exterior-algebra form of the coalgebra Tor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .exactalg import (GenTable, GradedPoly, FinAbGroup, IntMatrix,
                        ComplexViolationError, IntegralityError, DegreeGuardError,
@@ -27,30 +27,17 @@ from .thh import DeRhamDifferential, ExtElement, hurewicz_mu, ring_map
 # method: a ``SigmaTable``, of which ``DeRhamDifferential`` is one.
 
 
-def _basis_at(diff, degree, q):
-    """Basis (exterior subset, base monomial) of one bidegree."""
-    flavor = diff.flavor
-    indices = [n for n in flavor.ext_indices() if flavor.ext_degree(n) <= degree]
-    out = []
-
-    def subsets(start, count, budget, acc):
-        if count == 0:
-            rest = degree - sum(flavor.ext_degree(n) for n in acc)
-            if rest >= 0 and rest % 2 == 0:
-                for mono in flavor.base.monomials_of_weight(rest // 2):
-                    out.append((tuple(acc), mono))
-            return
-        for k in range(start, len(indices)):
-            n = indices[k]
-            d = flavor.ext_degree(n)
-            if d > budget:
-                break
-            acc.append(n)
-            subsets(k + 1, count - 1, budget - d, acc)
-            acc.pop()
-
-    subsets(0, q, degree, [])
-    out.sort(key=lambda sm: (sm[0], flavor.base.mono_key(sm[1])))
+def _basis_at(diff, k, q):
+    """Basis (exterior subset, base monomial) at position q of the staircase
+    rooted at 2k.  Exterior generator n has degree 2w_n + 1, so every
+    element there has total weight k."""
+    base = diff.flavor.base
+    weights = [w for _, w in base.gens]
+    # a subset heavier than k leaves a negative weight, which has no monomials
+    out = [(subset, mono)
+           for subset in combinations(diff.flavor.ext_indices(), q)
+           for mono in base.monomials_of_weight(k - sum(weights[n - 1] for n in subset))]
+    out.sort(key=lambda sm: (sm[0], base.mono_key(sm[1])))
     return tuple(out)
 
 
@@ -105,15 +92,10 @@ def staircase(diff, root):
     if root > 2 * flavor.base.bound:
         raise DegreeGuardError(
             f"degree {root} exceeds the truncation (weight {flavor.base.bound})")
-    ext_degrees = sorted(flavor.ext_degree(n) for n in flavor.ext_indices())
-    bases = []
-    q = 0
-    while True:
-        min_ext = sum(ext_degrees[:q]) if q <= len(ext_degrees) else None
-        if min_ext is None or min_ext > root + q:
-            break
-        bases.append(_basis_at(diff, root + q, q))
-        q += 1
+    # position q is there while the q lightest generators fit in weight k
+    k = root // 2
+    lightest = accumulate(sorted(w for _, w in flavor.base.gens), initial=0)
+    bases = [_basis_at(diff, k, q) for q, least in enumerate(lightest) if least <= k]
     while len(bases) > 1 and not bases[-1]:
         bases.pop()
 
@@ -177,11 +159,8 @@ def cohomology_groups(diff, d_max):
     for d in range(d_max + 1):
         total = FinAbGroup.trivial()
         gens = []
-        for q in range(d + 1):
-            root = d - q
-            if root < 0 or root % 2:
-                continue
-            stair = stairs[root]
+        for q in range(d % 2, d + 1, 2):
+            stair = stairs[d - q]
             if q >= len(stair.bases) or not stair.bases[q]:
                 continue
             basis = stair.bases[q]
@@ -240,8 +219,7 @@ def log_basis_injectivity(log_table, weight):
     staircase rooted at ``2 * weight`` over the logarithmic alphabet, so the
     check is generator-independent.  Only that first map is built."""
     diff = DeRhamDifferential(log_table)
-    d0 = _map_matrix(diff, _basis_at(diff, 2 * weight, 0),
-                     _basis_at(diff, 2 * weight + 1, 1))
+    d0 = _map_matrix(diff, _basis_at(diff, weight, 0), _basis_at(diff, weight, 1))
     return rational_rank(d0.entries) == d0.cols
 
 

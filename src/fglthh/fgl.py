@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exactalg import (GenTable, GradedPoly, DegreeGuardError,
-                       IntegralityError, ResourceGuardError, ext_gcd, row_hnf,
+                       IntegralityError, ResourceGuardError, row_hnf,
                        reduce_mod_rows)
 from .series import fgl_from_log
 
@@ -24,22 +24,12 @@ def x_name(n):
     return f"x_{n}"
 
 
-def _ext_gcd_combo(values):
-    """Deterministic integer combination achieving gcd(values)."""
-    g = 0
-    combo = [0] * len(values)
-    for k, v in enumerate(values):
-        if v == 0:
-            continue
-        if g == 0:
-            g = abs(v)
-            combo = [0] * len(values)
-            combo[k] = 1 if v > 0 else -1
-            continue
-        g, s, t = ext_gcd(g, v)
-        combo = [c * s for c in combo]
-        combo[k] += t
-    return g, combo
+def _coordinates(poly, index):
+    """Integer coordinates of ``poly`` over the monomials ``index`` numbers."""
+    row = [0] * len(index)
+    for mono, c in poly.terms.items():
+        row[index[mono]] = int(c)
+    return row
 
 
 def lazard_indecomposable_unit(n):
@@ -63,10 +53,10 @@ class LazardBasis:
 
     Generators of weight at most four are the classical choices expressed
     through the universal-law coefficients ``a_ij``; higher generators are
-    selected automatically: an integer combination of ``a_ij`` whose
-    expansion has top-generator coefficient of minimal absolute value,
-    reduced to a canonical representative modulo the decomposable lattice
-    by Hermite normal form.
+    selected automatically: an integer combination of the ``a_ij`` whose
+    expansion has top-generator coefficient of minimal absolute value, read
+    off their echelon basis and reduced to a canonical representative
+    modulo the echelon basis of the decomposables.
     """
 
     CLASSICAL_MAX = 4
@@ -75,13 +65,11 @@ class LazardBasis:
         self.N = N
         self.m_table = GenTable([(m_name(n), n) for n in range(1, N + 1)], N)
         self.x_table = GenTable([(x_name(n), n) for n in range(1, N + 1)], N)
-        self.fgl = fgl_from_log(
+        fgl = fgl_from_log(
             [GradedPoly.gen(self.m_table, m_name(n)) for n in range(1, N + 1)],
             N + 1)
-        self.a_in_m = {}
-        for (i, j), poly in self.fgl.coefficients().items():
-            if i <= j:
-                self.a_in_m[(i, j)] = poly
+        self.a_in_m = {(i, j): poly for (i, j), poly in fgl.coefficients().items()
+                       if i <= j}
         self.x_in_m = {}
         for n in range(1, N + 1):
             if n <= self.CLASSICAL_MAX:
@@ -106,27 +94,19 @@ class LazardBasis:
         return a[(1, 4)]
 
     def _auto_generator(self, n):
-        mono_list = self.m_table.monomials_of_weight(n)
-        mono_index = {m: k for k, m in enumerate(mono_list)}
+        # with m_n's column first, the first echelon row of the a_ij is an
+        # integral combination whose top coefficient is the least positive one
         top = self.m_table.units[self.m_table.index(m_name(n))]
-
-        linear = [(i, n + 1 - i) for i in range(1, (n + 1) // 2 + 1)]
-        tops = [int(self.a_in_m[(i, j)].coefficient_of_gen(m_name(n))) for (i, j) in linear]
-        d, combo = _ext_gcd_combo(tops)
+        monos = (top, *(m for m in self.m_table.monomials_of_weight(n) if m != top))
+        index = {m: k for k, m in enumerate(monos)}
+        first = row_hnf(_coordinates(self.a_in_m[(i, n + 1 - i)], index)
+                        for i in range(1, (n + 1) // 2 + 1))[0][0]
         expect = lazard_indecomposable_unit(n)
-        if d != expect:
+        if first[0] != expect:
             raise IntegralityError(
-                f"indecomposable coefficient {d} at weight {n}, expected {expect}")
-
-        vec = [0] * len(mono_list)
-        for c, (i, j) in zip(combo, linear):
-            if not c:
-                continue
-            for mono, coeff in self.a_in_m[(i, j)].terms.items():
-                vec[mono_index[mono]] += c * int(coeff)
+                f"indecomposable coefficient {first[0]} at weight {n}, expected {expect}")
         # orient the top coefficient negative, matching the low-weight table
-        if vec[mono_index[top]] > 0:
-            vec = [-v for v in vec]
+        vec = [-v for v in first]
 
         decomposables = []
         for mono in self.x_table.monomials_of_weight(n):
@@ -135,22 +115,17 @@ class LazardBasis:
                 continue
             poly = GradedPoly.one(self.m_table)
             for gi, e in pairs:
-                k = int(self.x_table.name(gi).split("_")[1])
-                poly = poly * self.x_in_m[k] ** e
-            row = [0] * len(mono_list)
-            for m, c in poly.terms.items():
-                row[mono_index[m]] = int(c)
-            decomposables.append(row)
-        if decomposables:
-            rank_expected = len(mono_list) - 1
-            hnf, pivots = row_hnf(decomposables)
-            if len(hnf) != rank_expected:
-                raise DegreeGuardError(
-                    f"decomposable lattice at weight {n} is rank-deficient; "
-                    "truncation too small")
-            vec = reduce_mod_rows(hnf, pivots, vec)
-        return GradedPoly(self.m_table,
-                          {mono_list[k]: v for k, v in enumerate(vec) if v})
+                poly = poly * self.x_in_m[gi + 1] ** e
+            decomposables.append(_coordinates(poly, index))
+        hnf, pivots = row_hnf(decomposables)
+        if len(hnf) != len(monos) - 1:
+            raise DegreeGuardError(
+                f"decomposable lattice at weight {n} is rank-deficient; "
+                "truncation too small")
+        # every integral combination with this top coefficient differs from
+        # the row by a decomposable, so the representative is the same
+        vec = reduce_mod_rows(hnf, pivots, vec)
+        return GradedPoly(self.m_table, {monos[k]: v for k, v in enumerate(vec) if v})
 
     # -- conversion ----------------------------------------------------------
 
@@ -205,18 +180,14 @@ class LazardBasis:
         keys = {f"a_{i}_{j}": (i, j) for (i, j) in self.a_in_m if i + j - 1 <= n}
         a_table = GenTable([(name, i + j - 1) for name, (i, j) in keys.items()], n)
         a = [self.a_in_m[keys[name]] for name in a_table.names]
-        m_monos = self.m_table.monomials_of_weight(n)
-        index = {m: k for k, m in enumerate(m_monos)}
+        index = {m: k for k, m in enumerate(self.m_table.monomials_of_weight(n))}
         cols = []
         for mono in a_table.monomials_of_weight(n):
             poly = GradedPoly.one(self.m_table)
             for i, e in a_table.exponents(mono):
                 poly = poly * a[i] ** e
-            col = [0] * len(m_monos)
-            for m, c in poly.terms.items():
-                col[index[m]] = int(c)
-            cols.append(col)
-        rhs = [int(self.x_in_m[n].terms.get(m, 0)) for m in m_monos]
+            cols.append(_coordinates(poly, index))
+        rhs = _coordinates(self.x_in_m[n], index)
         return not any(reduce_mod_rows(*row_hnf(cols), rhs))
 
 

@@ -33,9 +33,6 @@ class ThhFlavor:
     base: GenTable
     ext_prefix: str
 
-    def ext_degree(self, n):
-        return 2 * self.base.gens[n - 1][1] + 1
-
     def ext_indices(self):
         return tuple(range(1, len(self.base) + 1))
 

@@ -2,6 +2,7 @@ import os
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies
 
 from fglthh import cohomology
 from fglthh.exactalg import (ComplexViolationError, FinAbGroup, GenTable, GradedPoly,
@@ -49,6 +50,76 @@ def stair_for_degree(diff, d):
 def unpacked(diff, basis):
     """A staircase basis with each monomial as its ``(index, exponent)`` pairs."""
     return tuple((s, diff.flavor.base.exponents(m)) for s, m in basis)
+
+
+def parent_basis_at(diff, degree, q):
+    """Basis (exterior subset, base monomial) of one bidegree."""
+    flavor = diff.flavor
+    indices = [n for n in flavor.ext_indices() if 2 * flavor.base.gens[n - 1][1] + 1 <= degree]
+    out = []
+
+    def subsets(start, count, budget, acc):
+        if count == 0:
+            rest = degree - sum(2 * flavor.base.gens[n - 1][1] + 1 for n in acc)
+            if rest >= 0 and rest % 2 == 0:
+                for mono in flavor.base.monomials_of_weight(rest // 2):
+                    out.append((tuple(acc), mono))
+            return
+        for k in range(start, len(indices)):
+            n = indices[k]
+            d = 2 * flavor.base.gens[n - 1][1] + 1
+            if d > budget:
+                break
+            acc.append(n)
+            subsets(k + 1, count - 1, budget - d, acc)
+            acc.pop()
+
+    subsets(0, q, degree, [])
+    out.sort(key=lambda sm: (sm[0], flavor.base.mono_key(sm[1])))
+    return tuple(out)
+
+
+def parent_positions(diff, root):
+    """The staircase bases the degree-budget search assembled: every
+    position whose lightest exterior subset fits, then the trailing empty
+    ones trimmed."""
+    flavor = diff.flavor
+    ext_degrees = sorted(2 * w + 1 for _, w in flavor.base.gens)
+    bases = []
+    q = 0
+    while True:
+        min_ext = sum(ext_degrees[:q]) if q <= len(ext_degrees) else None
+        if min_ext is None or min_ext > root + q:
+            break
+        bases.append(parent_basis_at(diff, root + q, q))
+        q += 1
+    while len(bases) > 1 and not bases[-1]:
+        bases.pop()
+    return tuple(bases)
+
+
+def assert_positions_match(diff):
+    for root in range(0, 2 * diff.flavor.base.bound + 1, 2):
+        assert staircase(diff, root).bases == parent_positions(diff, root), root
+
+
+@given(strategies.lists(strategies.integers(1, 8), min_size=1, max_size=6),
+       strategies.integers(0, 5))
+def test_staircase_positions_match_the_degree_budget_search(weights, bound):
+    """A position is the weight-k part of the Koszul complex, k = root / 2:
+    the same bases, interior empty positions included, as the search over
+    exterior subsets under a degree budget, on tables with repeated weights,
+    gaps and weights above the bound."""
+    table = GenTable([(f"y_{k}", w) for k, w in enumerate(weights, 1)], bound)
+    assert_positions_match(DeRhamDifferential(table))
+
+
+def test_staircase_positions_match_on_the_sigma_tables(lazard8, sigma_bp_tables):
+    for diff in (sigma_mu_moving(LazardBasis(N)) for N in range(1, 8)):
+        assert_positions_match(diff)
+    assert_positions_match(sigma_mu_moving(lazard8))
+    for p in (2, 3):
+        assert_positions_match(sigma_bp_tables[p])
 
 
 def test_displayed_two_by_two(sigma_moving10):

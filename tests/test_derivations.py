@@ -140,7 +140,7 @@ def de_rham_form(draw):
     degree = draw(st.integers(0, 16))
     terms = {}
     for subset in [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]:
-        rest = degree - sum(flavor.ext_degree(n) for n in subset)
+        rest = degree - sum(2 * flavor.base.gens[n - 1][1] + 1 for n in subset)
         if rest >= 0 and rest % 2 == 0 and draw(st.booleans()):
             terms[subset] = draw(mixed_poly(flavor.base, rest // 2))
     return ExtElement(flavor, terms)

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from fglthh.exactalg import (GradedPoly, DegreeGuardError, solve_rational_linear,
-                             row_hnf, reduce_mod_rows)
-from fglthh.fgl import (TypicalBasis, lazard_indecomposable_unit,
+import fglthh.fgl
+from fglthh.exactalg import (GradedPoly, DegreeGuardError, IntegralityError,
+                             solve_rational_linear, row_hnf, reduce_mod_rows, ext_gcd)
+from fglthh.fgl import (LazardBasis, TypicalBasis, lazard_indecomposable_unit,
                         m_name, x_name, ell_name, v_name)
 
 
@@ -48,6 +49,90 @@ def test_auto_generator_top_coefficients(lazard10):
 def test_auto_generator_weight_five_is_unit(lazard6):
     # 6 is not a prime power, so the top coefficient is a unit
     assert abs(lazard6.x_in_m[5].coefficient_of_gen(m_name(5))) == 1
+
+
+def _ext_gcd_combo(values):
+    """Deterministic integer combination achieving gcd(values)."""
+    g = 0
+    combo = [0] * len(values)
+    for k, v in enumerate(values):
+        if v == 0:
+            continue
+        if g == 0:
+            g = abs(v)
+            combo = [0] * len(values)
+            combo[k] = 1 if v > 0 else -1
+            continue
+        g, s, t = ext_gcd(g, v)
+        combo = [c * s for c in combo]
+        combo[k] += t
+    return g, combo
+
+
+def ext_gcd_generator(self, n):
+    """The weight-n generator by the extended-gcd route: the combination of
+    the a_ij that ``_ext_gcd_combo`` picks, reduced modulo the decomposables."""
+    mono_list = self.m_table.monomials_of_weight(n)
+    mono_index = {m: k for k, m in enumerate(mono_list)}
+    top = self.m_table.units[self.m_table.index(m_name(n))]
+
+    linear = [(i, n + 1 - i) for i in range(1, (n + 1) // 2 + 1)]
+    tops = [int(self.a_in_m[(i, j)].coefficient_of_gen(m_name(n))) for (i, j) in linear]
+    d, combo = _ext_gcd_combo(tops)
+    expect = lazard_indecomposable_unit(n)
+    if d != expect:
+        raise IntegralityError(
+            f"indecomposable coefficient {d} at weight {n}, expected {expect}")
+
+    vec = [0] * len(mono_list)
+    for c, (i, j) in zip(combo, linear):
+        if not c:
+            continue
+        for mono, coeff in self.a_in_m[(i, j)].terms.items():
+            vec[mono_index[mono]] += c * int(coeff)
+    # orient the top coefficient negative, matching the low-weight table
+    if vec[mono_index[top]] > 0:
+        vec = [-v for v in vec]
+
+    decomposables = []
+    for mono in self.x_table.monomials_of_weight(n):
+        pairs = self.x_table.exponents(mono)
+        if len(pairs) == 1 and pairs[0][1] == 1:
+            continue
+        poly = GradedPoly.one(self.m_table)
+        for gi, e in pairs:
+            k = int(self.x_table.name(gi).split("_")[1])
+            poly = poly * self.x_in_m[k] ** e
+        row = [0] * len(mono_list)
+        for m, c in poly.terms.items():
+            row[mono_index[m]] = int(c)
+        decomposables.append(row)
+    if decomposables:
+        rank_expected = len(mono_list) - 1
+        hnf, pivots = row_hnf(decomposables)
+        if len(hnf) != rank_expected:
+            raise DegreeGuardError(
+                f"decomposable lattice at weight {n} is rank-deficient; "
+                "truncation too small")
+        vec = reduce_mod_rows(hnf, pivots, vec)
+    return GradedPoly(self.m_table,
+                      {mono_list[k]: v for k, v in enumerate(vec) if v})
+
+
+def test_generators_match_the_extended_gcd_route():
+    """Two integral combinations of the a_ij with the same top coefficient
+    differ by a decomposable, so the echelon row and the extended-gcd
+    combination reduce to the same representative."""
+    basis = LazardBasis(16)
+    for n in range(5, 17):
+        assert basis.x_in_m[n] == ext_gcd_generator(basis, n), n
+
+
+def test_a_wrong_indecomposable_unit_is_an_integrality_error(monkeypatch):
+    monkeypatch.setattr(fglthh.fgl, "lazard_indecomposable_unit",
+                        lambda n: 2 * lazard_indecomposable_unit(n))
+    with pytest.raises(IntegralityError, match="at weight 5, expected 2"):
+        LazardBasis(5)
 
 
 def test_rewrite_examples(lazard6):
@@ -153,7 +238,6 @@ def a_span_columns_oracle(basis, n):
 
 
 def test_a_span_lattice_matches_the_recursive_expansion(lazard10, monkeypatch):
-    import fglthh.fgl
     seen = []
 
     def spy(rows):

@@ -133,7 +133,8 @@ def reference_sigma_prime(table, elt):
     out = ExtElement.zero(table.flavor)
     for subset, coeff in elt.terms.items():
         piece = reference_sigma(table, ExtElement(table.flavor, {subset: coeff}))
-        d = 2 * coeff.weight() + sum(table.flavor.ext_degree(n) for n in subset)
+        base = table.flavor.base
+        d = 2 * coeff.weight() + sum(2 * base.gens[n - 1][1] + 1 for n in subset)
         out = out + (piece.scale(-1) if d % 2 else piece)
     return out
 
@@ -161,7 +162,7 @@ def draw_element(data, table):
     by_degree = {}
     for size in range(4):
         for subset in combinations(flavor.ext_indices(), size):
-            ext = sum(flavor.ext_degree(n) for n in subset)
+            ext = sum(2 * base.gens[n - 1][1] + 1 for n in subset)
             for w in range(min(base.bound, 20) + 1):
                 if ext + 2 * w < 2 * base.bound and base.monomials_of_weight(w):
                     by_degree.setdefault(ext + 2 * w, []).append((subset, w))
