@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .exactalg import (GenTable, GradedPoly, IntegralityError,
-                       DegreeGuardError, poly_sum)
+                       DegreeGuardError, Substitution, poly_sum)
 from .series import (compose, comp_inverse, power_table,
                      series_from_coefficient_table)
 from .fgl import LazardBasis, TypicalBasis, m_name, ell_name
@@ -119,11 +119,12 @@ class MuStructure:
         return out
 
     @cached_property
-    def _m_images_xb(self):
-        return self.basis.m_images(self.xb_table)
+    def _m_to_xb(self):
+        """The m -> x rewrite on the split alphabet, prepared once."""
+        return Substitution(self.mb_table, self.basis.m_images(self.xb_table), self.xb_table)
 
     def _rewrite_mb_to_xb(self, poly):
-        return poly.substitute(self._m_images_xb, self.xb_table)
+        return poly.substitute(self._m_to_xb, self.xb_table)
 
     # -- right unit, moving coordinates ---------------------------------------
 

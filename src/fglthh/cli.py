@@ -21,7 +21,7 @@ from .exactalg import ExactAlgError, ResourceGuardError, Style
 from .fgl import LazardBasis, TypicalBasis, x_name, v_name
 from .algebroid import MuStructure, TypicalStructure
 from .thh import (ExtElement, sigma_mu_moving, sigma_mu_split, sigma_bp,
-                  lambda_in_e)
+                  _split_with_conversion)
 from .cohomology import (SMALL_PRIMES, cohomology_groups, localize_table,
                          bp_degree_range, bar_tor_check, de_rham_cohomology,
                          de_rham_comparison)
@@ -400,7 +400,7 @@ def cmd_sigma(args):
     else:
         basis = _lazard_basis(_require_truncation(args.truncation, max_n=args.max_n))
         if args.flavor == "mu-split":
-            sig, conv = sigma_mu_split(basis), lambda_in_e(basis)
+            sig, conv = _split_with_conversion(basis, sigma_mu_moving(basis))
             rows = {f"sigma(x_{n})": sig.on_base[x_name(n)] for n in ns}
             rows.update({f"sigma(e_{n})": sig.on_ext[n] for n in ns})
             rows.update({f"lambda'_{n}": conv[n] for n in ns})

@@ -480,34 +480,23 @@ class GradedPoly:
     def substitute(self, images, target):
         """Ring-map substitution.
 
-        ``images`` maps generator names to polynomials over ``target``;
-        generators without an image must exist in ``target`` with the same
-        weight.  Each image must be zero or homogeneous of the generator's
-        weight, so substitution preserves homogeneity.
+        ``images`` is a :class:`Substitution` from this polynomial's table to
+        ``target``, or the mapping of generator names to images that
+        prepares one for this call alone.
 
         Terms are grouped by their mapped part, the sub-monomial over the
         generators with an image.  Each group costs one product of image
-        powers, each power computed once per ``(index, exponent)``; the rest
-        of each term is read across to ``target`` as a cofactor.  Every
-        image is scaled by the lcm d of its denominators, so these products
-        are integral, and so is each coefficient ``c / prod d^e`` over the
-        common denominator of them all.
+        powers, each power computed once per ``(index, exponent)`` and map;
+        the rest of each term is read across to ``target`` as a cofactor.
+        The images are scaled to integers, so these products are integral,
+        and so is each coefficient ``c / prod d^e`` over the common
+        denominator of them all.
         """
-        for name, img in images.items():
-            if img.table != target:
-                raise GeneratorTableError(f"image of {name!r} is not over the target table")
-            w = img.weight()
-            if w is not None and w != self.table.weight_of(name):
-                raise GradedWeightError(f"image of {name!r} has weight {w}, "
-                                        f"expected {self.table.weight_of(name)}")
-        source = self.table
-        scaled, denom = [], []
-        for name in source.names:
-            img = images.get(name)
-            d = 1 if img is None else math.lcm(
-                *(c.denominator for c in img.terms.values() if type(c) is not int))
-            scaled.append(img if d == 1 else img.scale(d))
-            denom.append(d)
+        ring = (images if isinstance(images, Substitution)
+                else Substitution(self.table, images, target))
+        if ring.source != self.table or ring.target != target:
+            raise GeneratorTableError("the substitution maps between other tables")
+        source, scaled, denom = self.table, ring.scaled, ring.denom
         groups = {}
         for mono, c in self.terms.items():
             mapped, den = 0, 1
@@ -519,16 +508,13 @@ class GradedPoly:
                 c if den == 1 else _norm_coeff(Fraction(c, den)))
         common = math.lcm(*(s.denominator for rest in groups.values()
                             for s in rest.values() if type(s) is not int))
-        pow_cache, out = {}, {}
+        out = {}
         get = out.get
         one = GradedPoly.one(target)
         for mapped, rest in groups.items():
             acc = one
             for i, e in source.exponents(mapped):
-                factor = pow_cache.get((i, e))
-                if factor is None:
-                    factor = pow_cache[(i, e)] = scaled[i] ** e
-                acc = acc * factor
+                acc = acc * ring.power(i, e)
                 if not acc.terms:
                     break
             if not acc.terms:
@@ -539,6 +525,47 @@ class GradedPoly:
                 out[m] = get(m, 0) + a
         return GradedPoly._raw(target, {m: v if common == 1 else _norm_coeff(Fraction(v, common))
                                         for m, v in out.items() if v})
+
+
+class Substitution:
+    """A ring map from ``source`` to ``target``, prepared once and applied
+    by :meth:`GradedPoly.substitute` to any number of polynomials.
+
+    ``images`` maps generator names to polynomials over ``target``;
+    generators without an image must exist in ``target`` with the same
+    weight.  Each image must be zero or homogeneous of the generator's
+    weight, so substitution preserves homogeneity.  Each image is scaled by
+    the lcm d of its denominators (``scaled``, ``denom``; None and 1 for a
+    generator without an image), and each power of a scaled image is
+    computed on first use and kept.
+    """
+
+    __slots__ = ("source", "target", "scaled", "denom", "_powers")
+
+    def __init__(self, source, images, target):
+        for name, img in images.items():
+            if img.table != target:
+                raise GeneratorTableError(f"image of {name!r} is not over the target table")
+            w = img.weight()
+            if w is not None and w != source.weight_of(name):
+                raise GradedWeightError(f"image of {name!r} has weight {w}, "
+                                        f"expected {source.weight_of(name)}")
+        self.source, self.target = source, target
+        self.scaled, self.denom = [], []
+        for name in source.names:
+            img = images.get(name)
+            d = 1 if img is None else math.lcm(
+                *(c.denominator for c in img.terms.values() if type(c) is not int))
+            self.scaled.append(img if d == 1 else img.scale(d))
+            self.denom.append(d)
+        self._powers = {}
+
+    def power(self, i, e):
+        """The scaled image of generator ``i`` to the ``e``."""
+        factor = self._powers.get((i, e))
+        if factor is None:
+            factor = self._powers[(i, e)] = self.scaled[i] ** e
+        return factor
 
 
 def _accumulate(total, piece):

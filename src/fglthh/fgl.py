@@ -11,9 +11,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exactalg import (GenTable, GradedPoly, DegreeGuardError,
-                       IntegralityError, ResourceGuardError, row_hnf,
-                       reduce_mod_rows)
-from .series import fgl_from_log
+                       IntegralityError, ResourceGuardError, Substitution,
+                       row_hnf, reduce_mod_rows)
+from .series import lazard_coefficients
 
 
 def m_name(n):
@@ -65,17 +65,19 @@ class LazardBasis:
         self.N = N
         self.m_table = GenTable([(m_name(n), n) for n in range(1, N + 1)], N)
         self.x_table = GenTable([(x_name(n), n) for n in range(1, N + 1)], N)
-        fgl = fgl_from_log(
+        self.a_in_m = lazard_coefficients(
             [GradedPoly.gen(self.m_table, m_name(n)) for n in range(1, N + 1)],
             N + 1)
-        self.a_in_m = {(i, j): poly for (i, j), poly in fgl.coefficients().items()
-                       if i <= j}
         self.x_in_m = {}
+        # x-monomial -> its expansion over the m's, each one lighter product
+        # times one generator; kept only while the generators are chosen
+        products = {0: GradedPoly.one(self.m_table)}
         for n in range(1, N + 1):
             if n <= self.CLASSICAL_MAX:
                 self.x_in_m[n] = self._fixed_generator(n)
             else:
-                self.x_in_m[n] = self._auto_generator(n)
+                self.x_in_m[n] = self._auto_generator(n, products)
+            products[self.x_table.units[n - 1]] = self.x_in_m[n]
         self._m_in_x = {}
         for n in range(1, N + 1):
             if self.x_in_m[n].coefficient_of_gen(m_name(n)) == 0:
@@ -93,7 +95,18 @@ class LazardBasis:
             return a[(2, 2)] - a[(1, 3)]
         return a[(1, 4)]
 
-    def _auto_generator(self, n):
+    def _product(self, mono, products):
+        """The expansion of the x-monomial ``mono`` over the m's: the product
+        of the monomial without one factor of its lightest generator, built
+        once in ``products``, and that generator."""
+        poly = products.get(mono)
+        if poly is None:
+            i = self.x_table.exponents(mono)[0][0]
+            poly = products[mono] = (self._product(mono - self.x_table.units[i], products)
+                                     * self.x_in_m[i + 1])
+        return poly
+
+    def _auto_generator(self, n, products):
         # with m_n's column first, the first echelon row of the a_ij is an
         # integral combination whose top coefficient is the least positive one
         top = self.m_table.units[self.m_table.index(m_name(n))]
@@ -110,13 +123,8 @@ class LazardBasis:
 
         decomposables = []
         for mono in self.x_table.monomials_of_weight(n):
-            pairs = self.x_table.exponents(mono)
-            if len(pairs) == 1 and pairs[0][1] == 1:
-                continue
-            poly = GradedPoly.one(self.m_table)
-            for gi, e in pairs:
-                poly = poly * self.x_in_m[gi + 1] ** e
-            decomposables.append(_coordinates(poly, index))
+            if mono != self.x_table.units[n - 1]:
+                decomposables.append(_coordinates(self._product(mono, products), index))
         hnf, pivots = row_hnf(decomposables)
         if len(hnf) != len(monos) - 1:
             raise DegreeGuardError(
@@ -139,8 +147,13 @@ class LazardBasis:
         w = poly.weight()
         if w > self.N:
             raise DegreeGuardError(f"weight {w} exceeds the basis table (N={self.N})")
-        out = poly.substitute(self.m_images(self.x_table), self.x_table)
+        out = poly.substitute(self._m_to_x, self.x_table)
         return out, out.is_integral()
+
+    @cached_property
+    def _m_to_x(self):
+        """The m -> x rewrite, prepared once for every call."""
+        return Substitution(self.m_table, self.m_images(self.x_table), self.x_table)
 
     def m_in_x(self, n):
         """The weight-n logarithm coefficient in the integral basis.

@@ -228,10 +228,6 @@ class FGLaw:
     def a(self, i, j):
         return self.series.coeff((i, j))
 
-    def coefficients(self):
-        return {e: p for e, p in self.series.coeffs.items()
-                if e[0] >= 1 and e[1] >= 1}
-
     def evaluate(self, s, t):
         """``F(s, t)`` for series with zero constant term (any arity)."""
         if s.nvars != t.nvars or s.bound != t.bound:
@@ -268,20 +264,19 @@ def power_table(f):
     return rows
 
 
-def fgl_from_log(m_list, bound):
-    """Universal formal group law from its logarithm coefficients.
+def _binomial_coefficients(m_list, bound, pairs):
+    """``{(a, b): [x^a y^b] F}`` over ``pairs`` for the universal formal group
+    law with logarithm coefficients ``m_list``.
 
     ``m_list[n-1]`` is the weight-``n`` logarithm coefficient (the
     coefficient of ``x^(n+1)``); ``F(x,y) = exp(log(x) + log(y))`` where
     ``exp = sum e_k z^k`` is the compositional inverse of ``log``.  Expanding
     ``(log x + log y)^k`` by the binomial formula, with
     ``P[i][a] = [x^a] log(x)^i``, gives ``[x^a y^b] F = sum_i P[i][a] R[i][b]``
-    where ``R[i][b] = sum_j C(i+j, i) e_(i+j) P[j][b]``: O(bound^3) products of
-    one-variable coefficients and no two-variable composition.  Every
-    coefficient, those with ``a = 0`` or ``b = 0`` and both of each
-    symmetric pair included, is computed, so the identity and symmetry
-    checks below test the construction.  With all coefficients zero this
-    yields the additive law ``x + y``.
+    where ``R[i][b] = sum_j C(i+j, i) e_(i+j) P[j][b]``: products of
+    one-variable coefficients and no two-variable composition.  ``P[i][a]``
+    vanishes unless ``i <= a`` and ``P[0][a]`` unless ``a = 0``, so only the
+    ``R[i][b]`` some pair reads are built.
     """
     if not m_list:
         raise SeriesError("logarithm coefficients required (may be zero polynomials)")
@@ -293,13 +288,40 @@ def fgl_from_log(m_list, bound):
     exp = comp_inverse(log)
     e = [exp.coeff(k) for k in range(bound + 1)]
     P = power_table(log)
-    R = []
-    for i in range(bound + 1):
-        ce = [e[i + j].scale(comb(i + j, i)) for j in range(bound + 1 - i)]
-        R.append([_dot(table, ((ce[j], P[j][b]) for j in range(b + 1)))
-                  for b in range(bound + 1 - i)])
-    coeffs = {(a, b): _dot(table, ((P[i][a], R[i][b]) for i in range(a + 1)))
-              for a in range(bound + 1) for b in range(bound + 1 - a)}
+    ce, R = {}, {}
+
+    def r(i, b):
+        if (i, b) not in R:
+            if i not in ce:
+                ce[i] = [e[i + j].scale(comb(i + j, i)) for j in range(bound + 1 - i)]
+            R[i, b] = _dot(table, ((ce[i][j], P[j][b]) for j in range(b + 1)))
+        return R[i, b]
+
+    return {(a, b): _dot(table, ((P[i][a], r(i, b)) for i in range(min(a, 1), a + 1)))
+            for a, b in pairs}
+
+
+def lazard_coefficients(m_list, bound):
+    """The coefficients ``a_ij`` with ``1 <= i <= j`` and ``i + j <= bound``
+    of the universal formal group law, the half a Lazard basis reads: no
+    ``i = 0`` or ``j = 0`` edge and no mirrored ``a_ji``.  The same binomial
+    formula as :func:`fgl_from_log`, without its law checks."""
+    return _binomial_coefficients(
+        m_list, bound,
+        [(i, j) for i in range(1, bound // 2 + 1) for j in range(i, bound + 1 - i)])
+
+
+def fgl_from_log(m_list, bound):
+    """Universal formal group law from its logarithm coefficients, by the
+    binomial formula of :func:`_binomial_coefficients`.  Every coefficient,
+    those with ``a = 0`` or ``b = 0`` and both of each symmetric pair
+    included, is computed, so the identity and symmetry checks below test
+    the construction.  With all coefficients zero this yields the additive
+    law ``x + y``.
+    """
+    coeffs = _binomial_coefficients(
+        m_list, bound, [(a, b) for a in range(bound + 1) for b in range(bound + 1 - a)])
+    table = m_list[0].table
     law = FGLaw(table, bound, TruncatedSeries(table, 2, bound, coeffs))
     # F(x, 0) = x and symmetry are construction invariants; fail loudly if broken
     for (i, j), p in law.series.coeffs.items():

@@ -360,12 +360,17 @@ def sigma_mu_split(basis: LazardBasis):
     ``lambda_in_e``: the ``lambda'_k`` coefficient of ``sigma(x_n)`` in
     moving coordinates is ``dx_n/dm_k``.  ``verify`` compares it with the
     b-linear part of the full right unit."""
+    return _split_with_conversion(basis, sigma_mu_moving(basis))[0]
+
+
+def _split_with_conversion(basis: LazardBasis, moving):
+    """The split table carried across from the moving table ``moving`` of
+    ``basis``, and the conversion ``lambda_in_e(basis)`` that carries it."""
     flavor = mu_split_flavor(basis)
-    moving = sigma_mu_moving(basis)
     conv = lambda_in_e(basis)
     return split_sigma_table(flavor, {
         x_name(n): ring_map(moving.on_base[x_name(n)], flavor, conv)
-        for n in range(1, basis.N + 1)})
+        for n in range(1, basis.N + 1)}), conv
 
 
 def lambda_in_e(basis: LazardBasis):

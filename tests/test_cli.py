@@ -481,7 +481,7 @@ def test_series_error_is_a_contract_violation(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise SeriesError("insufficient truncation data for the requested bound")
 
-    monkeypatch.setattr(fglthh.fgl, "fgl_from_log", broken)
+    monkeypatch.setattr(fglthh.fgl, "lazard_coefficients", broken)
     code, _, err = run(capsys, "structure-maps", "--flavor", "mu-moving",
                        "--max-n", "2", "-N", "2")
     assert code == 1

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fglthh.exactalg import (DegreeGuardError, GenTable, GeneratorTableError,
-                             GradedPoly, GradedWeightError, _norm_coeff)
+                             GradedPoly, GradedWeightError, Substitution, _norm_coeff)
 
 from test_derivations import de_rham_partials
 
@@ -392,6 +392,41 @@ def test_substitute_matches_tuple_kernel(data):
     want = as_tuple_poly(a).substitute(
         {n: as_tuple_poly(img) for n, img in images.items()}, TupleTable(table))
     assert unpacked(got) == want.terms
+
+
+@given(st.data())
+def test_prepared_substitution_matches_one_shot_and_tuple_kernel(data):
+    # one prepared map applied in turn to polynomials of several weights, so
+    # later ones read the powers that earlier ones cached
+    table = data.draw(st.sampled_from(TABLES))
+    mapped = data.draw(st.lists(st.sampled_from(table.names), unique=True))
+    images = {name: data.draw(st.one_of(st.just(GradedPoly.zero(table)),
+                                        homogeneous(table, table.weight_of(name))))
+              for name in mapped}
+    prepared = Substitution(table, images, table)
+    tuple_images = {n: as_tuple_poly(img) for n, img in images.items()}
+    weights = [w for w in range(table.bound + 1) if table.monomials_of_weight(w)]
+    for w in data.draw(st.lists(st.sampled_from(weights), min_size=1, max_size=4)):
+        a = data.draw(homogeneous(table, w))
+        got = a.substitute(prepared, table)
+        assert got == a.substitute(images, table)
+        assert unpacked(got) == as_tuple_poly(a).substitute(
+            tuple_images, TupleTable(table)).terms
+
+
+def test_prepared_substitution_keeps_its_tables():
+    source = GenTable([("u", 1), ("w", 2)], 4)
+    target = GenTable([("x", 1), ("y", 1)], 4)
+    x, y = GradedPoly.gen(target, "x"), GradedPoly.gen(target, "y")
+    prepared = Substitution(source, {"u": x.scale(Fraction(1, 2)), "w": x * y}, target)
+    u, w = GradedPoly.gen(source, "u"), GradedPoly.gen(source, "w")
+    assert (u ** 2 * w).substitute(prepared, target) == (x ** 3 * y).scale(Fraction(1, 4))
+    with pytest.raises(GeneratorTableError):
+        (u * w).extend_to(source.union(target)).substitute(prepared, target)
+    with pytest.raises(GeneratorTableError):
+        (u * w).substitute(prepared, source.union(target))
+    with pytest.raises(GradedWeightError):
+        Substitution(source, {"w": x}, target)
 
 
 # ---------------------------------------------------------------------------

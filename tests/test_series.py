@@ -8,7 +8,7 @@ from fglthh import series
 from fglthh.exactalg import GenTable, GradedPoly
 from fglthh.series import (TruncatedSeries, SeriesError, compose, comp_inverse,
                            series_from_coefficient_table, fgl_from_log,
-                           fgl_formal_sum)
+                           fgl_formal_sum, lazard_coefficients)
 
 
 N = 7
@@ -22,6 +22,11 @@ def bgen(n):
 
 def mgen(n):
     return GradedPoly.gen(M, f"m_{n}")
+
+
+def mixed_coefficients(law):
+    """The coefficients ``a_ij`` of a law with ``i, j >= 1``."""
+    return {e: p for e, p in law.series.coeffs.items() if e[0] >= 1 and e[1] >= 1}
 
 
 def generic_b_series(bound=N + 1):
@@ -177,16 +182,16 @@ def test_law_low_coefficients(law):
 def test_additive_law():
     zeros = [GradedPoly.zero(M) for _ in range(5)]
     law = fgl_from_log(zeros, 6)
-    assert not law.coefficients()
+    assert not mixed_coefficients(law)
 
 
 def test_law_symmetry(law):
-    for (i, j) in law.coefficients():
+    for (i, j) in mixed_coefficients(law):
         assert law.a(i, j) == law.a(j, i)
 
 
 def test_law_coefficient_weights(law):
-    for (i, j), poly in law.coefficients().items():
+    for (i, j), poly in mixed_coefficients(law).items():
         assert poly.weight() == i + j - 1
 
 
@@ -232,7 +237,7 @@ def test_formal_sum_hand_expansion(law):
     # F(x, c1 x^2) = x + c1 x^2 + a_{11} c1 x^3 + ... by direct substitution
     mc = GenTable([(f"m_{n}", n) for n in range(1, 8)] + [("c_1", 1)], N)
     lawc = fgl_from_log([GradedPoly.gen(mc, f"m_{n}") for n in range(1, N + 1)], law.bound)
-    assert lawc.coefficients() == {e: p.extend_to(mc) for e, p in law.coefficients().items()}
+    assert mixed_coefficients(lawc) == {e: p.extend_to(mc) for e, p in mixed_coefficients(law).items()}
     x = TruncatedSeries.variable(mc, lawc.bound)
     c1 = GradedPoly.gen(mc, "c_1")
     t = TruncatedSeries.monomial(mc, lawc.bound, c1, 2)
@@ -287,7 +292,7 @@ def test_fraction_log_matches_composition():
     m_list = [mgen(k).scale(Fraction(1, k + 1)) for k in range(1, N + 1)]
     law = fgl_from_log(m_list, N + 1)
     assert law.series == composed_law(m_list, N + 1)
-    assert not all(p.is_integral() for p in law.coefficients().values())
+    assert not all(p.is_integral() for p in mixed_coefficients(law).values())
 
 
 def test_law_makes_no_composition(monkeypatch):
@@ -316,3 +321,27 @@ def test_symmetry_check_catches_a_broken_law(monkeypatch):
 def test_fgl_from_log_insufficient_data():
     with pytest.raises(SeriesError):
         fgl_from_log([mgen(1)], 6)
+    with pytest.raises(SeriesError):
+        lazard_coefficients([mgen(1)], 6)
+    with pytest.raises(SeriesError):
+        lazard_coefficients([], 6)
+
+
+# ---------------------------------------------------------------------------
+# the half law a Lazard basis reads
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_lazard_coefficients_are_the_upper_half_of_the_law(n):
+    table = GenTable([(f"m_{k}", k) for k in range(1, n + 1)], n)
+    m_list = [GradedPoly.gen(table, f"m_{k}") for k in range(1, n + 1)]
+    law = fgl_from_log(m_list, n + 1)
+    half = {(i, j): p for (i, j), p in mixed_coefficients(law).items() if i <= j}
+    assert lazard_coefficients(m_list, n + 1) == half
+
+
+def test_lazard_coefficients_of_a_fraction_log():
+    m_list = [mgen(k).scale(Fraction(1, k + 1)) for k in range(1, N + 1)]
+    law = fgl_from_log(m_list, N + 1)
+    assert lazard_coefficients(m_list, N + 1) == {
+        (i, j): p for (i, j), p in mixed_coefficients(law).items() if i <= j}

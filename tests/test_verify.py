@@ -7,13 +7,13 @@ part of the full right unit, as its oracle.
 
 import pytest
 
-from fglthh import thh, verify
+from fglthh import cli, thh, verify
 from fglthh.algebroid import MuStructure
 from fglthh.cli import main
 from fglthh.exactalg import GradedPoly
 from fglthh.fgl import LazardBasis, x_name
-from fglthh.thh import (ExtElement, lambda_in_e, mu_split_flavor,
-                        sigma_mu_split, split_sigma_table)
+from fglthh.thh import (ExtElement, _split_with_conversion, lambda_in_e,
+                        mu_split_flavor, sigma_mu_split, split_sigma_table)
 from fglthh.verify import _linear_split_part, split_sigma_by_definition
 
 AGREE = "moving and split sigma agree under the exterior conversion"
@@ -52,32 +52,53 @@ def test_verify_passes_the_first_order_routes(capsys):
     assert _verify_split(capsys) == (0, [f"[ok] {AGREE}"])
 
 
-@pytest.mark.parametrize("modules", [(thh,), (verify,), (thh, verify)],
-                         ids=["in-the-table", "in-verify", "in-both"])
-def test_verify_sees_a_changed_conversion_coefficient(monkeypatch, capsys, modules):
+def test_verify_sees_a_changed_conversion_coefficient(monkeypatch, capsys):
     # the x_2 coefficient of e_1 in lambda'_3 goes from 1 to 421; a multiple
     # of 420 keeps every division of the sigma(e_n) solve exact for n <= 6.
-    # sigma_mu_split reads the thh binding, and verify compares its own.
+    # verify compares the conversion that carried its split table across.
     def perturbed(basis):
         conv = dict(lambda_in_e(basis))
         x2 = GradedPoly.gen(basis.x_table, x_name(2))
         conv[3] = conv[3] + ExtElement.ext_gen(conv[3].flavor, 1, x2.scale(420))
         return conv
 
-    for module in modules:
-        monkeypatch.setattr(module, "lambda_in_e", perturbed)
+    monkeypatch.setattr(thh, "lambda_in_e", perturbed)
     assert _verify_split(capsys) == (1, [f"[FAIL] {AGREE}"])
 
 
 def test_verify_sees_a_changed_table_coefficient(monkeypatch, capsys):
     # the x_4 coefficient of e_1 in sigma(x_5) goes up by one, and sigma(e_5)
     # is solved again, so that sigma still squares to zero
-    def perturbed(basis):
-        sig = sigma_mu_split(basis)
+    def perturbed(basis, moving):
+        sig, conv = _split_with_conversion(basis, moving)
         on_base = dict(sig.on_base)
         x4 = GradedPoly.gen(basis.x_table, x_name(4))
         on_base[x_name(5)] = on_base[x_name(5)] + ExtElement.ext_gen(sig.flavor, 1, x4)
-        return split_sigma_table(sig.flavor, on_base)
+        return split_sigma_table(sig.flavor, on_base), conv
 
-    monkeypatch.setattr(verify, "sigma_mu_split", perturbed)
+    monkeypatch.setattr(verify, "_split_with_conversion", perturbed)
     assert _verify_split(capsys) == (1, [f"[FAIL] {AGREE}"])
+
+
+def test_split_and_conversion_are_built_once(monkeypatch, capsys):
+    counts = {"moving": 0, "conversion": 0}
+    moving, conversion = thh.sigma_mu_moving, thh.lambda_in_e
+
+    def counting_moving(basis):
+        counts["moving"] += 1
+        return moving(basis)
+
+    def counting_conversion(basis):
+        counts["conversion"] += 1
+        return conversion(basis)
+
+    for module in (thh, verify, cli):
+        if hasattr(module, "sigma_mu_moving"):
+            monkeypatch.setattr(module, "sigma_mu_moving", counting_moving)
+    monkeypatch.setattr(thh, "lambda_in_e", counting_conversion)
+    assert _verify_split(capsys)[0] == 0
+    assert counts == {"moving": 1, "conversion": 1}
+    counts.update(moving=0, conversion=0)
+    assert main(["sigma", "--flavor", "mu-split", "--max-n", "4", "-N", "4"]) == 0
+    capsys.readouterr()
+    assert counts == {"moving": 1, "conversion": 1}
