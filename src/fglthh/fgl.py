@@ -171,14 +171,16 @@ class LazardBasis:
         return self._m_in_x[n]
 
     @cached_property
-    def hurewicz_images(self):
-        """Images of the integral generators in the homology ring, on the
-        integral alphabet: ``x_in_m[n]`` with each ``m_k`` read as ``x_k``,
-        the weight-k generator standing for the moving coordinate ``c_k``."""
+    def hurewicz_map(self):
+        """The Hurewicz map on the integral alphabet, prepared once: the image
+        of each integral generator is ``x_in_m[n]`` with each ``m_k`` read as
+        ``x_k``, the weight-k generator standing for the moving coordinate
+        ``c_k``."""
         m_as_x = {m_name(k): GradedPoly.gen(self.x_table, x_name(k))
                   for k in range(1, self.N + 1)}
-        return {x_name(n): self.x_in_m[n].substitute(m_as_x, self.x_table)
-                for n in range(1, self.N + 1)}
+        return Substitution(self.x_table, {
+            x_name(n): self.x_in_m[n].substitute(m_as_x, self.x_table)
+            for n in range(1, self.N + 1)}, self.x_table)
 
     def m_images(self, target):
         """Images of every logarithm generator in the integral basis,

@@ -424,7 +424,7 @@ def hurewicz_mu(basis: LazardBasis, poly):
     """Image of an integral-basis polynomial in the homology ring, on the
     same alphabet with x_k standing for the moving coordinate c_k.
     Returns ``(image, integral)``."""
-    out = poly.substitute(basis.hurewicz_images, basis.x_table)
+    out = poly.substitute(basis.hurewicz_map, basis.x_table)
     return out, out.is_integral()
 
 

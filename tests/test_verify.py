@@ -10,11 +10,11 @@ import pytest
 from fglthh import cli, thh, verify
 from fglthh.algebroid import MuStructure
 from fglthh.cli import main
-from fglthh.exactalg import GradedPoly
+from fglthh.exactalg import GradedPoly, Substitution
 from fglthh.fgl import LazardBasis, x_name
 from fglthh.thh import (ExtElement, _split_with_conversion, lambda_in_e,
                         mu_split_flavor, sigma_mu_split, split_sigma_table)
-from fglthh.verify import _linear_split_part, split_sigma_by_definition
+from fglthh.verify import _linear_split_part, split_sigma_by_definition, verify_mu
 
 AGREE = "moving and split sigma agree under the exterior conversion"
 
@@ -102,3 +102,17 @@ def test_split_and_conversion_are_built_once(monkeypatch, capsys):
     assert main(["sigma", "--flavor", "mu-split", "--max-n", "4", "-N", "4"]) == 0
     capsys.readouterr()
     assert counts == {"moving": 1, "conversion": 1}
+
+
+def test_verify_sees_a_substitution_that_is_not_multiplicative(monkeypatch):
+    # the ring-map check reads each monomial's image once; a prepared map
+    # whose squares are doubled must still fail it
+    name = "right unit is a ring map (all pairs, weight <= 5)"
+    power = Substitution.power
+
+    def doubled_squares(self, i, e):
+        return power(self, i, e).scale(2) if e == 2 else power(self, i, e)
+
+    assert {r.name: r.ok for r in verify_mu("mu-moving", 3, 3)}[name]
+    monkeypatch.setattr(Substitution, "power", doubled_squares)
+    assert not {r.name: r.ok for r in verify_mu("mu-moving", 3, 3)}[name]
