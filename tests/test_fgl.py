@@ -162,8 +162,7 @@ def test_round_trip(lazard10):
 def test_basis_multiplication_count(monkeypatch):
     """``LazardBasis(12)`` multiplies 1,451 pairs of polynomials: the law is
     built only where ``a_ij`` has i <= j, and each decomposable x-monomial
-    is one lighter product times one generator.  The whole law with every
-    decomposable rebuilt from powers took 3,368."""
+    is one lighter product times one generator."""
     calls = []
     mul = GradedPoly.__mul__
 
