@@ -266,10 +266,8 @@ def typicality_filter(tstruct: TypicalStructure, n):
     p = tstruct.tbasis.p
     target = tstruct.ellt_table
     poly = moving_right_unit(n)
-    used = {poly.table.name(i) for mono in poly.terms
-            for i, _ in poly.table.exponents(mono)}
     images = {}
-    for name in used:
+    for name in poly.table.names:  # distinct divisor pairs: each occurs in a term
         family, j = name.split("_")
         j = int(j)
         k, q = 0, 1

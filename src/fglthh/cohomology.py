@@ -33,12 +33,12 @@ def _basis_at(diff, k, q):
     element there has total weight k."""
     base = diff.flavor.base
     weights = [w for _, w in base.gens]
-    # a subset heavier than k leaves a negative weight, which has no monomials
-    out = [(subset, mono)
-           for subset in combinations(diff.flavor.ext_indices(), q)
-           for mono in base.monomials_of_weight(k - sum(weights[n - 1] for n in subset))]
-    out.sort(key=lambda sm: (sm[0], base.mono_key(sm[1])))
-    return tuple(out)
+    # subsets come in lexicographic order, each with its monomials in
+    # canonical order; a subset heavier than k leaves a negative weight,
+    # which has no monomials
+    return tuple((subset, mono)
+                 for subset in combinations(diff.flavor.ext_indices(), q)
+                 for mono in base.monomials_of_weight(k - sum(weights[n - 1] for n in subset)))
 
 
 @dataclass(frozen=True)

@@ -193,7 +193,8 @@ class GenTable:
         return coeff < 0, style.times.join(factors)
 
     def monomials_of_weight(self, w):
-        """All monomials of the given weight, in canonical order."""
+        """All monomials of the given weight, in canonical order: each
+        exponent, from generator 0 on, runs from its largest value down."""
         if w < 0:
             return ()
         self.check_weight(w)
@@ -207,13 +208,11 @@ class GenTable:
                     return
                 if i >= len(gens) or gens[i][1] > rem:
                     return
-                rec(i + 1, rem, acc)
                 wt = gens[i][1]
-                for e in range(1, rem // wt + 1):
+                for e in range(rem // wt, -1, -1):
                     rec(i + 1, rem - e * wt, acc + e * units[i])
 
             rec(0, w, 0)
-            out.sort(key=self.mono_key)
             self._mono_cache[w] = tuple(out)
         return self._mono_cache[w]
 
@@ -1142,54 +1141,32 @@ def _check_cocycle(d_out, vector):
         raise ValueError("vector is not a cocycle")
 
 
-# Columns independent over Q are dependent modulo this prime only when it
-# divides every maximal minor, so the test below rarely declines a map.
-_RANK_PRIME = 2**31 - 1
-
-
 def _injective(matrix):
-    """True when the columns of ``matrix`` are independent modulo
-    ``_RANK_PRIME``, which makes it injective over Z; False otherwise,
-    including when they are independent over Q alone.
+    """True when every column of ``matrix`` is nonzero and ends (has its
+    last nonzero entry) in a row that no other column ends in; False
+    otherwise, including for injective maps of any other shape.
 
-    The columns are eliminated as sparse dict rows in echelon form by their
-    last nonzero position, each pivot scaled to 1; a column stops the test
-    as soon as it reduces to zero.
+    Such columns are independent over Z: in a nonzero combination, the
+    column that ends lowest among those used is the only one to reach its
+    last row.  Every position-0 map of a positive-root staircase has this
+    shape, since the lambda_n coefficient of sigma(x_n) is a nonzero
+    constant.
     """
     if matrix.rows < matrix.cols:
         return False
-    p = _RANK_PRIME
-    pivots = {}  # last nonzero position -> reduced column with a 1 there
-    for col in zip(*matrix.entries):
-        v = {i: x % p for i, x in enumerate(col) if x % p}
-        while v:
-            i = max(v)
-            w = pivots.get(i)
-            if w is None:
-                break
-            c = v[i]
-            for j, y in w.items():
-                x = (v.get(j, 0) - c * y) % p
-                if x:
-                    v[j] = x
-                else:
-                    del v[j]
-        if not v:
-            return False
-        inv = pow(v[i], -1, p)
-        pivots[i] = {j: x * inv % p for j, x in v.items()}
-    return True
+    ends = [max((i for i, x in enumerate(col) if x), default=-1)
+            for col in zip(*matrix.entries)]
+    return -1 not in ends and len(set(ends)) == len(ends)
 
 
 def subquotient_group(d_in, d_out):
     """``Subquotient`` of ``ker(d_out)/im(d_in)`` for composable maps.
 
     ``d_in`` maps into the middle module (its rows), ``d_out`` maps out of it
-    (its columns).  When the columns of ``d_out`` are independent modulo
-    ``_RANK_PRIME``, ``d_out`` is injective over Z: an integer kernel vector
-    divided by its content is nonzero modulo p and would be a kernel vector
-    there.  Then the group is trivial, ``d_in`` must be zero, and no Smith
-    form is taken.  Otherwise, for ``d_out`` of rank ``r``, the columns of
+    (its columns).  When every column of ``d_out`` ends in a row of its own
+    (``_injective``), ``d_out`` is injective over Z.  Then the group is
+    trivial, ``d_in`` must be zero, and no Smith form is taken.
+    Otherwise, for ``d_out`` of rank ``r``, the columns of
     its ``V`` past ``r`` span the (saturated) kernel and the rows of
     ``V^-1`` past ``r`` give kernel coordinates, so ``d_in`` is rejected
     when the first ``r`` rows of ``V^-1 d_in`` do not vanish; the rest are

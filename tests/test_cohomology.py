@@ -691,10 +691,24 @@ def test_each_staircase_is_assembled_once(monkeypatch, lazard10, sigma_moving10)
         assert len(keys) == len(set(keys))
 
 
-def test_injective_position_zero_maps_take_no_smith_form(monkeypatch, sigma_moving10):
-    # sigma is injective on the base ring in positive degree, so position 0
-    # of each positive root has trivial cohomology; its outgoing map is
-    # certified injective modulo a prime and never reaches the Smith form
+# the tables whose positive-root position-0 maps are checked below, each
+# through its degree range: the fixture, the key into it, and d_max; the
+# de Rham table on weights (1, 1, 2, 3) has no fixture
+POSITION_ZERO_TABLES = {
+    "mu-moving": ("sigma_moving10", None, 20),
+    "mu-split": ("sigma_split10", None, 20),
+    **{f"bp-{p}": ("sigma_bp_tables", p, bp_degree_range(p)) for p in (2, 3, 5)},
+    "de-rham-1123": (None, None, 20),
+}
+
+
+@pytest.mark.parametrize("name", POSITION_ZERO_TABLES)
+def test_injective_position_zero_maps_take_no_smith_form(monkeypatch, request, name):
+    # lambda_n sits one degree above the n-th base generator, so its
+    # coefficient in the differential of that generator is a nonzero
+    # constant: every column of a positive-root position-0 map ends in a row
+    # of its own, the map passes the shape test and never reaches the Smith
+    # form, and position 0 has trivial cohomology
     from fglthh import exactalg
 
     made = []
@@ -705,10 +719,18 @@ def test_injective_position_zero_maps_take_no_smith_form(monkeypatch, sigma_movi
 
     real = exactalg.smith_normal_form_full
     monkeypatch.setattr(exactalg, "smith_normal_form_full", recording)
-    table = cohomology_groups(sigma_moving10, 12)
+    fixture, index, d_max = POSITION_ZERO_TABLES[name]
+    if fixture is None:
+        table = de_rham_cohomology([("y_1", 1), ("y_2", 1), ("y_3", 2), ("y_4", 3)], d_max)
+    else:
+        diff = request.getfixturevalue(fixture)
+        table = cohomology_groups(diff if index is None else diff[index], d_max)
     assert made
-    for root in range(2, 13, 2):
+    roots = [root for root in range(2, d_max + 1, 2) if table.stairs[root].bases[0]]
+    assert roots
+    for root in roots:
         d_out = table.stairs[root].diffs[0]
+        assert exactalg._injective(d_out)
         assert d_out.cols and table.by_q[(root, 0)].is_trivial()
         # by identity: a relations matrix may equal a small outgoing map
         assert not any(m is d_out for m in made)

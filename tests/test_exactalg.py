@@ -3,7 +3,7 @@ import math
 import types
 from bisect import bisect_right, insort
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -157,6 +157,20 @@ def test_product_kernel_matches_references(m1, m2, a, b):
             == naive_poly_mul(a, b))
     for c in prod.terms.values():
         assert type(c) is int or c.denominator != 1
+
+
+# weights with repeats, and with the gaps p^n - 1 of the Hazewinkel alphabets
+table_weights = st.lists(st.integers(1, 5) | st.sampled_from([1, 2, 3, 7, 8, 15, 24, 26]),
+                         min_size=1, max_size=4)
+
+
+@given(table_weights, st.integers(0, 16))
+def test_monomials_of_weight_is_the_sorted_brute_force_list(ws, w):
+    table = GenTable([(f"g_{i}", wt) for i, wt in enumerate(ws)], 30)
+    brute = [table.pack(enumerate(exps))
+             for exps in product(*(range(w // wt + 1) for _, wt in table.gens))
+             if sum(e * wt for e, (_, wt) in zip(exps, table.gens)) == w]
+    assert table.monomials_of_weight(w) == tuple(sorted(brute, key=table.mono_key))
 
 
 # ---------------------------------------------------------------------------
@@ -846,18 +860,14 @@ def test_injective_outgoing_map_rejects_a_nonzero_incoming_map():
     assert smith_route(d_in, d_out) == "image does not lie in the kernel"
 
 
-P = exactalg._RANK_PRIME
-
-
 @pytest.mark.parametrize("rows", [
-    [[P], [0]],                          # zero modulo the prime
-    [[P, 0], [0, 1], [2 * P, 0]],        # a column of multiples of the prime
-    [[1, 1], [1, 1 + P]],                # determinant P: singular modulo it
-    [[1, 0, 1], [0, 1, 1], [1, 1, P + 2], [0, 0, 0]],  # c3 = c1 + c2 mod P
+    [[1, 1], [1, 2]],                    # both columns end in row 1
+    [[2, 0], [0, 0], [1, 1]],            # both end in the last row
+    [[1, 0, 1], [0, 1, 1], [1, 1, 3], [0, 0, 0]],  # all three end in row 2
 ])
-def test_injective_over_z_but_not_modulo_the_prime(monkeypatch, rows):
-    # a miss of the test falls back to the Smith form, which finds the map
-    # injective over Z all the same
+def test_injective_maps_of_another_shape_take_the_smith_form(monkeypatch, rows):
+    # a miss of the shape test falls back to the Smith form, which finds the
+    # map injective over Z all the same
     d_out = IntMatrix.from_rows(rows)
     assert rational_rank(d_out.entries) == d_out.cols
     assert not exactalg._injective(d_out)
@@ -886,18 +896,31 @@ def column_matrices(draw, entry):
     return IntMatrix.from_rows(list(zip(*cols)) if m else [()] * b, cols=m)
 
 
-@given(column_matrices(st.integers(-3, 3)))
-def test_injective_is_the_rational_rank_on_small_entries(M):
-    # every maximal minor is below the prime in size (Hadamard: at most
-    # (3 * sqrt(6))^6 < 2^31 - 1), so independence over Q holds modulo it
-    assert exactalg._injective(M) == (rational_rank(M.entries) == M.cols)
+@st.composite
+def distinct_end_matrices(draw, entry):
+    """Matrices whose columns end (have their last nonzero entry) in
+    distinct rows, drawn in any order."""
+    m = draw(st.integers(0, 6))
+    b = draw(st.integers(m, 7))
+    ends = draw(st.permutations(range(b)))[:m]
+    cols = [[draw(entry) for _ in range(e)] + [draw(entry.filter(bool))] + [0] * (b - 1 - e)
+            for e in ends]
+    return IntMatrix.from_rows(list(zip(*cols)) if m else [()] * b, cols=m)
 
 
-@given(column_matrices(st.integers(-3, 3).map(lambda x: x * P)
-                       | st.integers(-3, 3) | st.integers(-2**40, 2**40)))
+entries = st.integers(-3, 3) | st.integers(-2**40, 2**40)
+
+
+@given(distinct_end_matrices(entries))
+def test_injective_accepts_columns_that_end_in_distinct_rows(M):
+    assert exactalg._injective(M)
+
+
+@given(column_matrices(entries) | distinct_end_matrices(entries))
+@example(IntMatrix.from_rows([[1, 0], [0, 0]]))  # a zero column ends nowhere
 def test_injective_is_never_true_for_dependent_columns(M):
-    if rational_rank(M.entries) < M.cols:
-        assert not exactalg._injective(M)
+    if exactalg._injective(M):
+        assert rational_rank(M.entries) == M.cols
 
 
 @given(st.data())
