@@ -261,15 +261,15 @@ def bar_tor_check(prime, weight_max, q_max):
     table = GenTable([(f"y_{k}", w) for k, w in enumerate(weights, 1)], weight_max)
 
     # position q, weight w: the q-tuples of positive monomials of total
-    # weight w, each a tuple at position q-1 extended by one monomial
+    # weight w, each one monomial ahead of a tuple at position q-1; taking
+    # the first monomial in canonical order (weight first) keeps each list
+    # in canonical order, compared monomial by monomial
     bases = {(0, w): [()] if w == 0 else [] for w in range(weight_max + 1)}
     for q in range(1, q_max + 2):
         for w in range(weight_max + 1):
-            bases[(q, w)] = sorted(
-                (tup + (mono,) for part in range(1, w + 1)
-                 for tup in bases[(q - 1, w - part)]
-                 for mono in table.monomials_of_weight(part)),
-                key=lambda tup: tuple(table.mono_key(m) for m in tup))
+            bases[(q, w)] = [(mono,) + tup for part in range(1, w + 1)
+                             for mono in table.monomials_of_weight(part)
+                             for tup in bases[(q - 1, w - part)]]
 
     def differential(q, w):
         dom = bases[(q, w)]

@@ -61,8 +61,6 @@ def _norm_coeff(c):
         return c
     if isinstance(c, Fraction):
         return int(c) if c.denominator == 1 else c
-    if isinstance(c, int):
-        return c
     raise TypeError(f"exact coefficient expected, got {type(c).__name__}")
 
 
@@ -349,16 +347,8 @@ class GradedPoly:
         if self.table is not other.table and self.table != other.table:
             raise GeneratorTableError("operands do not share a generator table")
 
-    def _coerce(self, other):
-        if isinstance(other, GradedPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GradedPoly.const(self.table, other)
-        return NotImplemented
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, GradedPoly):
             return NotImplemented
         self._check_table(other)
         if self.terms and other.terms:
@@ -374,21 +364,16 @@ class GradedPoly:
                 out.pop(mono, None)
         return GradedPoly._raw(self.table, out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return GradedPoly._raw(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, GradedPoly):
             return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, GradedPoly):
-            if isinstance(other, (int, Fraction)):
-                return self.scale(other)
             return NotImplemented
         self._check_table(other)
         table, left, right = self.table, self.terms, other.terms
@@ -866,11 +851,11 @@ def smith_normal_form_full(matrix):
                             Ai[j] -= q * x
                         row_ops.append(("add", i, t, q))
                         lows[i] = None
+            # the sweeps leave remainders in [0, pivot), so a swapped-in
+            # pivot is positive, as the one chosen above was made
             dirty = next((i for i in range(t + 1, n) if A[i][t]), None)
             if dirty is not None:
                 swap_rows(t, dirty)
-                if A[t][t] < 0:
-                    negate_row(t)
                 continue
             for j in range(t + 1, m):
                 if A[t][j]:
@@ -878,8 +863,6 @@ def smith_normal_form_full(matrix):
             dirty = next((j for j in range(t + 1, m) if A[t][j]), None)
             if dirty is not None:
                 swap_cols(t, dirty)
-                if A[t][t] < 0:
-                    negate_row(t)
                 continue
             if A[t][t] == 1:
                 break

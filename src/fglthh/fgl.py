@@ -44,7 +44,6 @@ def lazard_indecomposable_unit(n):
             return p
         if k % p == 0:
             return 1
-    return 1
 
 
 class LazardBasis:
@@ -142,8 +141,6 @@ class LazardBasis:
         integral basis.  Returns ``(result, integral)``."""
         if poly.is_zero():
             return GradedPoly.zero(self.x_table), True
-        if poly.table != self.m_table:
-            poly = poly.extend_to(self.m_table)
         w = poly.weight()
         if w > self.N:
             raise DegreeGuardError(f"weight {w} exceeds the basis table (N={self.N})")
@@ -289,8 +286,6 @@ class TypicalBasis:
     def rewrite_ell_to_v(self, poly):
         """Rewrite a polynomial in the logarithmic basis into the Hazewinkel
         basis; returns ``(result, p_locally_integral)``."""
-        if poly.table != self.ell_table:
-            poly = poly.extend_to(self.ell_table)
         out = poly.substitute(self.ell_images(self.v_table), self.v_table)
         if not out.denominators_are_powers_of(self.p):
             raise IntegralityError("denominators are not powers of the prime")

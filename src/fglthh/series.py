@@ -72,8 +72,6 @@ class TruncatedSeries:
 
     def is_strict(self):
         """Zero constant term and leading coefficient one (single variable)."""
-        if self.nvars != 1:
-            return False
         if self.coeffs.get((0,)) is not None:
             return False
         return self.coeffs.get((1,)) == GradedPoly.one(self.table)
@@ -112,12 +110,9 @@ class TruncatedSeries:
                 out[e] = prod if cur is None else _accumulate(cur, prod)
         return TruncatedSeries(self.table, self.nvars, self.bound, out)
 
-    def scale(self, poly_or_scalar):
-        if isinstance(poly_or_scalar, GradedPoly):
-            return TruncatedSeries(self.table, self.nvars, self.bound,
-                                   {e: p * poly_or_scalar for e, p in self.coeffs.items()})
+    def scale(self, poly):
         return TruncatedSeries(self.table, self.nvars, self.bound,
-                               {e: p.scale(poly_or_scalar) for e, p in self.coeffs.items()})
+                               {e: p * poly for e, p in self.coeffs.items()})
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries) and self.table == other.table

@@ -132,8 +132,6 @@ class ExtElement:
         return ExtElement(self.flavor, out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if isinstance(other, GradedPoly):
             return ExtElement(self.flavor,
                               {s: other * p for s, p in self.terms.items()})

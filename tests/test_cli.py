@@ -16,11 +16,13 @@ from hypothesis import example, given, settings, strategies as st
 import fglthh
 import fglthh.algebroid
 import fglthh.cli
+import fglthh.cohomology
 import fglthh.fgl
+import fglthh.verify
 from fglthh.cli import Report, emit_report, main, write_json
 from fglthh.cohomology import SMALL_PRIMES
-from fglthh.exactalg import GradedPoly
-from fglthh.fgl import TYPICAL_MAX_N
+from fglthh.exactalg import GradedPoly, IntegralityError, Substitution
+from fglthh.fgl import TYPICAL_MAX_N, m_name
 from fglthh.series import SeriesError
 from fglthh.thh import ExtElement
 
@@ -475,6 +477,98 @@ def test_output_file(tmp_path, capsys):
         # the file and stdout receive the same streamed bytes
         assert target.read_bytes() == stdout.encode("utf-8")
     assert json.loads((tmp_path / "out.json").read_text())["schema"] == "fgl-thh/1"
+
+
+VERIFY_MU = ("verify", "--flavor", "mu-moving", "--max-degree", "6", "-N", "3")
+VERIFY_BP = ("verify", "--flavor", "bp", "--prime", "2", "--max-degree", "6")
+
+
+def _wrap(monkeypatch, owner, name, perturb):
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: perturb(original, *args))
+
+
+def _break_counit(monkeypatch):
+    # eta(m_n) doubled: the counit takes it to 2 m_n
+    _wrap(monkeypatch, fglthh.algebroid.MuStructure, "eta_m",
+          lambda eta_m, self, n: eta_m(self, n).scale(2))
+
+
+def _break_moving_counit(monkeypatch):
+    # m_n added to the moving right unit: the counit takes it to 2 m_n
+    _wrap(monkeypatch, fglthh.algebroid.MuStructure, "eta_m_moving",
+          lambda eta, self, n: eta(self, n) + GradedPoly.gen(self.mc_table, m_name(n)))
+
+
+def _break_ring_map(monkeypatch):
+    # a prepared substitution whose squares are doubled is not multiplicative
+    _wrap(monkeypatch, Substitution, "power",
+          lambda power, self, i, e: power(self, i, e).scale(2 if e == 2 else 1))
+
+
+def _break_involution(monkeypatch):
+    class Negated(fglthh.algebroid.MuStructure):
+        def __init__(self, basis):
+            super().__init__(basis)
+            self.chi[1] = self.chi[1].scale(-1)
+
+    monkeypatch.setattr(fglthh.verify, "MuStructure", Negated)
+
+
+def _break_pn_ell(monkeypatch):
+    def refused(self, n):
+        raise IntegralityError(f"p^{n} ell_{n} is not integral at p={self.p}")
+
+    monkeypatch.setattr(fglthh.fgl.TypicalBasis, "pn_ell", refused)
+
+
+def _break_typicality(monkeypatch):
+    _wrap(monkeypatch, fglthh.verify, "typicality_filter",
+          lambda flt, tstruct, n: flt(tstruct, n).scale(2))
+
+
+@pytest.mark.parametrize("argv, perturb, name", [
+    (VERIFY_MU, _break_counit, "counit composed with right unit is the identity"),
+    (VERIFY_MU, _break_moving_counit, "counit composed with right unit is the identity"),
+    (VERIFY_MU, _break_ring_map, "right unit is a ring map (all pairs, weight <= 5)"),
+    (VERIFY_MU, _break_involution, "conjugation is an involution (n <= 3)"),
+    (VERIFY_BP, _break_pn_ell, "p^n ell_n lies in the Hazewinkel span"),
+    (VERIFY_BP, _break_typicality, "p-typicalization filter matches the p-typical right unit"),
+], ids=["counit", "moving-counit", "ring-map", "involution", "pn-ell", "typicality"])
+def test_verify_reports_each_broken_contract(capsys, monkeypatch, argv, perturb, name):
+    # one map broken: its check prints [FAIL] and is named on one stderr line
+    perturb(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert f"[FAIL] {name}" in out.splitlines()
+    assert err.startswith("failed: ") and err.count("\n") == 1
+    assert name in err[len("failed: "):-1].split("; ")
+    assert "Traceback" not in err
+
+
+def _break_bar_torsion(monkeypatch):
+    # every Smith diagonal doubled: each bar group gains torsion
+    _wrap(monkeypatch, fglthh.cohomology, "invariant_factors",
+          lambda factors, matrix: tuple(2 * a for a in factors(matrix)))
+
+
+def _break_de_rham_inclusion(monkeypatch):
+    # the homology image of every positive-weight coefficient is zero
+    _wrap(monkeypatch, fglthh.cohomology, "hurewicz_mu",
+          lambda hurewicz, basis, poly: (GradedPoly.zero(basis.x_table), True)
+          if poly.weight() else hurewicz(basis, poly))
+
+
+@pytest.mark.parametrize("argv, perturb, message", [
+    (("bar-tor",), _break_bar_torsion, "bar homology does not match the exterior algebra"),
+    (("de-rham", "--max-degree", "8", "-N", "4"), _break_de_rham_inclusion,
+     "a de Rham inclusion fails to be a chain map"),
+], ids=["bar-tor", "de-rham"])
+def test_a_broken_command_contract_is_a_contract_violation(capsys, monkeypatch, argv,
+                                                           perturb, message):
+    perturb(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"contract violation: {message}\n")
 
 
 def test_series_error_is_a_contract_violation(capsys, monkeypatch):

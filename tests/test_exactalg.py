@@ -15,6 +15,8 @@ from fglthh.exactalg import (
     SmithDecomposition, smith_normal_form_full, invariant_factors,
     solve_rational_linear, solve_integer, subquotient_group, group_from_diagonals,
     class_orders, generates, row_hnf, reduce_mod_rows, rational_rank, p_part, ext_gcd)
+from fglthh.series import TruncatedSeries
+from fglthh.thh import ExtElement, ThhFlavor
 from fglthh.verify import minor_gcd_invariants
 
 from test_derivations import de_rham_partials
@@ -61,6 +63,22 @@ def test_table_mismatch():
     other = GenTable([("b_1", 1)], 80)
     with pytest.raises(GeneratorTableError):
         g("b_1") + GradedPoly.gen(other, "b_1")
+
+
+def test_numbers_meet_polynomials_only_as_scalars():
+    # a number multiplies from the left or through scale; a number sum or a
+    # right factor on a polynomial is refused, never silently promoted
+    poly = g("x_1") * g("b_2") - 3 * g("x_3")
+    elt = ExtElement.ext_gen(ThhFlavor("test", TABLE, "e"), 1, poly)
+    series = TruncatedSeries.variable(TABLE, 4)
+    assert 2 * poly == poly.scale(2)
+    assert elt * 2 == elt.scale(2)
+    for refused in (lambda: poly + 1, lambda: 1 + poly, lambda: poly - 1,
+                    lambda: poly * 2, lambda: 2 * elt, lambda: series.scale(2)):
+        with pytest.raises(TypeError):
+            refused()
+    assert GradedPoly.zero(TABLE) == 0
+    assert poly != 0
 
 
 def test_weight_and_integrality():

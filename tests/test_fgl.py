@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fglthh.fgl
-from fglthh.exactalg import (GradedPoly, DegreeGuardError, IntegralityError,
-                             solve_rational_linear, row_hnf, reduce_mod_rows, ext_gcd)
+from fglthh.exactalg import (GenTable, GradedPoly, DegreeGuardError, GeneratorTableError,
+                             IntegralityError, solve_rational_linear, row_hnf,
+                             reduce_mod_rows, ext_gcd)
 from fglthh.fgl import (LazardBasis, TypicalBasis, lazard_indecomposable_unit,
                         m_name, x_name, ell_name, v_name)
 
@@ -281,6 +282,13 @@ def test_a_span_lattice_matches_the_recursive_expansion(lazard10, monkeypatch):
 def test_weight_guard(lazard6):
     with pytest.raises(DegreeGuardError):
         lazard6.rewrite_m_to_x(mg(lazard6, 1) ** 7)
+
+
+def test_rewrite_refuses_another_table(lazard6):
+    # the m -> x rewrite is prepared over the log table and widens nothing
+    wider = GenTable(lazard6.m_table.gens, 12)
+    with pytest.raises(GeneratorTableError):
+        lazard6.rewrite_m_to_x(GradedPoly.gen(wider, m_name(1)))
 
 
 # ---------------------------------------------------------------------------
