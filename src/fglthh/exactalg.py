@@ -316,26 +316,11 @@ class GradedPoly:
             raise GradedWeightError(f"inhomogeneous polynomial: weights {lo} and {hi}")
         return lo
 
-    def coefficient(self, pairs):
-        """Coefficient of the monomial with these ``(index, exponent)`` pairs."""
-        return self.terms.get(self.table.pack(pairs), 0)
-
     def coefficient_of_gen(self, name):
         return self.terms.get(self.table.units[self.table.index(name)], 0)
 
     def is_integral(self):
         return all(isinstance(c, int) for c in self.terms.values())
-
-    def denominators_are_powers_of(self, p):
-        for c in self.terms.values():
-            if isinstance(c, int):
-                continue
-            d = c.denominator
-            while d % p == 0:
-                d //= p
-            if d != 1:
-                return False
-        return True
 
     def sorted_terms(self):
         mask = self.table.mask

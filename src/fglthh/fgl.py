@@ -12,7 +12,7 @@ from functools import cached_property
 
 from .exactalg import (GenTable, GradedPoly, DegreeGuardError,
                        IntegralityError, ResourceGuardError, Substitution,
-                       row_hnf, reduce_mod_rows)
+                       p_part, row_hnf, reduce_mod_rows)
 from .series import lazard_coefficients
 
 
@@ -279,14 +279,11 @@ class TypicalBasis:
                 self.v_table, v_name(n - i)) ** (p ** i)
         return acc
 
-    def ell_images(self, target):
-        return {ell_name(n): self.ell_in_v[n].extend_to(target)
-                for n in range(1, self.max_n + 1)}
-
     def rewrite_ell_to_v(self, poly):
         """Rewrite a polynomial in the logarithmic basis into the Hazewinkel
         basis; returns ``(result, p_locally_integral)``."""
-        out = poly.substitute(self.ell_images(self.v_table), self.v_table)
-        if not out.denominators_are_powers_of(self.p):
+        out = poly.substitute({ell_name(n): self.ell_in_v[n]
+                               for n in range(1, self.max_n + 1)}, self.v_table)
+        if any(p_part(c.denominator, self.p) != c.denominator for c in out.terms.values()):
             raise IntegralityError("denominators are not powers of the prime")
         return out, out.is_integral()

@@ -4,11 +4,11 @@ Elements live in ``base (x) E(exterior generators)`` for one of three
 flavors: moving coordinates (lambda'), split coordinates (e) over the
 integral Lazard basis, and the p-typical case (lambda) over Hazewinkel
 generators.  The sigma operator is a degree +1 right derivation vanishing
-on the lambda generators; in the split flavor its exterior values are
-forced by the vanishing of its square.  The p-typical table comes from the
-defining recursion alone; ``verify`` checks it forward, in the ell basis.
-The de Rham differential is a table of the same kind, and every map between
-these rings is one ``ring_map``, fixed by its values on generators.
+on the lambda generators, in the split flavor on the lambda' generators
+written in e.  The p-typical table comes from the defining recursion alone;
+``verify`` checks it forward, in the ell basis.  The de Rham differential
+is a table of the same kind, and every map between these rings is one
+``ring_map``, fixed by its values on generators.
 """
 
 from __future__ import annotations
@@ -140,10 +140,6 @@ class ExtElement:
     def __eq__(self, other):
         return (isinstance(other, ExtElement) and self.flavor == other.flavor
                 and self.terms == other.terms)
-
-    def coefficient(self, subset, pairs):
-        poly = self.terms.get(tuple(subset))
-        return 0 if poly is None else poly.coefficient(pairs)
 
     def is_integral(self):
         return all(p.is_integral() for p in self.terms.values())
@@ -332,22 +328,15 @@ def sigma_mu_moving(basis: LazardBasis):
     return SigmaTable(flavor, on_base)
 
 
-def split_sigma_table(flavor, on_base):
-    """The split-coordinate table with base values ``on_base``: the exterior
-    values are solved inductively from the vanishing of sigma squared, with
-    exact division."""
+def split_sigma_table(flavor, on_base, conv):
+    """The split-coordinate table with base values ``on_base``, carried
+    across from a moving table by the conversion ``conv``.  Sigma vanishes
+    on each ``lambda'_k``, so on ``conv[k] = -e_k + (terms in e_i, i < k)``:
+    ``sigma(e_k) = sigma(conv[k] + e_k)``, read off the values found before."""
     on_ext = {}
-    for n in flavor.ext_indices():
-        sx = on_base[x_name(n)]
-        lead = sx.coefficient((n,), ())
-        if lead == 0:
-            raise IntegralityError(f"sigma(x_{n}) has vanishing e_{n} coefficient")
-        # sigma(e_n) is still unknown, so it counts as 0 in sigma(sigma(x_n))
-        residual = SigmaTable(flavor, on_base, on_ext).sigma(sx)
-        value = residual.scale(Fraction(-1, int(lead)))
-        if not value.is_integral():
-            raise IntegralityError(f"sigma(e_{n}) requires a non-exact division")
-        on_ext[n] = value
+    for k in flavor.ext_indices():
+        on_ext[k] = SigmaTable(flavor, on_base, on_ext).sigma(
+            conv[k] + ExtElement.ext_gen(flavor, k))
     return SigmaTable(flavor, on_base, on_ext)
 
 
@@ -368,7 +357,7 @@ def _split_with_conversion(basis: LazardBasis, moving):
     conv = lambda_in_e(basis)
     return split_sigma_table(flavor, {
         x_name(n): ring_map(moving.on_base[x_name(n)], flavor, conv)
-        for n in range(1, basis.N + 1)}), conv
+        for n in range(1, basis.N + 1)}, conv), conv
 
 
 def lambda_in_e(basis: LazardBasis):

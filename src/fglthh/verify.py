@@ -218,6 +218,7 @@ def verify_mu(flavor_tag, N, d_max):
     except IntegralityError as err:
         _check(results, "moving sigma rewrites are integral", False, str(err))
         return results
+    # the divisions are the conversion's: its m_(k-i) denominators must cancel
     try:
         spl, fast_conv = _split_with_conversion(basis, mov)
         _check(results, "split sigma solves with exact divisions", True)

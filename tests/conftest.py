@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import settings
 
 from fglthh.fgl import LazardBasis, TypicalBasis
 from fglthh.algebroid import MuStructure, TypicalStructure
-from fglthh.thh import sigma_mu_moving, sigma_mu_split, sigma_bp
+from fglthh.thh import _split_with_conversion, sigma_mu_moving, sigma_mu_split, sigma_bp
+from fglthh.cohomology import cohomology_groups
 
 settings.register_profile("suite", deadline=None, max_examples=25)
 settings.load_profile("suite")
@@ -44,6 +47,17 @@ def sigma_moving10(lazard10):
 @pytest.fixture(scope="session")
 def sigma_split10(lazard10):
     return sigma_mu_split(lazard10)
+
+
+@pytest.fixture(scope="session")
+def mu_tables24():
+    """The mu-split sigma table at N = 12, the conversion that carries the
+    mu-moving table into it, and each flavor's cohomology through degree 24."""
+    basis = LazardBasis(12)
+    moving = sigma_mu_moving(basis)
+    split, conv = _split_with_conversion(basis, moving)
+    return SimpleNamespace(split=split, conv=conv, groups={
+        "mu-moving": cohomology_groups(moving, 24), "mu-split": cohomology_groups(split, 24)})
 
 
 @pytest.fixture(scope="session", params=(2, 3, 5))

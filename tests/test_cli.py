@@ -18,6 +18,7 @@ import fglthh.algebroid
 import fglthh.cli
 import fglthh.cohomology
 import fglthh.fgl
+import fglthh.thh
 import fglthh.verify
 from fglthh.cli import Report, emit_report, main, write_json
 from fglthh.cohomology import SMALL_PRIMES
@@ -527,20 +528,81 @@ def _break_typicality(monkeypatch):
           lambda flt, tstruct, n: flt(tstruct, n).scale(2))
 
 
-@pytest.mark.parametrize("argv, perturb, name", [
-    (VERIFY_MU, _break_counit, "counit composed with right unit is the identity"),
-    (VERIFY_MU, _break_moving_counit, "counit composed with right unit is the identity"),
-    (VERIFY_MU, _break_ring_map, "right unit is a ring map (all pairs, weight <= 5)"),
-    (VERIFY_MU, _break_involution, "conjugation is an involution (n <= 3)"),
-    (VERIFY_BP, _break_pn_ell, "p^n ell_n lies in the Hazewinkel span"),
-    (VERIFY_BP, _break_typicality, "p-typicalization filter matches the p-typical right unit"),
-], ids=["counit", "moving-counit", "ring-map", "involution", "pn-ell", "typicality"])
-def test_verify_reports_each_broken_contract(capsys, monkeypatch, argv, perturb, name):
-    # one map broken: its check prints [FAIL] and is named on one stderr line
+def _refuse(monkeypatch, owner, name, message):
+    def refused(*args):
+        raise IntegralityError(message)
+
+    monkeypatch.setattr(owner, name, refused)
+
+
+def _break_moving_rewrite(monkeypatch):
+    _refuse(monkeypatch, fglthh.verify, "sigma_mu_moving",
+            "sigma(x_2) has a non-integral lambda'_1 coefficient")
+
+
+def _break_conversion(monkeypatch):
+    _refuse(monkeypatch, fglthh.thh, "lambda_in_e", "moving coordinate 2 is not integral")
+
+
+def _break_bp_recursion(monkeypatch):
+    _refuse(monkeypatch, fglthh.verify, "sigma_bp", "p^1 ell_1 is not integral at p=2")
+
+
+def _break_sigma_squared(monkeypatch):
+    # sigma plus the identity squares to 2 sigma + 1; the staircases are
+    # assembled by apply, which keeps the true table, so only sigma^2 sees it
+    class Leaky(fglthh.thh.SigmaTable):
+        def sigma(self, elt, twist=False):
+            return super().sigma(elt, twist) + elt
+
+        def apply(self, elt):
+            return super().sigma(elt)
+
+    _wrap(monkeypatch, fglthh.verify, "sigma_bp",
+          lambda sigma_bp, tbasis: Leaky(*_table_parts(sigma_bp(tbasis))))
+
+
+def _table_parts(table):
+    return table.flavor, table.on_base, table.on_ext
+
+
+def _break_smith_oracle(monkeypatch):
+    # every Smith diagonal doubled: the gcd-of-minors oracle disagrees
+    _wrap(monkeypatch, fglthh.verify, "invariant_factors",
+          lambda factors, matrix: tuple(2 * a for a in factors(matrix)))
+
+
+@pytest.mark.parametrize("argv, perturb, name, detail", [
+    (VERIFY_MU, _break_counit, "counit composed with right unit is the identity", ""),
+    (VERIFY_MU, _break_moving_counit, "counit composed with right unit is the identity", ""),
+    (VERIFY_MU, _break_ring_map, "right unit is a ring map (all pairs, weight <= 5)", ""),
+    (VERIFY_MU, _break_involution, "conjugation is an involution (n <= 3)", ""),
+    (VERIFY_BP, _break_pn_ell, "p^n ell_n lies in the Hazewinkel span", ""),
+    (VERIFY_BP, _break_typicality,
+     "p-typicalization filter matches the p-typical right unit", ""),
+    (VERIFY_MU, _break_moving_rewrite, "moving sigma rewrites are integral",
+     re.escape("sigma(x_2) has a non-integral lambda'_1 coefficient")),
+    (VERIFY_MU, _break_conversion, "split sigma solves with exact divisions",
+     "moving coordinate 2 is not integral"),
+    (VERIFY_BP, _break_bp_recursion, "recursive and rational sigma routes agree",
+     re.escape("p^1 ell_1 is not integral at p=2")),
+    # the last basis element where sigma^2 fails, a packed monomial at degree 6
+    (VERIFY_BP, _break_sigma_squared, "bp(p=2): sigma^2 = 0 through degree 6",
+     r"fails at \(6, \(\), \d+\)"),
+    # root 6: the Smith diagonal (2,) against the oracle's (1,)
+    (VERIFY_MU, _break_smith_oracle,
+     "mu-moving: Smith form matches gcd-of-minors oracle (<=8x8)",
+     re.escape("(6, (2,), (1,))")),
+], ids=["counit", "moving-counit", "ring-map", "involution", "pn-ell", "typicality",
+        "moving-rewrite", "conversion", "bp-recursion", "sigma-squared", "smith-oracle"])
+def test_verify_reports_each_broken_contract(capsys, monkeypatch, argv, perturb, name, detail):
+    # one map broken: its check prints [FAIL], with what failed when the check
+    # reports it, and is named on one stderr line
     perturb(monkeypatch)
     code, out, err = run(capsys, *argv)
     assert code == 1
-    assert f"[FAIL] {name}" in out.splitlines()
+    line = rf"\[FAIL\] {re.escape(name)}" + (rf"  \[{detail}\]" if detail else "")
+    assert any(re.fullmatch(line, printed) for printed in out.splitlines())
     assert err.startswith("failed: ") and err.count("\n") == 1
     assert name in err[len("failed: "):-1].split("; ")
     assert "Traceback" not in err
@@ -582,6 +644,33 @@ def test_series_error_is_a_contract_violation(capsys, monkeypatch):
     assert err.startswith("contract violation: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_an_unwritable_output_is_an_io_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, "sigma", "--max-n", "1", "--output", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert str(target) in err
+    assert "Traceback" not in err
+
+
+def _halved(sigma_bp, tbasis):
+    table = sigma_bp(tbasis)
+    return fglthh.thh.SigmaTable(table.flavor, {
+        name: value.scale(Fraction(1, 2)) for name, value in table.on_base.items()})
+
+
+def test_a_fraction_coefficient_is_a_json_pair(capsys, monkeypatch):
+    # a halved p-typical table: -3/2 v_1^2 lambda_1 in sigma(v_2) at p = 2
+    _wrap(monkeypatch, fglthh.cli, "sigma_bp", _halved)
+    code, out, _ = run(capsys, "sigma", "--flavor", "bp", "--prime", "2", "--max-n", "2",
+                       "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["results"]["sigma"]
+    assert rows["sigma(v_1)"]["terms"][0]["coeff"]["terms"] == [{"coeff": 1, "mono": {}}]
+    assert rows["sigma(v_2)"]["terms"][0] == {
+        "ext": ["lambda_1"], "coeff": {"terms": [{"coeff": [-3, 2], "mono": {"v_1": 2}}]}}
 
 
 def test_out_of_memory_is_a_usage_error_without_traceback(capsys, monkeypatch):

@@ -69,9 +69,6 @@ UNREACHED = {
     "exactalg:solve_integer": TRACED,
     "exactalg:solve_rational_linear": TRACED,
     "fgl:TypicalBasis.rewrite_ell_to_v": TRACED,
-    "fgl:TypicalBasis.ell_images": "the images rewrite_ell_to_v substitutes",
-    "exactalg:GradedPoly.denominators_are_powers_of":
-        "the p-locality test of rewrite_ell_to_v",
     "exactalg:generates": "the lattice test behind CohomologyTable.generates",
     "exactalg:UnderdeterminedSystemError.__init__":
         "raised by solve_rational_linear, an error class",
@@ -87,6 +84,7 @@ UNREACHED = {
         "which no small command meets; the exactalg tests do",
     "exactalg:FinAbGroup.is_trivial": "the cohomology and acceptance tests read it",
     "exactalg:GradedPoly.const": "the tests build constant coefficients with it",
+    "exactalg:GenTable.pack": "the kernel tests build monomials with it",
     "exactalg:GenTable.__hash__": "GenTable defines __eq__, so it must define a hash",
     "exactalg:FinAbGroup.__str__": SHOWN,
     "exactalg:GenTable.__repr__": SHOWN,

@@ -5,6 +5,8 @@ conversion ``lambda_in_e``; ``verify`` keeps the definition, the b-linear
 part of the full right unit, as its oracle.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from fglthh import cli, thh, verify
@@ -12,8 +14,8 @@ from fglthh.algebroid import MuStructure
 from fglthh.cli import main
 from fglthh.exactalg import GradedPoly, Substitution
 from fglthh.fgl import LazardBasis, x_name
-from fglthh.thh import (ExtElement, _split_with_conversion, lambda_in_e,
-                        mu_split_flavor, sigma_mu_split, split_sigma_table)
+from fglthh.thh import (ExtElement, SigmaTable, _split_with_conversion, lambda_in_e,
+                        mu_split_flavor, ring_map, sigma_mu_split)
 from fglthh.verify import _linear_split_part, split_sigma_by_definition, verify_mu
 
 AGREE = "moving and split sigma agree under the exterior conversion"
@@ -31,15 +33,59 @@ def test_linear_split_part_keeps_single_b_terms(structure6):
         (1,): y2 - 2 * y1 ** 2, (2,): 3 * y1, (3,): GradedPoly.one(ms.basis.x_table)})
 
 
+def solved_from_sigma_squared(flavor, on_base):
+    """The split table whose exterior values are solved, one at a time, from
+    ``sigma(sigma(x_n)) = 0``: the ``e_n`` coefficient of ``sigma(x_n)`` is a
+    nonzero integer, and ``sigma(e_n)``, still unknown, counts as 0."""
+    on_ext = {}
+    for n in flavor.ext_indices():
+        sx = on_base[x_name(n)]
+        lead = sx.terms[(n,)].terms[0]  # the constant monomial packs to 0
+        residual = SigmaTable(flavor, on_base, on_ext).sigma(sx)
+        on_ext[n] = residual.scale(Fraction(-1, lead))
+        assert on_ext[n].is_integral()
+    return SigmaTable(flavor, on_base, on_ext)
+
+
 @pytest.mark.parametrize("N", range(1, 13))
 def test_the_first_order_table_is_the_definition(N):
+    # the conversion-built exterior values against those solved from sigma^2
     basis = LazardBasis(N)
     on_base, conv = split_sigma_by_definition(MuStructure(basis))
     fast = sigma_mu_split(basis)
-    definition = split_sigma_table(fast.flavor, on_base)
+    definition = solved_from_sigma_squared(fast.flavor, on_base)
     assert dict(fast.on_base) == dict(definition.on_base)
     assert dict(fast.on_ext) == dict(definition.on_ext)
     assert lambda_in_e(basis) == conv
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_split_sigma_squares_to_zero_on_the_generators(N):
+    # sigma(lambda'_k) = 0 carried across is how the table is built; that
+    # sigma^2 vanishes is not, and it holds because the conversion is a ring
+    # isomorphism that carries one differential onto the other
+    basis = LazardBasis(N)
+    split = sigma_mu_split(basis)
+    flavor = split.flavor
+    for n in range(1, N + 1):
+        x = ExtElement.from_base(flavor, GradedPoly.gen(basis.x_table, x_name(n)))
+        for gen in (x, ExtElement.ext_gen(flavor, n)):
+            assert split.sigma(split.sigma(gen)).is_zero(), (n, gen)
+
+
+def test_moving_generators_keep_their_orders_in_split_coordinates(mu_tables24):
+    # every printed mu-moving generator through degree 24, carried across by
+    # the conversion, is a split cocycle of the same order
+    t = mu_tables24
+    split_groups = t.groups["mu-split"]
+    carried = 0
+    for d, pairs in t.groups["mu-moving"].generators.items():
+        for order, gen in pairs:
+            (q,) = {len(subset) for subset in gen.terms}
+            image = ring_map(gen, t.split.flavor, t.conv)
+            assert split_groups.class_orders(d, q, [image]) == (order,), (d, q, gen)
+            carried += 1
+    assert carried == 70
 
 
 def _verify_split(capsys):
@@ -53,13 +99,13 @@ def test_verify_passes_the_first_order_routes(capsys):
 
 
 def test_verify_sees_a_changed_conversion_coefficient(monkeypatch, capsys):
-    # the x_2 coefficient of e_1 in lambda'_3 goes from 1 to 421; a multiple
-    # of 420 keeps every division of the sigma(e_n) solve exact for n <= 6.
-    # verify compares the conversion that carried its split table across.
+    # the x_2 coefficient of e_1 in lambda'_3 goes up by one; the split table
+    # carried across by it still squares to zero, so verify must compare the
+    # conversion that carried its split table across
     def perturbed(basis):
         conv = dict(lambda_in_e(basis))
         x2 = GradedPoly.gen(basis.x_table, x_name(2))
-        conv[3] = conv[3] + ExtElement.ext_gen(conv[3].flavor, 1, x2.scale(420))
+        conv[3] = conv[3] + ExtElement.ext_gen(conv[3].flavor, 1, x2)
         return conv
 
     monkeypatch.setattr(thh, "lambda_in_e", perturbed)
@@ -74,7 +120,7 @@ def test_verify_sees_a_changed_table_coefficient(monkeypatch, capsys):
         on_base = dict(sig.on_base)
         x4 = GradedPoly.gen(basis.x_table, x_name(4))
         on_base[x_name(5)] = on_base[x_name(5)] + ExtElement.ext_gen(sig.flavor, 1, x4)
-        return split_sigma_table(sig.flavor, on_base), conv
+        return solved_from_sigma_squared(sig.flavor, on_base), conv
 
     monkeypatch.setattr(verify, "_split_with_conversion", perturbed)
     assert _verify_split(capsys) == (1, [f"[FAIL] {AGREE}"])
